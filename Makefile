@@ -1,8 +1,8 @@
 # Tier-1 verification, as run by CI (.github/workflows/ci.yml).
 
-.PHONY: verify build vet test lint lint-sarif tidy-check bench bench-shards bench-smoke determinism-check trace-smoke chaos-smoke compare-selfcheck serve-smoke conformance ablate-smoke
+.PHONY: verify build vet test lint lint-sarif tidy-check benchmark-smoke loc determinism-check trace-smoke chaos-smoke compare-selfcheck serve-smoke conformance ablate-smoke
 
-verify: build vet test lint tidy-check conformance ablate-smoke
+verify: build vet test lint tidy-check conformance ablate-smoke benchmark-smoke
 
 # conformance runs the registry-driven provider suite on its own: every
 # registered MPCI provider — native, the three MPI-LAPI designs, and
@@ -43,30 +43,23 @@ lint-sarif:
 tidy-check:
 	go mod tidy -diff
 
-# bench measures the simulator's wall-clock throughput (kernel
-# microbenchmarks plus whole-sweep cells) against the committed baseline
-# and writes BENCH_walltime.json; schema in EXPERIMENTS.md.
-bench:
-	go run ./cmd/walltime -rounds 5 -baseline BENCH_walltime_baseline.json -o BENCH_walltime.json
+# benchmark-smoke vets and tests the repository benchmark (cmd/benchmark,
+# a module of its own that `./...` above does not see): every workload and
+# the traced path at smoke scale, every virtual-time pin in expected.json
+# at tolerance 0, and BENCHMARK.json equal to the tables in the binary.
+# Host-time numbers themselves come from `go run -C cmd/benchmark .`
+# (cmd/benchmark/README.md).
+benchmark-smoke:
+	go vet -C cmd/benchmark ./...
+	go test -C cmd/benchmark ./...
 
-# bench-shards writes the shard-scaling artifact CI uploads: the full
-# suite including the shards/ring16-s{1,2,4} series, on whatever host CI
-# gives us. Speedup needs GOMAXPROCS >= shards; on narrower hosts the
-# series measures epoch-machinery overhead instead (EXPERIMENTS.md,
-# walltime/v2). Not a gate — wall-clock scaling is machine-dependent.
-bench-shards:
-	go run ./cmd/walltime -rounds 3 -shards 4 -o walltime_shards.json
-
-# bench-smoke is the CI bit-rot check (one tiny round, artifact discarded)
-# plus the tracing-off overhead gate: with no log attached the hot paths pay
-# one nil-check branch, and the gated benchmarks must stay within 2% of the
-# committed BENCH_walltime.json on the machine that produced it. On any
-# other machine (checked by the recorded host fingerprint) the gate warns
-# loudly and demotes itself to report-only — ns/op is not comparable
-# across CPUs, and a canary scalar cannot bridge different cost ratios.
-bench-smoke:
-	go run ./cmd/walltime -smoke -o /tmp/BENCH_walltime_smoke.json
-	go run ./cmd/walltime -rounds 5 -gateref BENCH_walltime.json -gate 2
+# loc prints the tracked size of the tree: non-test Go lines per package
+# and in total, outside testdata and cmd/benchmark (ROADMAP: "non-test LoC
+# is a tracked number").
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './cmd/benchmark/*' ! -path '*/testdata/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 # determinism-check regenerates the fig10 sweep (16 seeds, same knobs as
 # the committed artifact) and demands point-identity at zero tolerance:
@@ -96,8 +89,6 @@ determinism-check:
 # zero tolerance must be clean. This is what the old mean-centered CI
 # violated (fp summation noise could exclude the median of an all-equal
 # sample); the nonparametric gate must never flag a self-comparison.
-# The walltime artifacts are a different schema and are deliberately not
-# matched by the glob.
 compare-selfcheck:
 	for f in BENCH_fig1[0-3].json BENCH_ablate-*.json BENCH_ring.json; do \
 		go run ./cmd/sweep -compare $$f $$f -tol 0 || exit 1; \
@@ -111,8 +102,8 @@ trace-smoke:
 	go run ./cmd/spsim -exp fig10 -trace /tmp/trace_clean.json
 	grep -q '"schema":"tracelog/v1"' /tmp/trace_clean.json
 	go run ./cmd/tracediff /tmp/trace_clean.json /tmp/trace_clean.json
-	go run ./cmd/spsim -exp fig10 -trace /tmp/trace_drop1.json -tracedrop 0.02 -traceseed 1
-	go run ./cmd/spsim -exp fig10 -trace /tmp/trace_drop2.json -tracedrop 0.02 -traceseed 2
+	go run ./cmd/spsim -exp fig10 -trace /tmp/trace_drop1.json -faults uniform:drop=0.02 -traceseed 1
+	go run ./cmd/spsim -exp fig10 -trace /tmp/trace_drop2.json -faults uniform:drop=0.02 -traceseed 2
 	go run ./cmd/tracediff /tmp/trace_drop1.json /tmp/trace_drop2.json; test $$? -eq 1
 
 # serve-smoke exercises the spsimd service end to end over real HTTP: a

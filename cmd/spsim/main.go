@@ -31,7 +31,6 @@ func run() int {
 	traceOut := flag.String("trace", "", "run the named registry experiment's first cell with event tracing and write a Chrome trace-event file (load in Perfetto)")
 	traceSeed := flag.Int64("traceseed", 1, "seed for the -trace run")
 	faultSpec := flag.String("faults", "", "fault plan for the -trace run: 'uniform:drop=P,dup=P,corrupt=P', a preset name, or '@plan.json' (a clean fabric consumes no randomness, so only faulted runs diverge across seeds)")
-	traceDrop := flag.Float64("tracedrop", 0, "deprecated: alias for -faults uniform:drop=P")
 	shards := flag.Int("shards", 0, "engine shards per cell run (0/1 = serial; results are bit-identical at any shard count)")
 	pf := prof.Flags()
 	flag.Parse()
@@ -119,17 +118,10 @@ func run() int {
 		}
 		c := e.Cells[0]
 		tl := tracelog.New(1 << 20)
-		if *faultSpec != "" && *traceDrop > 0 {
-			fmt.Fprintln(os.Stderr, "spsim: -faults cannot be combined with the deprecated -tracedrop alias")
-			return 2
-		}
 		plan, err := faults.Parse(*faultSpec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "spsim:", err)
 			return 2
-		}
-		if plan.Empty() {
-			plan = faults.Uniform(*traceDrop, 0)
 		}
 		var mod bench.ParamMod
 		if !plan.Empty() {

@@ -155,8 +155,7 @@ func run() int {
 		opts := sweep.Options{
 			Seeds: *seeds, SeedsMax: *seedsMax, RelCIPct: *relCI,
 			Par: *par, BaseSeed: *baseSeed,
-			Faults: faultsFl.Raw(), DropProb: faultsFl.Drop(), DupProb: faultsFl.Dup(),
-			GitDescribe: git, Trace: *traced,
+			Faults: faultsFl.Spec(), GitDescribe: git, Trace: *traced,
 			Shards: *shards, WorkerBudget: *budget,
 		}
 		res, err := sweep.RunCtx(ctx, e, opts)

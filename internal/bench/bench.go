@@ -66,19 +66,14 @@ const PingPongRoundTrips = pingIters + 2
 // buffer without calling MPI until the message lands (the Section 6.1
 // interrupt-mode methodology).
 func MPIPingPong(stack cluster.Stack, size int, interrupts bool) float64 {
-	return MPIPingPongTraced(stack, size, interrupts, nil)
+	return MPIPingPongOpts(stack, size, interrupts, paperParams(), 1, nil)
 }
 
-// MPIPingPongTraced is MPIPingPong with an event log attached to the
-// cluster (nil tl means untraced; the timing result is identical either
-// way).
-func MPIPingPongTraced(stack cluster.Stack, size int, interrupts bool, tl *tracelog.Log) float64 {
-	return MPIPingPongOpts(stack, size, interrupts, paperParams(), 1, tl)
-}
-
-// MPIPingPongOpts is MPIPingPongTraced with an explicit cost model and seed
-// — the entry point the CLI and chaos testing use to run the ping-pong on a
-// non-default machine or a faulted fabric.
+// MPIPingPongOpts is MPIPingPong with an explicit cost model and seed and
+// an event log attached to the cluster (nil tl means untraced; the timing
+// result is identical either way) — the entry point the CLI and chaos
+// testing use to run the ping-pong on a non-default machine or a faulted
+// fabric.
 func MPIPingPongOpts(stack cluster.Stack, size int, interrupts bool, par machine.Params, seed int64, tl *tracelog.Log) float64 {
 	c := cluster.New(cluster.Config{
 		Nodes: 2, Stack: stack, Seed: seed, Params: &par, Interrupts: interrupts, Trace: tl,
@@ -138,16 +133,11 @@ func runPingPong(c *cluster.Cluster, size int, interrupts bool) float64 {
 // RawLAPIPingPong measures one-way latency of a LAPI_Put ping-pong with
 // LAPI_Waitcntr, as in Section 5.1.
 func RawLAPIPingPong(size int) float64 {
-	return RawLAPIPingPongTraced(size, nil)
+	return RawLAPIPingPongOpts(size, paperParams(), 1, nil)
 }
 
-// RawLAPIPingPongTraced is RawLAPIPingPong with an event log attached.
-func RawLAPIPingPongTraced(size int, tl *tracelog.Log) float64 {
-	return RawLAPIPingPongOpts(size, paperParams(), 1, tl)
-}
-
-// RawLAPIPingPongOpts is RawLAPIPingPongTraced with an explicit cost model
-// and seed.
+// RawLAPIPingPongOpts is RawLAPIPingPong with an explicit cost model and
+// seed and an optional event log.
 func RawLAPIPingPongOpts(size int, par machine.Params, seed int64, tl *tracelog.Log) float64 {
 	c := cluster.New(cluster.Config{Nodes: 2, Stack: cluster.RawLAPI, Seed: seed, Params: &par, Trace: tl})
 	return runRawLAPIPingPong(c, size)
@@ -198,16 +188,11 @@ func runRawLAPIPingPong(c *cluster.Cluster, size int) float64 {
 // back to back and stops the clock when the receiver's acknowledgement of
 // the last message returns.
 func MPIBandwidth(stack cluster.Stack, size, count int) float64 {
-	return MPIBandwidthTraced(stack, size, count, nil)
+	return MPIBandwidthOpts(stack, size, count, paperParams(), 1, nil)
 }
 
-// MPIBandwidthTraced is MPIBandwidth with an event log attached.
-func MPIBandwidthTraced(stack cluster.Stack, size, count int, tl *tracelog.Log) float64 {
-	return MPIBandwidthOpts(stack, size, count, paperParams(), 1, tl)
-}
-
-// MPIBandwidthOpts is MPIBandwidthTraced with an explicit cost model and
-// seed.
+// MPIBandwidthOpts is MPIBandwidth with an explicit cost model and seed
+// and an optional event log.
 func MPIBandwidthOpts(stack cluster.Stack, size, count int, par machine.Params, seed int64, tl *tracelog.Log) float64 {
 	c := cluster.New(cluster.Config{Nodes: 2, Stack: stack, Seed: seed, Params: &par, Trace: tl})
 	return runBandwidth(c, size, count)
@@ -252,8 +237,8 @@ func runBandwidth(c *cluster.Cluster, size, count int) float64 {
 // every rank streams count messages of size bytes to its right neighbour
 // while receiving from its left. Rank 0's elapsed time converts the
 // aggregate bytes moved into MB/s. Unlike the two-node streams above, the
-// traffic spans the whole job, so this is the workload the shard-scaling
-// walltime series measures the parallel engine with.
+// traffic spans the whole job, so this is the workload the parallel
+// engine is measured with (sim.shard2_ratio in cmd/benchmark).
 func runRing(c *cluster.Cluster, size, count int) float64 {
 	n := len(c.HALs)
 	var elapsed sim.Time

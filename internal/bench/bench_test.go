@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"splapi/internal/cluster"
+	"splapi/internal/machine"
+	"splapi/internal/mpci"
 )
 
 // TestFig11Shape asserts the paper's Figure 11 findings: native MPI wins
@@ -183,5 +185,31 @@ func TestGenerationsSensitivity(t *testing.T) {
 	if s[2].Points[1].Value <= s[2].Points[0].Value {
 		t.Errorf("the Base-Enhanced gap should widen on the slower node: %.1f vs %.1f",
 			s[2].Points[1].Value, s[2].Points[0].Value)
+	}
+}
+
+// TestRegistryStacksFilterByCapability: on a machine generation without
+// memory registration the report tables drop exactly the providers whose
+// registered capability set says ZeroCopyRendezvous — nothing about a
+// provider but that one field decides it.
+func TestRegistryStacksFilterByCapability(t *testing.T) {
+	if got, all := len(registryStacks(machine.SP332())), len(mpci.Providers()); got != all {
+		t.Fatalf("sp332 runs %d of %d providers, want all", got, all)
+	}
+	kept := map[string]bool{}
+	for _, f := range registryStacks(machine.SP160()) {
+		kept[f.Name] = true
+	}
+	dropped := 0
+	for _, f := range mpci.Providers() {
+		if kept[f.Name] == f.Caps.ZeroCopyRendezvous {
+			t.Errorf("%s: kept on sp160 = %v with ZeroCopyRendezvous = %v", f.Name, kept[f.Name], f.Caps.ZeroCopyRendezvous)
+		}
+		if !kept[f.Name] {
+			dropped++
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("no registered provider needs memory registration: the filter is untested")
 	}
 }

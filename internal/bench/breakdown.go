@@ -5,20 +5,20 @@ import (
 	"io"
 
 	"splapi/internal/cluster"
+	"splapi/internal/machine"
 	"splapi/internal/mpci"
 	"splapi/internal/tracelog"
 )
 
-// registryStacks lists every registered provider runnable on the paper
-// machine, in registry order. The breakdown and stats reports iterate
+// registryStacks lists every registered provider runnable on machine
+// par, in registry order. The breakdown and stats reports iterate
 // this — never a hand-maintained list — so a new provider appears in
 // every table by registering. Providers that need memory registration
 // are filtered by capability of the machine, not by name.
-func registryStacks() []mpci.Factory {
-	par := paperParams()
+func registryStacks(par machine.Params) []mpci.Factory {
 	var out []mpci.Factory
 	for _, f := range mpci.Providers() {
-		if f.RequiresRdma && !par.RdmaSupported {
+		if f.Caps.ZeroCopyRendezvous && !par.RdmaSupported {
 			continue
 		}
 		out = append(out, f)
@@ -66,7 +66,7 @@ func PrintBreakdown(w io.Writer, size int, interrupts bool) {
 		fmt.Fprintf(w, " %12s", cat)
 	}
 	fmt.Fprintf(w, " %12s\n", "sum")
-	for _, f := range registryStacks() {
+	for _, f := range registryStacks(paperParams()) {
 		sums := PingPongBreakdown(cluster.Stack(f.Name), size, interrupts)
 		fmt.Fprintf(w, "%-22s", f.Name)
 		var total int64
@@ -90,7 +90,7 @@ func PrintBreakdown(w io.Writer, size int, interrupts bool) {
 func PrintRdvControl(w io.Writer, size int) {
 	fmt.Fprintf(w, "Rendezvous control traffic per round trip (%d B, polling mode):\n", size)
 	fmt.Fprintf(w, "%-22s %12s %12s %12s %12s\n", "provider", "rts", "cts", "staged-body", "rdma-chunks")
-	for _, f := range registryStacks() {
+	for _, f := range registryStacks(paperParams()) {
 		var rts, cts, staged, chunks int64
 		for _, ev := range tracedPingPong(cluster.Stack(f.Name), size, false) {
 			switch ev.Kind {

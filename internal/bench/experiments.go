@@ -72,8 +72,8 @@ const (
 	HigherIsBetter Direction = "higher-better"
 )
 
-// DirectionForUnit maps the units of legacy (sweep/v1) artifacts, which
-// carried no declared direction, onto a Direction. Unknown units are an
+// DirectionForUnit maps the unit of an experiment that declares no
+// direction onto one when the sweep harness runs it. Unknown units are an
 // error: silently guessing a direction is how a msgs/s experiment would
 // have its regressions waved through.
 func DirectionForUnit(unit string) (Direction, error) {
@@ -101,8 +101,8 @@ type Experiment struct {
 	Title string
 	Unit  string
 	// Direction declares the harmful movement for the metric; the sweep
-	// harness persists it and the regression gate requires it (falling
-	// back to DirectionForUnit only for legacy artifacts).
+	// harness persists it (filling it from DirectionForUnit when empty)
+	// and the regression gate requires it.
 	Direction Direction
 	Cells     []Cell
 }
@@ -168,8 +168,8 @@ func ringCell(series string, stack cluster.Stack, nodes, size, count int) Cell {
 
 // RingExperiment: aggregate ring-exchange throughput as the job grows
 // (64 KiB x 16 messages per rank, barrier-delimited). The 16-node cell is
-// the largest committed workload and the one the shard-scaling walltime
-// series runs at 1/2/4 engine shards.
+// the largest committed workload and the one cmd/benchmark's
+// sim.shard2_ratio runs at one and two engine shards.
 func RingExperiment() Experiment {
 	e := Experiment{
 		ID:        "ring",

@@ -31,19 +31,14 @@ type NASResult struct {
 // job start to the last rank finishing, and whether the distributed
 // checksum matches the serial reference.
 func RunNASKernel(k nas.Kernel, stack cluster.Stack) NASResult {
-	return RunNASKernelTraced(k, stack, nil)
+	return RunNASKernelOpts(k, stack, paperParams(), 1, nil)
 }
 
-// RunNASKernelTraced is RunNASKernel with an event log attached to the
-// cluster (nil tl means untraced). Tracing an LU run makes the wavefront
-// communication pattern visible as flow arrows in Perfetto.
-func RunNASKernelTraced(k nas.Kernel, stack cluster.Stack, tl *tracelog.Log) NASResult {
-	return RunNASKernelOpts(k, stack, paperParams(), 1, tl)
-}
-
-// RunNASKernelOpts is RunNASKernelTraced with an explicit cost model and
-// seed — the entry point chaos testing uses to run kernels on a faulted
-// fabric.
+// RunNASKernelOpts is RunNASKernel with an explicit cost model and seed —
+// the entry point chaos testing uses to run kernels on a faulted fabric —
+// and an event log attached to the cluster (nil tl means untraced).
+// Tracing an LU run makes the wavefront communication pattern visible as
+// flow arrows in Perfetto.
 func RunNASKernelOpts(k nas.Kernel, stack cluster.Stack, par machine.Params, seed int64, tl *tracelog.Log) NASResult {
 	c := cluster.New(cluster.Config{Nodes: 4, Stack: stack, Seed: seed, Params: &par, Trace: tl})
 	var end sim.Time

@@ -48,8 +48,7 @@ type Summary struct {
 	CI95Lo float64 `json:"ci95lo"`
 	CI95Hi float64 `json:"ci95hi"`
 	// CIMethod records which interval construction produced CI95Lo/Hi:
-	// "exact", "sign", or "bootstrap". Empty on legacy (sweep/v1)
-	// artifacts, whose intervals were normal-theory CIs of the mean.
+	// "exact", "sign", or "bootstrap".
 	CIMethod string `json:"ciMethod,omitempty"`
 }
 
@@ -205,7 +204,7 @@ func splitmix64(state *uint64) uint64 {
 // run.
 func PrintStats(w io.Writer) error {
 	var firstErr error
-	for _, f := range registryStacks() {
+	for _, f := range registryStacks(paperParams()) {
 		stack := cluster.Stack(f.Name)
 		par := paperParams()
 		c := cluster.New(cluster.Config{Nodes: 4, Stack: stack, Seed: 2, Params: &par})

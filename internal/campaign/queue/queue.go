@@ -32,6 +32,13 @@ const (
 // Terminal reports whether a state is final.
 func (s State) Terminal() bool { return s == Done || s == Failed || s == Canceled }
 
+// settledKeep is how many settled jobs stay addressable by id: a window
+// long enough to submit, poll and fetch a result, short enough that a
+// service answering cache hits all day holds a fixed number of artifacts.
+// Live (queued or running) jobs are never evicted. An evicted id answers
+// "no such job"; its result stays reachable by digest.
+const settledKeep = 256
+
 // Event is one entry of a job's progress stream: either a state
 // transition or a runner-published progress payload. Events are retained
 // for the job's lifetime, so late subscribers replay from the start.
@@ -160,9 +167,11 @@ type Queue struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
 	byID      map[string]*Job
-	byKey     map[string]*Job // live (queued or running) jobs, for single-flight
-	order     []*Job          // submission order, for listing
-	pending   []*Job          // FIFO of queued jobs
+	byKey     map[string]*Job   // live (queued or running) jobs, for single-flight
+	order     []*Job            // submission order, for listing
+	settled   [settledKeep]*Job // ring of the most recently settled jobs
+	nextSlot  int
+	pending   []*Job // FIFO of queued jobs
 	busy      int
 	coalesced uint64
 	draining  bool
@@ -210,6 +219,24 @@ func (q *Queue) newJobLocked(key string, payload any, state State) *Job {
 	return j
 }
 
+// retireLocked files a job that just reached a terminal state in the
+// recent-settled ring, evicting the job it displaces; q.mu must be held.
+func (q *Queue) retireLocked(j *Job) {
+	old := q.settled[q.nextSlot]
+	q.settled[q.nextSlot] = j
+	q.nextSlot = (q.nextSlot + 1) % settledKeep
+	if old == nil {
+		return
+	}
+	delete(q.byID, old.ID)
+	for i, o := range q.order {
+		if o == old {
+			q.order = append(q.order[:i], q.order[i+1:]...)
+			break
+		}
+	}
+}
+
 // Submit schedules payload under key, coalescing onto a live job with the
 // same key if one exists (the returned bool reports that). During a drain
 // submissions are refused.
@@ -240,10 +267,11 @@ func (q *Queue) CompletedJob(key string, payload any, body []byte) *Job {
 	j.Cached = true
 	j.body = body
 	close(j.done)
+	q.retireLocked(j)
 	return j
 }
 
-// Get looks a job up by id.
+// Get looks a job up by id; settled jobs age out (see settledKeep).
 func (q *Queue) Get(id string) (*Job, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -251,7 +279,8 @@ func (q *Queue) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Jobs snapshots every job in submission order.
+// Jobs snapshots every live job and the recent settled ones, in submission
+// order.
 func (q *Queue) Jobs() []*Job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -265,28 +294,23 @@ func (q *Queue) Jobs() []*Job {
 // Canceling a terminal job is a no-op; ok reports whether the id exists.
 func (q *Queue) Cancel(id string) bool {
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	j, ok := q.byID[id]
 	if !ok {
-		q.mu.Unlock()
 		return false
 	}
-	// Remove from pending if still queued.
 	for i, p := range q.pending {
 		if p == j {
+			// Still queued: it settles here, without running.
 			q.pending = append(q.pending[:i], q.pending[i+1:]...)
-			break
+			delete(q.byKey, j.Key)
+			j.setState(Canceled, "canceled before start")
+			q.retireLocked(j)
+			return true
 		}
 	}
-	cancel := j.cancel
-	if j.State() == Queued {
-		delete(q.byKey, j.Key)
-	}
-	q.mu.Unlock()
-
-	if cancel != nil {
-		cancel()
-	} else {
-		j.setState(Canceled, "canceled before start")
+	if j.cancel != nil {
+		j.cancel()
 	}
 	return true
 }
@@ -320,8 +344,6 @@ func (q *Queue) worker() {
 		q.mu.Lock()
 		q.busy--
 		delete(q.byKey, j.Key)
-		q.mu.Unlock()
-
 		switch {
 		case err == nil:
 			j.mu.Lock()
@@ -333,6 +355,8 @@ func (q *Queue) worker() {
 		default:
 			j.setState(Failed, err.Error())
 		}
+		q.retireLocked(j)
+		q.mu.Unlock()
 	}
 }
 
@@ -357,11 +381,10 @@ func (q *Queue) Drain(ctx context.Context) error {
 	q.pending = nil
 	for _, j := range pending {
 		delete(q.byKey, j.Key)
+		j.setState(Canceled, "server draining")
+		q.retireLocked(j)
 	}
 	q.mu.Unlock()
-	for _, j := range pending {
-		j.setState(Canceled, "server draining")
-	}
 
 	// Cancel the base context: running jobs see it through their own
 	// contexts, idle workers wake and exit.

@@ -335,3 +335,62 @@ func k(label string) string {
 	}
 	return string(out)
 }
+
+// TestSettledJobsAreBounded: a service answering cache hits all day mints
+// one born-done job per request; the table must stay at the recent-window
+// bound instead of pinning every artifact forever, while a job that is
+// still queued or running survives any number of later hits.
+func TestSettledJobsAreBounded(t *testing.T) {
+	release := make(chan struct{})
+	q := New(1, func(ctx context.Context, j *Job) ([]byte, error) {
+		<-release
+		return []byte("ran"), nil
+	})
+	defer q.Drain(context.Background())
+
+	running, _, err := q.Submit(k("running"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, _, err := q.Submit(k("queued"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first, last *Job
+	for i := 0; i < 10000; i++ {
+		last = q.CompletedJob(k(fmt.Sprint("hit", i)), nil, []byte("cached"))
+		if first == nil {
+			first = last
+		}
+	}
+	if got, want := len(q.Jobs()), settledKeep+2; got != want {
+		t.Fatalf("table holds %d jobs after 10000 hits, want %d settled + 2 live = %d", got, settledKeep, want)
+	}
+	if st := q.Stats(); st.ByState[Done] != settledKeep {
+		t.Fatalf("Stats counts %d done jobs, want %d", st.ByState[Done], settledKeep)
+	}
+	if _, ok := q.Get(first.ID); ok {
+		t.Fatalf("oldest hit %s still addressable", first.ID)
+	}
+	if body, ok := first.Body(); !ok || string(body) != "cached" {
+		t.Fatal("an evicted job must stay usable by whoever holds it (the ?wait=1 path)")
+	}
+	if j, ok := q.Get(last.ID); !ok || j != last {
+		t.Fatalf("newest hit %s not addressable", last.ID)
+	}
+	for _, live := range []*Job{running, queued} {
+		if j, ok := q.Get(live.ID); !ok || j != live {
+			t.Fatalf("live job %s (%s) was evicted", live.ID, live.State())
+		}
+	}
+
+	close(release)
+	wait(t, running)
+	wait(t, queued)
+	if body, ok := queued.Body(); !ok || string(body) != "ran" {
+		t.Fatalf("queued job finished with %q, %v", body, ok)
+	}
+	if got := len(q.Jobs()); got != settledKeep {
+		t.Fatalf("table holds %d jobs once everything settled, want %d", got, settledKeep)
+	}
+}

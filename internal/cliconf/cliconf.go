@@ -1,8 +1,7 @@
 // Package cliconf is the shared command-line wiring for the simulator
-// binaries (spsim, sweep, pingpong, nasrun, walltime, chaos): machine
+// binaries (spsim, sweep, pingpong, nasrun, chaos): machine
 // preset, fault plan, seed and trace flags are registered here once, so
-// every command spells them the same way and deprecations happen in one
-// place.
+// every command spells them the same way.
 package cliconf
 
 import (
@@ -26,57 +25,23 @@ func GitDescribe() string {
 	return strings.TrimSpace(string(out))
 }
 
-// FaultFlags is the fault-injection flag group: the -faults plan spec
-// plus the deprecated -drop/-dup aliases.
+// FaultFlags is the fault-injection flag group: the -faults plan spec.
 type FaultFlags struct {
 	spec *string
-	drop *float64
-	dup  *float64
 }
 
-// Faults registers the fault-injection flags on fs.
+// Faults registers the fault-injection flag on fs.
 func Faults(fs *flag.FlagSet) *FaultFlags {
-	f := &FaultFlags{}
-	f.spec = fs.String("faults", "", "fault plan: 'none', 'uniform:drop=P,dup=P,corrupt=P', a preset ("+
-		strings.Join(faults.PresetNames(), ", ")+"), or '@plan.json'")
-	f.drop = fs.Float64("drop", 0, "deprecated: alias for -faults uniform:drop=P (per-packet drop probability)")
-	f.dup = fs.Float64("dup", 0, "deprecated: alias for -faults uniform:dup=P (per-packet duplicate probability)")
-	return f
+	return &FaultFlags{spec: fs.String("faults", "", "fault plan: 'none', 'uniform:drop=P,dup=P,corrupt=P', a preset ("+
+		strings.Join(faults.PresetNames(), ", ")+"), or '@plan.json'")}
 }
 
-// Plan resolves the flags into a fault plan. Combining -faults with the
-// deprecated aliases is an error.
-func (f *FaultFlags) Plan() (faults.Plan, error) {
-	if *f.spec != "" && (*f.drop > 0 || *f.dup > 0) {
-		return faults.Plan{}, fmt.Errorf("cliconf: -faults cannot be combined with the deprecated -drop/-dup aliases")
-	}
-	if *f.spec != "" {
-		return faults.Parse(*f.spec)
-	}
-	return faults.Uniform(*f.drop, *f.dup), nil
-}
+// Plan resolves the flag into a fault plan.
+func (f *FaultFlags) Plan() (faults.Plan, error) { return faults.Parse(*f.spec) }
 
-// Spec returns the canonical plan spec for provenance records: the
-// -faults value, the uniform equivalent of the deprecated aliases, or ""
-// for a clean fabric.
-func (f *FaultFlags) Spec() string {
-	if *f.spec != "" {
-		return *f.spec
-	}
-	if *f.drop > 0 || *f.dup > 0 {
-		return fmt.Sprintf("uniform:drop=%g,dup=%g", *f.drop, *f.dup)
-	}
-	return ""
-}
-
-// Drop and Dup expose the deprecated alias values for call sites that
-// still persist them separately (sweep's Overrides record).
-func (f *FaultFlags) Drop() float64 { return *f.drop }
-func (f *FaultFlags) Dup() float64  { return *f.dup }
-
-// Raw returns the -faults value exactly as given ("" when unset),
-// without folding the deprecated aliases in.
-func (f *FaultFlags) Raw() string { return *f.spec }
+// Spec returns the plan spec exactly as given, for provenance records; ""
+// is a clean fabric.
+func (f *FaultFlags) Spec() string { return *f.spec }
 
 // MachineFlags is the machine-model flag group: cost-model preset plus
 // the fault flags (faults are machine configuration).

@@ -4,7 +4,7 @@ import (
 	"flag"
 	"testing"
 
-	"splapi/internal/faults"
+	"splapi/internal/mpci"
 )
 
 func newFS() *flag.FlagSet {
@@ -29,36 +29,6 @@ func TestFaultFlagsDefaultsToCleanFabric(t *testing.T) {
 	}
 }
 
-func TestFaultFlagsDeprecatedAliases(t *testing.T) {
-	fs := newFS()
-	ff := Faults(fs)
-	if err := fs.Parse([]string{"-drop", "0.01", "-dup", "0.002"}); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := ff.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := faults.Uniform(0.01, 0.002)
-	if len(plan.Rules) != len(want.Rules) {
-		t.Fatalf("alias plan %v, want %v", plan, want)
-	}
-	if got := ff.Spec(); got != "uniform:drop=0.01,dup=0.002" {
-		t.Fatalf("Spec() = %q", got)
-	}
-}
-
-func TestFaultFlagsSpecAndAliasConflict(t *testing.T) {
-	fs := newFS()
-	ff := Faults(fs)
-	if err := fs.Parse([]string{"-faults", "burst-loss", "-drop", "0.01"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ff.Plan(); err == nil {
-		t.Fatal("combining -faults with -drop must error")
-	}
-}
-
 func TestFaultFlagsPreset(t *testing.T) {
 	fs := newFS()
 	ff := Faults(fs)
@@ -72,8 +42,8 @@ func TestFaultFlagsPreset(t *testing.T) {
 	if plan.Name != "burst-loss" || plan.Empty() {
 		t.Fatalf("preset plan = %v", plan)
 	}
-	if ff.Raw() != "burst-loss" || ff.Spec() != "burst-loss" {
-		t.Fatalf("Raw/Spec = %q/%q", ff.Raw(), ff.Spec())
+	if ff.Spec() != "burst-loss" {
+		t.Fatalf("Spec = %q", ff.Spec())
 	}
 }
 
@@ -165,5 +135,38 @@ func TestTraceFlags(t *testing.T) {
 	}
 	if tr.Enabled() || tr.New() != nil {
 		t.Fatal("trace must be disabled by default and New() must return the nil sink")
+	}
+}
+
+// TestProviderRejectedByCapabilityOnSP160: -provider is contradictory with
+// -machine exactly when the registered capability set needs memory
+// registration the generation lacks; every other pairing resolves to the
+// named stack.
+func TestProviderRejectedByCapabilityOnSP160(t *testing.T) {
+	rejected := 0
+	for _, f := range mpci.Providers() {
+		for _, preset := range []string{"sp332", "sp160"} {
+			fs := newFS()
+			m, pf := Machine(fs), Provider(fs, false)
+			if err := fs.Parse([]string{"-machine", preset, "-provider", f.Name}); err != nil {
+				t.Fatal(err)
+			}
+			par, err := m.Params()
+			if err != nil {
+				t.Fatal(err)
+			}
+			stacks, err := pf.Stacks(&par)
+			if wantErr := f.Caps.ZeroCopyRendezvous && preset == "sp160"; wantErr {
+				rejected++
+				if err == nil {
+					t.Errorf("-provider %s -machine %s resolved to %v, want a contradictory-flags error", f.Name, preset, stacks)
+				}
+			} else if err != nil || len(stacks) != 1 || stacks[0].String() != f.Name {
+				t.Errorf("-provider %s -machine %s = %v, %v", f.Name, preset, stacks, err)
+			}
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no registered provider needs memory registration: the rejection is untested")
 	}
 }

@@ -75,7 +75,7 @@ func (p *ProviderFlags) Stacks(par *machine.Params) ([]cluster.Stack, error) {
 	if !ok {
 		return nil, fmt.Errorf("cliconf: unknown provider %q (use -provider list)", *p.name)
 	}
-	if f.RequiresRdma && !par.RdmaSupported {
+	if f.Caps.ZeroCopyRendezvous && !par.RdmaSupported {
 		return nil, fmt.Errorf("cliconf: contradictory flags: provider %q needs adapter memory registration, which the selected machine generation disables (pick -machine sp332)", *p.name)
 	}
 	return []cluster.Stack{cluster.Stack(f.Name)}, nil

@@ -48,18 +48,6 @@ const (
 
 func (s Stack) String() string { return string(s) }
 
-// Design returns the MPCI design for LAPI-backed stacks.
-func (s Stack) Design() mpci.Design {
-	switch s {
-	case LAPICounters:
-		return mpci.DesignCounters
-	case LAPIEnhanced, RDMA:
-		return mpci.DesignEnhanced
-	default:
-		return mpci.DesignBase
-	}
-}
-
 // Config describes the system to build.
 type Config struct {
 	Nodes int
@@ -252,7 +240,7 @@ func New(cfg Config) *Cluster {
 			if !ok {
 				panic(fmt.Sprintf("cluster: unknown stack %q", cfg.Stack))
 			}
-			ns := f.Build(eng, par, h, cfg.Nodes, c.Barrier)
+			ns := f.Build(f.Caps, eng, par, h, cfg.Nodes, c.Barrier)
 			if ns.Pipes != nil {
 				c.Pipes = append(c.Pipes, ns.Pipes)
 			}

@@ -24,14 +24,6 @@ func TestStackStrings(t *testing.T) {
 	}
 }
 
-func TestStackDesignMapping(t *testing.T) {
-	if LAPIBase.Design() != mpci.DesignBase ||
-		LAPICounters.Design() != mpci.DesignCounters ||
-		LAPIEnhanced.Design() != mpci.DesignEnhanced {
-		t.Fatal("stack-to-design mapping broken")
-	}
-}
-
 func TestBuildAllStacks(t *testing.T) {
 	for _, s := range []Stack{Native, LAPIBase, LAPICounters, LAPIEnhanced, RawLAPI} {
 		c := New(Config{Nodes: 3, Stack: s, Seed: 1})

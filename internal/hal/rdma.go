@@ -4,10 +4,10 @@
 //
 // A region of user memory is registered with the adapter (RegisterRegion:
 // pin + translate, charged in virtual time, with a lazy-deregistration
-// cache so re-registering a hot buffer is free). RdmaRead and RdmaWrite
-// then move bytes directly between registered regions over the switch
-// fabric: data packets carry the RDMA protocol byte, so the receiving
-// adapter lands them in the target region straight off the receive DMA —
+// cache so re-registering a hot buffer is free). RdmaRead then moves
+// bytes directly between registered regions over the switch fabric: data
+// packets carry the RDMA protocol byte, so the receiving adapter lands
+// them in the target region straight off the receive DMA —
 // they never enter the receive FIFO, raise no interrupt, and no host
 // software runs on the data path (adapter.SetBypass). The data path pays
 // only DMA occupancy and wire time; the CPU-side costs are the small
@@ -46,17 +46,15 @@ const ProtoRDMA byte = 3
 
 // RDMA packet op codes ([1] of every ProtoRDMA payload).
 const (
-	rdmaOpReadReq   byte = 1 // pull request: key = server-side region to read
-	rdmaOpReadData  byte = 2 // read reply chunk toward the initiator
-	rdmaOpWriteData byte = 3 // push chunk: key = target region to write
-	rdmaOpWriteDone byte = 4 // all write chunks landed; ack to the initiator
+	rdmaOpReadReq  byte = 1 // pull request: key = server-side region to read
+	rdmaOpReadData byte = 2 // read reply chunk toward the initiator
 )
 
 // rdmaHdr is the fixed header of every RDMA packet:
 //
 //	[0] proto  [1] op  [2:6] opID  [6:10] rkey  [10:14] chunk  [14:18] n
 //
-// followed by chunk data for the data ops.
+// followed by chunk data for rdmaOpReadData.
 const rdmaHdr = 18
 
 // rdmaCacheCap bounds the lazy-deregistration cache: at most this many
@@ -74,10 +72,8 @@ type RdmaStats struct {
 	Deregistrations uint64
 	Evictions       uint64 // idle regions evicted from the cache
 	Reads           uint64 // read operations initiated
-	Writes          uint64 // write operations initiated
 	DataPackets     uint64 // data chunks landed in a registered region
 	BytesRead       uint64
-	BytesWritten    uint64
 	CrcDrops        uint64 // data-path packets discarded by the CRC check
 	Retries         uint64 // operation timers fired (chunks re-requested)
 	StaleDrops      uint64 // packets for unknown/deregistered rkeys or ops
@@ -101,33 +97,16 @@ type region struct {
 // rdmaOp is one in-flight operation at its initiator.
 type rdmaOp struct {
 	id      uint32
-	write   bool
 	peer    int
-	local   *region // read: destination; write: source
+	local   *region // destination of the pull
 	remote  uint32  // peer's rkey
 	n       int
 	chunks  int
-	got     []bool // read: chunks landed (write completion is the ack)
+	got     []bool // chunks landed
 	nGot    int
 	done    func()
-	issue   func()   // first transmission, deferred until the op is issued
-	base    sim.Time // initial timeout; backoff never drops below it
 	timeout sim.Time // current backoff value
 	timer   sim.Timer
-}
-
-// wrKey identifies write reassembly state at the target.
-type wrKey struct {
-	src int
-	op  uint32
-}
-
-// wrState reassembles one inbound write at the target.
-type wrState struct {
-	rkey     uint32
-	got      []bool
-	nGot     int
-	complete bool
 }
 
 // rdmaEngine is one node's RDMA state. It is created lazily by HAL.Rdma()
@@ -145,11 +124,9 @@ type rdmaEngine struct {
 	// running stream, while deeper concurrency buys nothing — the wire
 	// serializes the data anyway — except retry timers racing transfers
 	// they cannot see. Excess ops wait in per-peer FIFOs in issue order.
-	active  map[int][]*rdmaOp
-	queue   map[int][]*rdmaOp
-	writes  map[wrKey]*wrState
-	onWrite func(rkey uint32, src, n int)
-	stats   RdmaStats
+	active map[int][]*rdmaOp
+	queue  map[int][]*rdmaOp
+	stats  RdmaStats
 }
 
 // Rdma returns the node's RDMA engine, creating it on first use. It
@@ -168,7 +145,6 @@ func (h *HAL) Rdma() *RdmaEngine {
 			ops:     make(map[uint32]*rdmaOp),
 			active:  make(map[int][]*rdmaOp),
 			queue:   make(map[int][]*rdmaOp),
-			writes:  make(map[wrKey]*wrState),
 		}
 		h.ad.SetBypass(ProtoRDMA, h.rdma.onPacket)
 	}
@@ -186,12 +162,6 @@ type RdmaEngine rdmaEngine
 
 // Stats returns a copy of the cumulative RDMA counters.
 func (r *RdmaEngine) Stats() RdmaStats { return (*rdmaEngine)(r).stats }
-
-// SetWriteHandler registers fn to run (engine context) when an inbound
-// RdmaWrite into a local region completes. The handler must not block.
-func (r *RdmaEngine) SetWriteHandler(fn func(rkey uint32, src, n int)) {
-	(*rdmaEngine)(r).onWrite = fn
-}
 
 // RegisterRegion registers buf with the adapter and returns an rkey-like
 // handle plus the virtual time at which the registration completes
@@ -296,24 +266,6 @@ func rdmaChunks(n, per int) int {
 // itself charges no CPU.
 func (r *RdmaEngine) RdmaRead(peer int, remoteKey, localKey uint32, n int, start sim.Time, done func()) uint32 {
 	e := (*rdmaEngine)(r)
-	op := e.newOp(peer, localKey, remoteKey, n, false, done)
-	e.stats.Reads++
-	e.launch(op, start, func() { e.sendReadReq(op, 0) })
-	return op.id
-}
-
-// RdmaWrite pushes n bytes from the local registered region localKey into
-// the peer's registered region remoteKey. done runs in engine context
-// when the peer's completion ack arrives.
-func (r *RdmaEngine) RdmaWrite(peer int, localKey, remoteKey uint32, n int, start sim.Time, done func()) uint32 {
-	e := (*rdmaEngine)(r)
-	op := e.newOp(peer, localKey, remoteKey, n, true, done)
-	e.stats.Writes++
-	e.launch(op, start, func() { e.streamWrite(op, 0) })
-	return op.id
-}
-
-func (e *rdmaEngine) newOp(peer int, localKey, remoteKey uint32, n int, write bool, done func()) *rdmaOp {
 	local := e.regions[localKey]
 	if local == nil || local.refs == 0 {
 		panic(fmt.Sprintf("hal: node %d: RDMA op on unregistered local rkey %d", e.h.node, localKey))
@@ -322,26 +274,17 @@ func (e *rdmaEngine) newOp(peer int, localKey, remoteKey uint32, n int, write bo
 		panic(fmt.Sprintf("hal: node %d: RDMA op of %d bytes exceeds %d-byte region", e.h.node, n, len(local.buf)))
 	}
 	e.nextOp++
+	chunks := rdmaChunks(n, e.chunkData())
 	op := &rdmaOp{
-		id: e.nextOp, write: write, peer: peer,
+		id: e.nextOp, peer: peer,
 		local: local, remote: remoteKey, n: n,
-		chunks: rdmaChunks(n, e.chunkData()),
-		done:   done, timeout: e.h.par.RdmaRetryTimeout,
+		chunks: chunks, got: make([]bool, chunks),
+		done: done, timeout: e.h.par.RdmaRetryTimeout,
 	}
-	if write {
-		// A write initiator hears nothing until the target's done ack, so
-		// its timeout must outlast its own chunk stream — and the stream of
-		// the operation ahead of it in the queue pair — or large writes
-		// retry while their first pass is still on the wire.
-		wire := n + op.chunks*rdmaHdr
-		stream := e.h.par.SendDMASetup*sim.Time(op.chunks) + e.h.par.DMATime(wire) + e.h.par.WireTime(wire)
-		op.timeout += rdmaQPDepth * stream
-	} else {
-		op.got = make([]bool, op.chunks)
-	}
-	op.base = op.timeout
 	e.ops[op.id] = op
-	return op
+	e.stats.Reads++
+	e.launch(op, start)
+	return op.id
 }
 
 // launch readies the operation at start (plus the request-descriptor
@@ -349,19 +292,14 @@ func (e *rdmaEngine) newOp(peer int, localKey, remoteKey uint32, n int, write bo
 // peer's FIFO. The retry timer arms only when the op actually issues —
 // a queued op is waiting on its own side, not on the network, so timing
 // it out would only manufacture duplicate traffic.
-func (e *rdmaEngine) launch(op *rdmaOp, start sim.Time, issue func()) {
+func (e *rdmaEngine) launch(op *rdmaOp, start sim.Time) {
 	h := e.h
 	now := h.eng.Now()
 	if start < now {
 		start = now
 	}
 	at := start + h.par.RdmaRequestCost
-	kind := tracelog.KRdmaRead
-	if op.write {
-		kind = tracelog.KRdmaWrite
-	}
-	op.issue = issue
-	h.tr.Emit(now, tracelog.LHAL, kind, h.node, op.peer, tracelog.RdmaOpID(h.node, op.id), op.n, int64(h.par.RdmaRequestCost))
+	h.tr.Emit(now, tracelog.LHAL, tracelog.KRdmaRead, h.node, op.peer, tracelog.RdmaOpID(h.node, op.id), op.n, int64(h.par.RdmaRequestCost))
 	h.eng.At(at, func() {
 		if e.ops[op.id] != op {
 			return
@@ -377,7 +315,7 @@ func (e *rdmaEngine) launch(op *rdmaOp, start sim.Time, issue func()) {
 // start puts op on the wire toward its peer and arms its retry timer.
 func (e *rdmaEngine) start(op *rdmaOp) {
 	e.active[op.peer] = append(e.active[op.peer], op)
-	op.issue()
+	e.sendReadReq(op, 0)
 	e.armTimer(op)
 }
 
@@ -391,27 +329,21 @@ func (e *rdmaEngine) armTimer(op *rdmaOp) {
 		}
 		e.stats.Retries++
 		h.tr.Emit(h.eng.Now(), tracelog.LHAL, tracelog.KRdmaRetry, h.node, op.peer, tracelog.RdmaOpID(h.node, op.id), op.n, int64(op.timeout))
-		if op.write {
-			// Re-stream every chunk; the target's bitmap absorbs the
-			// duplicates and re-acks if it had already completed.
-			e.streamWrite(op, 0)
-		} else {
-			// Re-request from the first missing chunk; chunks that did
-			// arrive are absorbed by the bitmap.
-			first := 0
-			for first < op.chunks && op.got[first] {
-				first++
-			}
-			e.sendReadReq(op, first)
+		// Re-request from the first missing chunk; chunks that did
+		// arrive are absorbed by the bitmap.
+		first := 0
+		for first < op.chunks && op.got[first] {
+			first++
 		}
+		e.sendReadReq(op, first)
 		op.timeout *= 2
 		if max := h.par.RetransmitMax; max > 0 && op.timeout > max {
 			op.timeout = max
 		}
-		if op.timeout < op.base {
-			// The global backoff cap can sit below a large write's stream
-			// time; the op's own base is the floor.
-			op.timeout = op.base
+		if base := h.par.RdmaRetryTimeout; op.timeout < base {
+			// The global backoff cap can sit below the initial timeout,
+			// which is the floor.
+			op.timeout = base
 		}
 		e.armTimer(op)
 	})
@@ -427,7 +359,7 @@ func buildHdr(b []byte, opByte byte, opID, rkey uint32, chunk, n int) {
 	binary.BigEndian.PutUint32(b[14:18], uint32(n))
 }
 
-// sendCtl transmits a header-only RDMA packet (request/ack). Control
+// sendCtl transmits a header-only RDMA packet (a pull request). Control
 // packets skip the HAL send buffers: they are adapter command-queue
 // descriptors, not pinned network buffers.
 func (e *rdmaEngine) sendCtl(dst int, opByte byte, opID, rkey uint32, chunk, n int) {
@@ -464,10 +396,6 @@ func (e *rdmaEngine) streamChunks(dst int, opByte byte, opID, rkey uint32, src [
 	}
 }
 
-func (e *rdmaEngine) streamWrite(op *rdmaOp, fromChunk int) {
-	e.streamChunks(op.peer, rdmaOpWriteData, op.id, op.remote, op.local.buf, op.n, fromChunk)
-}
-
 // onPacket is the adapter bypass handler: every ProtoRDMA packet lands
 // here straight off the receive DMA, in engine context, FIFO untouched.
 // It owns the packet's pooled payload.
@@ -497,10 +425,6 @@ func (e *rdmaEngine) onPacket(pkt *switchnet.Packet) {
 		e.serveRead(pkt.Src, opID, rkey, chunk, n)
 	case rdmaOpReadData:
 		e.readData(pkt.Src, opID, chunk, n, payload[rdmaHdr:])
-	case rdmaOpWriteData:
-		e.writeData(pkt.Src, opID, rkey, chunk, n, payload[rdmaHdr:])
-	case rdmaOpWriteDone:
-		e.writeDone(opID)
 	default:
 		panic(fmt.Sprintf("hal: node %d: bad RDMA op %d", h.node, opByte))
 	}
@@ -539,7 +463,7 @@ func (e *rdmaEngine) serveRead(src int, opID, rkey uint32, fromChunk, n int) {
 func (e *rdmaEngine) readData(src int, opID uint32, chunk, n int, data []byte) {
 	h := e.h
 	op := e.ops[opID]
-	if op == nil || op.write || op.peer != src || op.n != n || chunk >= op.chunks {
+	if op == nil || op.peer != src || op.n != n || chunk >= op.chunks {
 		e.stats.StaleDrops++
 		h.tr.Emit(h.eng.Now(), tracelog.LHAL, tracelog.KRdmaStale, h.node, src, tracelog.RdmaOpID(h.node, opID), n, int64(chunk))
 		return
@@ -564,63 +488,10 @@ func (e *rdmaEngine) readData(src int, opID uint32, chunk, n int, data []byte) {
 	// first chunk is still queued behind the transfer in progress; timing
 	// it out would flood the fabric with duplicate data.
 	for _, a := range e.active[src] {
-		if a.write {
-			continue // write progress is acked by the target, not chunked back
-		}
 		a.timer.Stop()
-		a.timeout = a.base
+		a.timeout = h.par.RdmaRetryTimeout
 		e.armTimer(a)
 	}
-}
-
-// writeData lands one push chunk in the local target region and acks the
-// initiator when the transfer is complete.
-func (e *rdmaEngine) writeData(src int, opID, rkey uint32, chunk, n int, data []byte) {
-	h := e.h
-	reg := e.regions[rkey]
-	if reg == nil || n > len(reg.buf) {
-		e.stats.StaleDrops++
-		h.tr.Emit(h.eng.Now(), tracelog.LHAL, tracelog.KRdmaStale, h.node, src, tracelog.RdmaOpID(src, opID), n, int64(rkey))
-		return
-	}
-	key := wrKey{src: src, op: opID}
-	st := e.writes[key]
-	if st == nil {
-		st = &wrState{rkey: rkey, got: make([]bool, rdmaChunks(n, e.chunkData()))}
-		e.writes[key] = st
-	}
-	if st.complete {
-		// Duplicate after completion: the done ack was probably lost;
-		// re-send it so the initiator's timer stops re-streaming.
-		e.sendCtl(src, rdmaOpWriteDone, opID, 0, 0, 0)
-		return
-	}
-	if chunk >= len(st.got) || st.got[chunk] {
-		return
-	}
-	st.got[chunk] = true
-	st.nGot++
-	copy(reg.buf[chunk*e.chunkData():], data)
-	e.stats.DataPackets++
-	e.stats.BytesWritten += uint64(len(data))
-	h.tr.Emit(h.eng.Now(), tracelog.LHAL, tracelog.KRdmaData, h.node, src, tracelog.RdmaOpID(src, opID), len(data), int64(chunk))
-	if st.nGot == len(st.got) {
-		st.complete = true
-		e.sendCtl(src, rdmaOpWriteDone, opID, 0, 0, 0)
-		if e.onWrite != nil {
-			e.onWrite(rkey, src, n)
-		}
-	}
-}
-
-// writeDone completes a write operation at its initiator.
-func (e *rdmaEngine) writeDone(opID uint32) {
-	op := e.ops[opID]
-	if op == nil || !op.write {
-		e.stats.StaleDrops++
-		return
-	}
-	e.finish(op)
 }
 
 // finish retires an operation: stop its timer, publish the completion,

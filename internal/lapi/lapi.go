@@ -214,9 +214,6 @@ func New(eng *sim.Engine, par *machine.Params, h *hal.HAL, n int, variant Varian
 // Node returns this task's node id.
 func (l *LAPI) Node() int { return l.node }
 
-// Tasks returns the job size.
-func (l *LAPI) Tasks() int { return l.n }
-
 // Variant returns the completion-handler regime.
 func (l *LAPI) Variant() Variant { return l.variant }
 

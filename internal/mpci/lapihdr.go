@@ -71,10 +71,8 @@ func (pr *LAPIProvider) hdrEager(p *sim.Proc, src int, env Envelope, seq uint32,
 
 // matchEagerInOrder is the in-order fast path.
 func (pr *LAPIProvider) matchEagerInOrder(p *sim.Proc, src int, env Envelope, slot uint32, dataLen int, mid uint64) ([]byte, lapi.CmplHandler, any) {
-	pr.l.HAL().ChargeCPU(p, pr.par.MatchCost)
-	if req := pr.core.matchArrival(env); req != nil {
-		pr.stats.Matched++
-		pr.tr.Emit(p.Now(), tracelog.LMPCI, tracelog.KMatch, pr.rank, src, mid, env.Size, int64(pr.par.MatchCost))
+	req, em := pr.arrive(p, env, mid, nil)
+	if req != nil {
 		if pr.countersEligible(env.Size) {
 			pr.inflight[src] = append(pr.inflight[src], &inflightEager{req: req, env: env, slot: slot, traceID: mid})
 			return req.Buf, nil, nil
@@ -83,13 +81,7 @@ func (pr *LAPIProvider) matchEagerInOrder(p *sim.Proc, src int, env Envelope, sl
 			pr.finishRecv(cp, req, env, slot, mid)
 		}, nil
 	}
-	if env.Mode == ModeReady {
-		panic("mpci: ready-mode message arrived with no matching receive posted (fatal per MPI)")
-	}
-	pr.stats.Unexpected++
-	pr.tr.Emit(p.Now(), tracelog.LMPCI, tracelog.KUnexpected, pr.rank, src, mid, env.Size, int64(env.Tag))
-	em := &earlyMsg{env: env, data: pr.eng.Pool().Get(dataLen), bsendSlot: slot, traceID: mid}
-	pr.core.addEarly(em)
+	em.data, em.bsendSlot = pr.eng.Pool().Get(dataLen), slot
 	return em.data, pr.eagerCmplFor(src, em), em
 }
 
@@ -101,16 +93,7 @@ func (pr *LAPIProvider) eagerCmplFor(src int, em *earlyMsg) lapi.CmplHandler {
 		pr.inflight[src] = append(pr.inflight[src], &inflightEager{em: em, env: em.env, slot: em.bsendSlot, traceID: em.traceID})
 		return nil
 	}
-	return func(cp *sim.Proc, _ any) { pr.eagerEmComplete(cp, em) }
-}
-
-// eagerEmComplete marks an early-arrival message fully assembled.
-func (pr *LAPIProvider) eagerEmComplete(p *sim.Proc, em *earlyMsg) {
-	em.complete = true
-	if em.onComplete != nil {
-		em.onComplete(p)
-	}
-	pr.l.HAL().KickProgress()
+	return func(cp *sim.Proc, _ any) { pr.earlyArrived(cp, em) }
 }
 
 // eagerArrivedAll is the Counters-design completion action (run from
@@ -120,7 +103,7 @@ func (pr *LAPIProvider) eagerArrivedAll(p *sim.Proc, e *inflightEager) {
 		pr.finishRecv(p, e.req, e.env, e.slot, e.traceID)
 		return
 	}
-	pr.eagerEmComplete(p, e.em)
+	pr.earlyArrived(p, e.em)
 }
 
 // hdrRTS implements Figure 4(b): on a match the acknowledgement is sent by
@@ -141,44 +124,37 @@ func (pr *LAPIProvider) hdrRTS(p *sim.Proc, src int, env Envelope, seq, sendReq,
 }
 
 func (pr *LAPIProvider) processRTSInOrder(p *sim.Proc, em *earlyMsg) {
-	pr.l.HAL().ChargeCPU(p, pr.par.MatchCost)
-	if req := pr.core.matchArrival(em.env); req != nil {
-		pr.stats.Matched++
-		pr.tr.Emit(p.Now(), tracelog.LMPCI, tracelog.KMatch, pr.rank, em.env.Src, em.traceID, em.env.Size, int64(pr.par.MatchCost))
-		if em.rtsZC {
-			// Zero-copy rendezvous: no acknowledgement round trip; the
-			// receiver registers the posted buffer and pulls directly.
-			pr.zcStartPull(p, req, em)
-			return
-		}
-		id := uint32(len(pr.recvReqs))
-		pr.recvReqs = append(pr.recvReqs, req)
-		req.pendingEnv = em.env
-		src, sendReq, blocking := em.env.Src, em.rtsSendReq, em.rtsBlocking
-		// Figure 4(c): the acknowledgement goes out from the completion
-		// handler (context switch in Base/Counters, inline in Enhanced).
-		pr.deferViaCompletion(p, func(cp *sim.Proc) {
-			pr.sendRTSAck(cp, src, sendReq, id, blocking)
-		})
+	req, _ := pr.arrive(p, em.env, em.traceID, em)
+	if req == nil {
 		return
 	}
-	pr.stats.Unexpected++
-	pr.tr.Emit(p.Now(), tracelog.LMPCI, tracelog.KUnexpected, pr.rank, em.env.Src, em.traceID, em.env.Size, int64(em.env.Tag))
-	pr.core.addEarly(em)
+	if em.rtsZC {
+		// Zero-copy rendezvous: no acknowledgement round trip; the
+		// receiver registers the posted buffer and pulls directly.
+		pr.zcStartPull(p, req, em)
+		return
+	}
+	id := pr.addRecvReq(req, em.env)
+	src, sendReq, blocking := em.env.Src, em.rtsSendReq, em.rtsBlocking
+	// Figure 4(c): the acknowledgement goes out from the completion
+	// handler (context switch in Base/Counters, inline in Enhanced).
+	pr.deferViaCompletion(p, func(cp *sim.Proc) {
+		pr.sendRTSAck(cp, src, sendReq, id, blocking)
+	})
 }
 
 // deferViaCompletion routes fn through the LAPI completion-handler
 // machinery of the current design: the Enhanced design runs it inline
 // (cheap), the others pay the thread context switch.
 func (pr *LAPIProvider) deferViaCompletion(p *sim.Proc, fn func(p *sim.Proc)) {
-	if pr.design == DesignEnhanced {
-		pr.l.HAL().ChargeCPU(p, pr.par.InlineHandlerOverhead)
+	if pr.caps.InlineCompletions {
+		pr.h.ChargeCPU(p, pr.par.InlineHandlerOverhead)
 		pr.tr.Emit(p.Now(), tracelog.LMPCI, tracelog.KCmplInline, pr.rank, -1, 0, 0, int64(pr.par.InlineHandlerOverhead))
 		pr.deferSend(fn)
 		return
 	}
 	pr.deferSend(func(cp *sim.Proc) {
-		pr.l.HAL().ChargeCPU(cp, pr.par.ThreadContextSwitch)
+		pr.h.ChargeCPU(cp, pr.par.ThreadContextSwitch)
 		pr.tr.Emit(cp.Now(), tracelog.LMPCI, tracelog.KCtxSwitch, pr.rank, -1, 0, 0, int64(pr.par.ThreadContextSwitch))
 		fn(cp)
 	})
@@ -199,24 +175,9 @@ func (pr *LAPIProvider) drainOOO(p *sim.Proc, src int) {
 		}
 		// Out-of-order eager message, already assembling into its EA
 		// buffer: match it now that ordering allows.
-		pr.l.HAL().ChargeCPU(p, pr.par.MatchCost)
-		if req := pr.core.matchArrival(em.env); req != nil {
-			pr.stats.Matched++
-			pr.tr.Emit(p.Now(), tracelog.LMPCI, tracelog.KMatch, pr.rank, em.env.Src, em.traceID, em.env.Size, int64(pr.par.MatchCost))
-			em.claimedBy = req
-			if em.complete {
-				pr.finishEarly(p, req, em)
-			} else {
-				em.onComplete = func(cp *sim.Proc) { pr.finishEarly(cp, req, em) }
-			}
-			continue
+		if req, _ := pr.arrive(p, em.env, em.traceID, em); req != nil {
+			pr.claimEager(p, req, em)
 		}
-		if em.env.Mode == ModeReady {
-			panic("mpci: ready-mode message arrived with no matching receive posted (fatal per MPI)")
-		}
-		pr.stats.Unexpected++
-		pr.tr.Emit(p.Now(), tracelog.LMPCI, tracelog.KUnexpected, pr.rank, em.env.Src, em.traceID, em.env.Size, int64(em.env.Tag))
-		pr.core.addEarly(em)
 	}
 }
 

@@ -11,41 +11,6 @@ import (
 	"splapi/internal/tracelog"
 )
 
-// Design selects which MPI-LAPI implementation of Section 5 to run.
-type Design int
-
-const (
-	// DesignBase is the Section 4 implementation: completion handlers on
-	// a separate thread (context switch per message).
-	DesignBase Design = iota
-	// DesignCounters avoids completion handlers for eager messages by
-	// using target counters whose ids are exchanged at initialization
-	// (Section 5.2). Rendezvous still uses threaded completion handlers.
-	DesignCounters
-	// DesignEnhanced uses the enhanced LAPI whose predefined completion
-	// handlers run in the same context (Section 5.3).
-	DesignEnhanced
-)
-
-func (d Design) String() string {
-	switch d {
-	case DesignCounters:
-		return "counters"
-	case DesignEnhanced:
-		return "enhanced"
-	default:
-		return "base"
-	}
-}
-
-// LAPIVariant returns the LAPI completion regime a design needs.
-func (d Design) LAPIVariant() lapi.Variant {
-	if d == DesignEnhanced {
-		return lapi.Inline
-	}
-	return lapi.Threaded
-}
-
 // MPI-LAPI user-header kinds (Figures 3-9, plus the zero-copy rendezvous
 // of the rdma provider).
 const (
@@ -74,20 +39,10 @@ const uhdrMin = 32
 
 // LAPIProvider is the new, thinner MPCI over LAPI (Figure 1c).
 type LAPIProvider struct {
-	eng    *sim.Engine
-	par    *machine.Params
-	l      *lapi.LAPI
-	rank   int
-	size   int
-	bar    sim.JobBarrier
-	design Design
-
-	core matchCore
+	core
+	l *lapi.LAPI
 
 	hid int // the single header handler id for all MPCI messages
-
-	sendReqs []*SendReq
-	recvReqs []*RecvReq
 
 	// Envelope sequencing: LAPI does not order messages, so eager/RTS
 	// envelopes carry per-destination sequence numbers and are processed
@@ -106,33 +61,26 @@ type LAPIProvider struct {
 	deferred []func(p *sim.Proc)
 	defCond  sim.Cond
 
-	// zc is the node's RDMA engine when this provider runs the zero-copy
-	// rendezvous (rdma provider, rdmaprov.go); nil otherwise.
+	// zc is the node's RDMA engine, set iff caps.ZeroCopyRendezvous
+	// (rdmaprov.go).
 	zc *hal.RdmaEngine
 
-	bsendBuf   []byte
-	bsendUsed  int
+	// Figure 8: staging slots awaiting the receiver's notification, by the
+	// slot id carried in the message header.
 	bsendSlots map[uint32]int
 	nextSlot   uint32
-
-	stats ProviderStats
-	tr    *tracelog.Log
 }
 
-// NewLAPI builds the MPI-LAPI MPCI for one task. The LAPI endpoint must
-// have been created with design.LAPIVariant().
-func NewLAPI(eng *sim.Engine, par *machine.Params, l *lapi.LAPI, size int, bar sim.JobBarrier, design Design) *LAPIProvider {
-	if l.Variant() != design.LAPIVariant() {
-		panic(fmt.Sprintf("mpci: design %v needs LAPI variant %v, got %v", design, design.LAPIVariant(), l.Variant()))
+// newLAPI builds the MPI-LAPI MPCI for one task. caps selects the Section 5
+// design: the LAPI endpoint's completion regime must be Inline exactly when
+// caps.InlineCompletions.
+func newLAPI(eng *sim.Engine, par *machine.Params, l *lapi.LAPI, size int, bar sim.JobBarrier, caps Capabilities) *LAPIProvider {
+	if (l.Variant() == lapi.Inline) != caps.InlineCompletions {
+		panic(fmt.Sprintf("mpci: capabilities %v do not fit LAPI variant %v", caps.List(), l.Variant()))
 	}
 	pr := &LAPIProvider{
-		eng:        eng,
-		par:        par,
+		core:       newCore(eng, par, l.HAL(), size, bar, caps),
 		l:          l,
-		rank:       l.Node(),
-		size:       size,
-		bar:        bar,
-		design:     design,
 		envSeqOut:  make([]uint32, size),
 		envSeqIn:   make([]uint32, size),
 		envOOO:     make([]map[uint32]*earlyMsg, size),
@@ -140,13 +88,14 @@ func NewLAPI(eng *sim.Engine, par *machine.Params, l *lapi.LAPI, size int, bar s
 		bsendSlots: make(map[uint32]int),
 		nextSlot:   1,
 	}
-	pr.core.eaCap = par.EarlyArrivalBytes
-	pr.tr = l.HAL().Trace()
+	pr.ackRTS = pr.ackLateRTS
+	pr.bsendDone = pr.sendBsendDone
 	for i := range pr.envOOO {
 		pr.envOOO[i] = make(map[uint32]*earlyMsg)
 	}
 	pr.hid = l.RegisterHeaderHandler(pr.headerHandler)
-	if design == DesignCounters {
+	if caps.CounterCompletions {
+		pr.reap = pr.reapCounters
 		pr.pairCntr = make([]*lapi.Counter, size)
 		for i := range pr.pairCntr {
 			c := l.NewCounter()
@@ -154,56 +103,17 @@ func NewLAPI(eng *sim.Engine, par *machine.Params, l *lapi.LAPI, size int, bar s
 			l.RegisterCounter(c)
 		}
 	}
-	// LAPI's interrupt handler has no hysteresis (Section 6.1).
-	l.HAL().SetInterruptDwell(0)
+	if caps.ZeroCopyRendezvous {
+		pr.zc = pr.h.Rdma()
+	}
 	eng.Spawn(fmt.Sprintf("mpci-lapi-def-%d", pr.rank), pr.deferredLoop)
 	return pr
-}
-
-// Rank returns this task's rank.
-func (pr *LAPIProvider) Rank() int { return pr.rank }
-
-// Size returns the job size.
-func (pr *LAPIProvider) Size() int { return pr.size }
-
-// Design returns the MPI-LAPI design in use.
-func (pr *LAPIProvider) Design() Design { return pr.design }
-
-// Stats returns a copy of the cumulative counters.
-func (pr *LAPIProvider) Stats() ProviderStats { return pr.stats }
-
-// Trace implements Provider.
-func (pr *LAPIProvider) Trace() *tracelog.Log { return pr.tr }
-
-// Capabilities implements Provider.
-func (pr *LAPIProvider) Capabilities() Capabilities {
-	return Capabilities{
-		EnvelopeResequencing: true,
-		CounterCompletions:   pr.design == DesignCounters,
-		InlineCompletions:    pr.design == DesignEnhanced,
-		ZeroCopyRendezvous:   pr.zc != nil,
-	}
-}
-
-// Barrier synchronizes all tasks in the job.
-func (pr *LAPIProvider) Barrier(p *sim.Proc) { pr.bar.Await(p) }
-
-// WaitUntil drives the dispatcher until cond holds, reaping counter-design
-// completions as they appear.
-func (pr *LAPIProvider) WaitUntil(p *sim.Proc, cond func() bool) {
-	pr.l.HAL().ProgressWait(p, func() bool {
-		pr.reapCounters(p)
-		return cond()
-	})
 }
 
 // reapCounters applies the Counters design (Section 5.2): each increment of
 // the per-source counter means the oldest in-progress eager message from
 // that source has fully arrived.
 func (pr *LAPIProvider) reapCounters(p *sim.Proc) {
-	if pr.design != DesignCounters {
-		return
-	}
 	for src, c := range pr.pairCntr {
 		for c.Value() > 0 {
 			if len(pr.inflight[src]) == 0 {
@@ -212,7 +122,7 @@ func (pr *LAPIProvider) reapCounters(p *sim.Proc) {
 			c.Set(c.Value() - 1)
 			em := pr.inflight[src][0]
 			pr.inflight[src] = pr.inflight[src][1:]
-			pr.l.HAL().ChargeCPU(p, pr.par.InlineHandlerOverhead) // counter poll + bookkeeping
+			pr.h.ChargeCPU(p, pr.par.InlineHandlerOverhead) // counter poll + bookkeeping
 			pr.tr.Emit(p.Now(), tracelog.LMPCI, tracelog.KCmplInline, pr.rank, src, em.traceID, em.env.Size, int64(pr.par.InlineHandlerOverhead))
 			pr.eagerArrivedAll(p, em)
 		}
@@ -269,23 +179,11 @@ func uhdrRkey(b []byte) uint32 { return binary.BigEndian.Uint32(b[28:32]) }
 // message fits one packet (the paper's 78-byte eager limit guarantees
 // this). Larger eager messages fall back to the completion-handler path.
 func (pr *LAPIProvider) countersEligible(size int) bool {
-	if pr.design != DesignCounters {
+	if !pr.caps.CounterCompletions {
 		return false
 	}
 	maxEagerPkt := pr.par.PacketPayload - 31 - (pr.par.HeaderBytesLAPI - 31)
 	return size <= maxEagerPkt
-}
-
-// useEager applies the Table 2 mode-to-protocol translation.
-func (pr *LAPIProvider) useEager(mode Mode, size int) bool {
-	switch mode {
-	case ModeReady:
-		return true
-	case ModeSync:
-		return false
-	default:
-		return size <= pr.par.EagerLimit
-	}
 }
 
 // Isend implements Provider. blocking selects the Figure 6 (blocking) or
@@ -302,21 +200,21 @@ func (pr *LAPIProvider) IsendBlocking(p *sim.Proc, dst int, buf []byte, tag, ctx
 }
 
 func (pr *LAPIProvider) isend(p *sim.Proc, dst int, buf []byte, tag, ctx int, mode Mode, blocking bool) *SendReq {
-	req := &SendReq{
-		Env:      Envelope{Src: pr.rank, Tag: tag, Ctx: ctx, Size: len(buf), Mode: mode},
-		Dst:      dst,
-		blocking: blocking,
-	}
-	pr.l.HAL().ChargeCPU(p, pr.par.SendCallOverhead)
+	req := pr.newSend(p, dst, buf, tag, ctx, mode, blocking)
 	var slot uint32
 	if mode == ModeBuffered {
-		buf, slot = pr.stageBsend(p, buf)
+		// The slot is freed on the receiver's notification (Figure 8).
+		slot = pr.nextSlot
+		pr.nextSlot++
+		pr.bsendSlots[slot] = len(buf)
 		req.bsendSlot = slot
+		buf = pr.stageBsend(p, buf)
 	}
 	if dst == pr.rank {
 		pr.selfSend(p, req, buf)
-		if mode == ModeBuffered {
-			// selfSend copied or snapshotted the staged bytes.
+		if slot != 0 {
+			// The staging copy is ours: selfSend copied or snapshotted it.
+			pr.freeBsendSlot(slot)
 			pr.eng.Pool().Put(buf)
 		}
 		return req
@@ -335,23 +233,21 @@ func (pr *LAPIProvider) isend(p *sim.Proc, dst int, buf []byte, tag, ctx int, mo
 		pr.eng.Pool().Put(uhdr)
 		pr.stats.BytesSent += uint64(len(buf))
 		req.done = true
-		if mode == ModeBuffered {
-			req.done = true // staging copy owns the data; slot freed on BsendDone
+		if slot != 0 {
 			// Amsend copied the staged bytes into flow packets, so the
-			// pooled staging copy itself is already dead.
+			// pooled staging copy is already dead; the slot's space is
+			// freed on BsendDone.
 			pr.eng.Pool().Put(buf)
 		}
 		return req
 	}
 	// Rendezvous (Figure 4): request-to-send carrying no data.
 	pr.stats.RdvSends++
-	if pr.zc != nil {
+	if pr.caps.ZeroCopyRendezvous {
 		pr.zcIsendRdv(p, req, buf, slot, blocking)
 		return req
 	}
-	id := uint32(len(pr.sendReqs))
-	pr.sendReqs = append(pr.sendReqs, req)
-	req.rdvBuf = buf
+	id := pr.addSendReq(req, buf)
 	seq := pr.envSeqOut[dst]
 	pr.envSeqOut[dst]++
 	pr.tr.Emit(p.Now(), tracelog.LMPCI, tracelog.KSendRdv, pr.rank, dst, tracelog.EnvID(pr.rank, dst, seq), len(buf), int64(tag))
@@ -383,81 +279,28 @@ func (pr *LAPIProvider) sendRdvData(p *sim.Proc, req *SendReq) {
 	}
 	pr.stats.BytesSent += uint64(len(buf))
 	req.done = true
-	pr.l.HAL().KickProgress()
+	pr.h.KickProgress()
 }
 
-// Irecv implements Provider.
-func (pr *LAPIProvider) Irecv(p *sim.Proc, src, tag, ctx int, buf []byte) *RecvReq {
-	req := &RecvReq{
-		Match: Envelope{Src: src, Tag: tag, Ctx: ctx, Size: len(buf)},
-		Buf:   buf,
-	}
-	pr.l.HAL().ChargeCPU(p, pr.par.MatchCost)
-	em := pr.core.postRecv(req)
-	if em == nil {
-		return req
-	}
-	pr.claimEarly(p, req, em)
-	return req
-}
-
-// claimEarly resolves a posted receive against a matched early arrival.
-func (pr *LAPIProvider) claimEarly(p *sim.Proc, req *RecvReq, em *earlyMsg) {
-	if em.isRTS {
-		pr.core.releaseEarly(em)
-		if em.rtsZC {
-			// Zero-copy rendezvous: pull the body straight into req.Buf.
-			pr.zcStartPull(p, req, em)
-			return
-		}
-		// Figure 9: acknowledge the pending request-to-send.
-		id := uint32(len(pr.recvReqs))
-		pr.recvReqs = append(pr.recvReqs, req)
-		req.pendingEnv = em.env
-		pr.sendRTSAck(p, em.env.Src, em.rtsSendReq, id, em.rtsBlocking)
+// ackLateRTS answers a request-to-send matched by a late-posted receive
+// (Figure 9). It runs in the receiving process, which may call LAPI.
+func (pr *LAPIProvider) ackLateRTS(p *sim.Proc, req *RecvReq, em *earlyMsg) {
+	if em.rtsZC {
+		// Zero-copy rendezvous: pull the body straight into req.Buf.
+		pr.zcStartPull(p, req, em)
 		return
 	}
-	em.claimedBy = req
-	pr.tr.Emit(p.Now(), tracelog.LMPCI, tracelog.KEarlyClaim, pr.rank, em.env.Src, em.traceID, em.env.Size, int64(em.env.Tag))
-	if em.complete {
-		pr.finishEarly(p, req, em)
-		return
-	}
-	em.onComplete = func(p *sim.Proc) { pr.finishEarly(p, req, em) }
+	pr.sendRTSAck(p, em.env.Src, em.rtsSendReq, pr.addRecvReq(req, em.env), em.rtsBlocking)
 }
 
-// finishEarly copies a completed early arrival into the user buffer and
-// completes the receive.
-func (pr *LAPIProvider) finishEarly(p *sim.Proc, req *RecvReq, em *earlyMsg) {
-	pr.l.HAL().ChargeCPU(p, pr.par.CopyCost(em.env.Size))
-	pr.tr.Emit(p.Now(), tracelog.LMPCI, tracelog.KCopy, pr.rank, em.env.Src, em.traceID, em.env.Size, int64(pr.par.CopyCost(em.env.Size)))
-	copy(req.Buf, em.data)
-	// The pooled early-arrival buffer is dead once drained into the user
-	// buffer.
-	//simlint:allow bufpoolown ownership transfer: em.data is the pooled early-arrival copy this provider took, dead once drained
-	pr.eng.Pool().Put(em.data)
-	em.data = nil
-	pr.core.releaseEarly(em)
-	if em.onClaim != nil {
-		em.onClaim(p)
-	}
-	pr.finishRecv(p, req, em.env, em.bsendSlot, em.traceID)
-}
-
-// finishRecv completes a receive and, for a buffered-mode message, notifies
-// the sender so it can free its staging space (Figure 8).
-func (pr *LAPIProvider) finishRecv(p *sim.Proc, req *RecvReq, env Envelope, slot uint32, mid uint64) {
-	pr.stats.BytesRecved += uint64(env.Size)
-	pr.tr.Emit(p.Now(), tracelog.LMPCI, tracelog.KRecvDone, pr.rank, env.Src, mid, env.Size, int64(env.Tag))
-	req.complete(env.Src, env.Tag, env.Size)
-	if slot != 0 {
-		pr.deferSend(func(p *sim.Proc) {
-			uhdr := pr.buildUhdr(uBsendDone, 0, false, 0, 0, 0, 0, 0, slot)
-			pr.l.Amsend(p, env.Src, pr.hid, uhdr, nil, -1, nil, -1)
-			pr.eng.Pool().Put(uhdr)
-		})
-	}
-	pr.l.HAL().KickProgress()
+// sendBsendDone notifies src that a buffered-mode message has been received
+// so it can free the staging slot (Figure 8).
+func (pr *LAPIProvider) sendBsendDone(src int, slot uint32) {
+	pr.deferSend(func(p *sim.Proc) {
+		uhdr := pr.buildUhdr(uBsendDone, 0, false, 0, 0, 0, 0, 0, slot)
+		pr.l.Amsend(p, src, pr.hid, uhdr, nil, -1, nil, -1)
+		pr.eng.Pool().Put(uhdr)
+	})
 }
 
 // sendRTSAck acknowledges a request-to-send. Must not run in header-handler
@@ -469,90 +312,13 @@ func (pr *LAPIProvider) sendRTSAck(p *sim.Proc, dst int, sendReq, recvID uint32,
 	pr.eng.Pool().Put(uhdr)
 }
 
-// Iprobe implements Provider.
-func (pr *LAPIProvider) Iprobe(p *sim.Proc, src, tag, ctx int) (Envelope, bool) {
-	pr.l.HAL().Poll(p)
-	pr.reapCounters(p)
-	pr.l.HAL().ChargeCPU(p, pr.par.MatchCost)
-	return pr.core.probe(src, tag, ctx)
-}
-
-// AttachBuffer implements Provider (MPI_Buffer_attach).
-func (pr *LAPIProvider) AttachBuffer(buf []byte) {
-	if pr.bsendBuf != nil {
-		panic("mpci: buffer already attached")
-	}
-	pr.bsendBuf = buf
-	pr.bsendUsed = 0
-}
-
-// DetachBuffer implements Provider (MPI_Buffer_detach).
-func (pr *LAPIProvider) DetachBuffer(p *sim.Proc) []byte {
-	pr.WaitUntil(p, func() bool { return pr.bsendUsed == 0 })
-	b := pr.bsendBuf
-	pr.bsendBuf = nil
-	return b
-}
-
-// stageBsend copies a buffered-mode message into the attached buffer and
-// assigns a slot to be freed on the receiver's notification.
-func (pr *LAPIProvider) stageBsend(p *sim.Proc, buf []byte) ([]byte, uint32) {
-	if pr.bsendBuf == nil {
-		panic("mpci: buffered send with no attached buffer")
-	}
-	if pr.bsendUsed+len(buf) > len(pr.bsendBuf) {
-		panic(fmt.Sprintf("mpci: attached buffer exhausted (%d + %d > %d)", pr.bsendUsed, len(buf), len(pr.bsendBuf)))
-	}
-	pr.bsendUsed += len(buf)
-	slot := pr.nextSlot
-	pr.nextSlot++
-	pr.bsendSlots[slot] = len(buf)
-	pr.l.HAL().ChargeCPU(p, pr.par.CopyCost(len(buf)))
-	return pr.eng.Pool().Snapshot(buf), slot
-}
-
 func (pr *LAPIProvider) freeBsendSlot(slot uint32) {
 	n, ok := pr.bsendSlots[slot]
 	if !ok {
 		panic("mpci: BsendDone for unknown slot")
 	}
 	delete(pr.bsendSlots, slot)
-	pr.bsendUsed -= n
-	pr.l.HAL().KickProgress()
-}
-
-// selfSend handles dst == rank without the network.
-func (pr *LAPIProvider) selfSend(p *sim.Proc, req *SendReq, buf []byte) {
-	pr.stats.SelfSends++
-	env := req.Env
-	pr.tr.Emit(p.Now(), tracelog.LMPCI, tracelog.KSelfSend, pr.rank, pr.rank, 0, len(buf), int64(env.Tag))
-	if req.bsendSlot != 0 {
-		// The staging copy is ours; free it as soon as the data is placed.
-		defer pr.freeBsendSlot(req.bsendSlot)
-	}
-	if rreq := pr.core.matchArrival(env); rreq != nil {
-		pr.l.HAL().ChargeCPU(p, pr.par.MatchCost+pr.par.CopyCost(len(buf)))
-		copy(rreq.Buf, buf)
-		rreq.complete(env.Src, env.Tag, len(buf))
-		req.done = true
-		pr.l.HAL().KickProgress()
-		return
-	}
-	if env.Mode == ModeReady {
-		panic("mpci: ready-mode send with no matching receive posted (fatal per MPI)")
-	}
-	em := &earlyMsg{env: env, complete: true, data: pr.eng.Pool().Snapshot(buf)}
-	if env.Mode == ModeSync {
-		em.onClaim = func(p *sim.Proc) {
-			req.done = true
-			pr.l.HAL().KickProgress()
-		}
-	} else {
-		req.done = true
-	}
-	pr.l.HAL().ChargeCPU(p, pr.par.CopyCost(len(buf)))
-	pr.core.addEarly(em)
-	pr.l.HAL().KickProgress()
+	pr.releaseBsend(n)
 }
 
 // deferSend queues fn to run on the deferred-work process (used where the
@@ -570,6 +336,6 @@ func (pr *LAPIProvider) deferredLoop(p *sim.Proc) {
 		fn := pr.deferred[0]
 		pr.deferred = pr.deferred[1:]
 		fn(p)
-		pr.l.HAL().KickProgress()
+		pr.h.KickProgress()
 	}
 }

@@ -3,15 +3,24 @@
 // arrival buffering, and the eager/rendezvous protocols (Section 4 of the
 // paper).
 //
-// Two providers implement the same Provider interface:
+// The paper's designs are one protocol that differs in how a message is
+// framed and how a completion is delivered, and the package is built that
+// way. One shared core (core.go) holds everything protocol-independent:
+// mode-to-protocol translation, posted/early matching, early-arrival claim
+// and drain, self-send, buffered-mode staging space, request tables, stats.
+// Two wire formats embed it:
 //
-//   - the native provider, running over the Pipes reliable byte stream
+//   - NativeProvider frames messages over the Pipes reliable byte stream
 //     (the protocol stack of Figure 1a), including the user-buffer/pipe
-//     buffer copy rule of Section 2;
-//   - the LAPI provider (the "new, thinner MPCI" of Figure 1c),
-//     implementing eager and rendezvous with LAPI_Amsend header and
-//     completion handlers exactly as Figures 3-9 outline, in the Base,
-//     Counters, and Enhanced designs of Section 5.
+//     buffer copy rule of Section 2 and the hysteresis interrupt scheme;
+//   - LAPIProvider (the "new, thinner MPCI" of Figure 1c) implements eager
+//     and rendezvous with LAPI_Amsend header and completion handlers
+//     exactly as Figures 3-9 outline, and resequences envelopes.
+//
+// The five registered providers (registry.go) are Capabilities literals
+// over those two: the Section 5 Base, Counters and Enhanced designs and the
+// zero-copy RDMA rendezvous are switches on the LAPI wire format, read from
+// the Capabilities value the provider was registered under and reports.
 package mpci
 
 import (
@@ -212,8 +221,8 @@ type earlyMsg struct {
 	traceID uint64
 }
 
-// matchCore is the matching engine shared by both providers: the posted
-// Receive queue and the Early Arrival queue of Section 4.1.
+// matchCore is the matching engine inside core: the posted Receive queue
+// and the Early Arrival queue of Section 4.1.
 type matchCore struct {
 	posted  []*RecvReq
 	early   []*earlyMsg

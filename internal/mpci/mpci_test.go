@@ -3,6 +3,7 @@ package mpci_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"splapi/internal/cluster"
@@ -10,6 +11,7 @@ import (
 	"splapi/internal/machine"
 	"splapi/internal/mpci"
 	"splapi/internal/sim"
+	"splapi/internal/tracelog"
 )
 
 // allStacks is the provider conformance list, driven by the registry:
@@ -483,6 +485,83 @@ func TestTable2ProtocolTranslation(t *testing.T) {
 			}
 			if !cse.wantEager && (st.EagerSends != 0 || st.RdvSends != 1) {
 				t.Errorf("%v %dB: eager=%d rdv=%d, want rendezvous", cse.mode, cse.size, st.EagerSends, st.RdvSends)
+			}
+		}
+	})
+}
+
+// TestBuiltCapabilitiesAreTheRegisteredOnes pins the registry contract: a
+// capability set is written once, in the Factory literal, and the provider
+// built from it reports exactly that value on every rank.
+func TestBuiltCapabilitiesAreTheRegisteredOnes(t *testing.T) {
+	for _, f := range mpci.Providers() {
+		c := build(t, cluster.Stack(f.Name), 2, 1, nil)
+		for rank, prov := range c.Provs {
+			if got := prov.Capabilities(); got != f.Caps {
+				t.Errorf("%s rank %d: Capabilities() = %v, registered %v", f.Name, rank, got.List(), f.Caps.List())
+			}
+		}
+	}
+}
+
+// TestLatePostedEagerArrivalSequence drives the shared arrival path the way
+// only per-provider tests used to: an eager message lands before its
+// receive is posted, so it must be recorded unexpected, claimed by the late
+// receive, and completed — the same MPCI event sequence, on the same
+// message id, from every registered provider. 64 B takes the Counters
+// design's handler-free completion; 1000 B takes the completion handler.
+func TestLatePostedEagerArrivalSequence(t *testing.T) {
+	want := []tracelog.Kind{tracelog.KUnexpected, tracelog.KEarlyClaim, tracelog.KRecvDone}
+	forStacks(t, func(t *testing.T, stack cluster.Stack) {
+		for _, size := range []int{64, 1000} {
+			par := machine.SP332()
+			par.EagerLimit = 4096
+			tl := tracelog.New(1 << 16)
+			c := cluster.New(cluster.Config{Nodes: 2, Stack: stack, Seed: 1, Params: &par, Trace: tl})
+			msg, got := pattern(size, 5), make([]byte, size)
+			c.RunMPI(10*sim.Second, func(p *sim.Proc, prov mpci.Provider) {
+				switch prov.Rank() {
+				case 0:
+					req := prov.Isend(p, 1, msg, 7, 0, mpci.ModeStandard)
+					prov.WaitUntil(p, req.Done)
+				case 1:
+					// Probing drives the dispatcher, so the envelope is
+					// matched against an empty posted queue first.
+					for {
+						if _, ok := prov.Iprobe(p, 0, 7, 0); ok {
+							break
+						}
+						p.Sleep(10 * sim.Microsecond)
+					}
+					req := prov.Irecv(p, 0, 7, 0, got)
+					prov.WaitUntil(p, req.Done)
+				}
+			})
+			if !bytes.Equal(got, msg) {
+				t.Fatalf("%dB payload corrupted", size)
+			}
+			var seq []tracelog.Kind
+			var mid uint64
+			for _, ev := range tl.Events() {
+				if ev.Layer != tracelog.LMPCI || ev.Node != 1 {
+					continue
+				}
+				switch ev.Kind {
+				case tracelog.KMatch, tracelog.KUnexpected, tracelog.KEarlyClaim, tracelog.KRecvDone:
+					if len(seq) == 0 {
+						mid = ev.Msg
+					}
+					if ev.Msg != mid || ev.Peer != 0 || int(ev.Size) != size {
+						t.Errorf("%v on msg %#x peer %d size %d, want msg %#x peer 0 size %d", ev.Kind, ev.Msg, ev.Peer, ev.Size, mid, size)
+					}
+					seq = append(seq, ev.Kind)
+				}
+			}
+			if !slices.Equal(seq, want) {
+				t.Fatalf("%dB arrival sequence = %v, want %v", size, seq, want)
+			}
+			if st := c.Provs[1].Stats(); st.Unexpected != 1 || st.Matched != 0 || st.BytesRecved != uint64(size) {
+				t.Fatalf("%dB receiver stats = %+v", size, st)
 			}
 		}
 	})

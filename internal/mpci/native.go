@@ -29,23 +29,10 @@ const nativeHdrMin = 24
 
 // NativeProvider is the original MPCI over the Pipes layer (Figure 1a).
 type NativeProvider struct {
-	eng  *sim.Engine
-	par  *machine.Params
-	h    *hal.HAL
-	pp   *pipes.Pipes
-	rank int
-	size int
-	bar  sim.JobBarrier
-
-	core matchCore
-
-	sendReqs []*SendReq
-	recvReqs []*RecvReq
+	core
+	pp *pipes.Pipes
 
 	parsers []*frameParser
-
-	bsendBuf  []byte
-	bsendUsed int
 
 	// Per-destination outbound frame queues. A frame (header + body) must
 	// occupy a contiguous range of the byte stream; since Pipes.Write can
@@ -60,46 +47,13 @@ type NativeProvider struct {
 	// reaches the same ordinal for the same frame: the pair (rank, dst,
 	// ordinal) is a causal frame id needing no wire bytes.
 	frameOut []uint64
-
-	stats ProviderStats
-	tr    *tracelog.Log
 }
 
-// ProviderStats are cumulative per-task MPCI counters.
-type ProviderStats struct {
-	EagerSends    uint64
-	RdvSends      uint64
-	Unexpected    uint64
-	Matched       uint64
-	SelfSends     uint64
-	BytesSent     uint64
-	BytesRecved   uint64
-	CopiesCharged uint64 // bytes' worth of memcpy charged
-	// EnvOOO counts envelopes that overtook an earlier one on the switch
-	// and had their matching deferred (LAPI provider only: the Pipes
-	// stream cannot reorder envelopes).
-	EnvOOO uint64
-	// ZeroCopySends/ZeroCopyRecvs count rendezvous messages whose bodies
-	// moved by RDMA directly between registered user buffers, with no
-	// staging copy on either side (rdma provider).
-	ZeroCopySends uint64
-	ZeroCopyRecvs uint64
-}
-
-// NewNative builds the native MPCI for one task. bar is the job-wide
+// newNative builds the native MPCI for one task. bar is the job-wide
 // barrier shared by all tasks.
-func NewNative(eng *sim.Engine, par *machine.Params, h *hal.HAL, pp *pipes.Pipes, size int, bar sim.JobBarrier) *NativeProvider {
-	pr := &NativeProvider{
-		eng:  eng,
-		par:  par,
-		h:    h,
-		pp:   pp,
-		rank: h.Node(),
-		size: size,
-		bar:  bar,
-	}
-	pr.core.eaCap = par.EarlyArrivalBytes
-	pr.tr = h.Trace()
+func newNative(eng *sim.Engine, par *machine.Params, h *hal.HAL, pp *pipes.Pipes, size int, bar sim.JobBarrier, caps Capabilities) *NativeProvider {
+	pr := &NativeProvider{core: newCore(eng, par, h, size, bar, caps), pp: pp}
+	pr.ackRTS = pr.sendCTS
 	pr.parsers = make([]*frameParser, size)
 	pr.outQ = make([]*sim.Queue, size)
 	pr.frameOut = make([]uint64, size)
@@ -114,8 +68,6 @@ func NewNative(eng *sim.Engine, par *machine.Params, h *hal.HAL, pp *pipes.Pipes
 		}
 	}
 	pp.SetDeliver(pr.onStream)
-	// The native MPI interrupt handler uses the hysteresis scheme.
-	h.SetInterruptDwell(par.NativeHysteresisDwell)
 	return pr
 }
 
@@ -188,44 +140,6 @@ func (pr *NativeProvider) writerLoop(p *sim.Proc, dst int) {
 	}
 }
 
-// Rank returns this task's rank.
-func (pr *NativeProvider) Rank() int { return pr.rank }
-
-// Size returns the job size.
-func (pr *NativeProvider) Size() int { return pr.size }
-
-// Stats returns a copy of the cumulative counters.
-func (pr *NativeProvider) Stats() ProviderStats { return pr.stats }
-
-// Trace implements Provider.
-func (pr *NativeProvider) Trace() *tracelog.Log { return pr.tr }
-
-// Capabilities implements Provider.
-func (pr *NativeProvider) Capabilities() Capabilities {
-	return Capabilities{
-		NativeFraming:        true,
-		HysteresisInterrupts: true,
-	}
-}
-
-// Barrier synchronizes all tasks in the job.
-func (pr *NativeProvider) Barrier(p *sim.Proc) { pr.bar.Await(p) }
-
-// WaitUntil drives the dispatcher until cond holds.
-func (pr *NativeProvider) WaitUntil(p *sim.Proc, cond func() bool) {
-	pr.h.ProgressWait(p, cond)
-}
-
-// publish runs fn now, or at interrupt-burst end when dispatching in
-// interrupt context (the native hysteresis delays completion visibility).
-func (pr *NativeProvider) publish(p *sim.Proc, fn func(p *sim.Proc)) {
-	if pr.h.InInterrupt() {
-		pr.h.OnInterruptEnd(fn)
-		return
-	}
-	fn(p)
-}
-
 // nativeCopyCost returns the memcpy cost of moving the [off, off+n) byte
 // range of a size-byte message between user and HAL memory under the
 // Section 2 rule: the first and last PipeHeadTailCopyBytes of every message
@@ -274,11 +188,7 @@ func (pr *NativeProvider) IsendBlocking(p *sim.Proc, dst int, buf []byte, tag, c
 
 // Isend implements Provider.
 func (pr *NativeProvider) Isend(p *sim.Proc, dst int, buf []byte, tag, ctx int, mode Mode) *SendReq {
-	req := &SendReq{
-		Env: Envelope{Src: pr.rank, Tag: tag, Ctx: ctx, Size: len(buf), Mode: mode},
-		Dst: dst,
-	}
-	pr.h.ChargeCPU(p, pr.par.SendCallOverhead)
+	req := pr.newSend(p, dst, buf, tag, ctx, mode, false)
 	if mode == ModeBuffered {
 		buf = pr.stageBsend(p, buf)
 		req.staged = buf
@@ -286,10 +196,10 @@ func (pr *NativeProvider) Isend(p *sim.Proc, dst int, buf []byte, tag, ctx int, 
 	}
 	if dst == pr.rank {
 		pr.selfSend(p, req, buf)
+		pr.freeBsend(req)
 		return req
 	}
-	eager := pr.useEager(mode, len(buf))
-	if eager {
+	if pr.useEager(mode, len(buf)) {
 		pr.stats.EagerSends++
 		hdr := pr.frame(fEager, mode, false, ctx, tag, len(buf), 0, 0)
 		ord := pr.enqueueFrame(dst, hdr, pr.eng.Pool().Snapshot(buf))
@@ -304,25 +214,11 @@ func (pr *NativeProvider) Isend(p *sim.Proc, dst int, buf []byte, tag, ctx int, 
 	}
 	// Rendezvous: request-to-send, wait for CTS, then data.
 	pr.stats.RdvSends++
-	id := uint32(len(pr.sendReqs))
-	pr.sendReqs = append(pr.sendReqs, req)
-	req.rdvBuf = buf
+	id := pr.addSendReq(req, buf)
 	hdr := pr.frame(fRTS, mode, req.blocking, ctx, tag, len(buf), id, 0)
 	ord := pr.enqueueFrame(dst, hdr, nil)
 	pr.tr.Emit(p.Now(), tracelog.LMPCI, tracelog.KSendRdv, pr.rank, dst, tracelog.FrameID(pr.rank, dst, ord), len(buf), int64(tag))
 	return req
-}
-
-// useEager applies the Table 2 mode-to-protocol translation.
-func (pr *NativeProvider) useEager(mode Mode, size int) bool {
-	switch mode {
-	case ModeReady:
-		return true
-	case ModeSync:
-		return false
-	default:
-		return size <= pr.par.EagerLimit
-	}
 }
 
 // sendRdvData streams the message body after the CTS arrived.
@@ -342,8 +238,6 @@ func (pr *NativeProvider) sendRdvData(p *sim.Proc, req *SendReq, recvID uint32) 
 // data.
 func (pr *NativeProvider) freeBsend(req *SendReq) {
 	if req.bsendLen > 0 {
-		pr.bsendUsed -= req.bsendLen
-		req.bsendLen = 0
 		// Every caller has already copied or transmitted the staged bytes,
 		// so the pooled staging copy goes back to the engine pool.
 		if req.staged != nil {
@@ -351,151 +245,17 @@ func (pr *NativeProvider) freeBsend(req *SendReq) {
 			pr.eng.Pool().Put(req.staged)
 			req.staged = nil
 		}
-		pr.h.KickProgress()
+		pr.releaseBsend(req.bsendLen)
+		req.bsendLen = 0
 	}
 }
 
-// selfSend handles dst == rank without the network.
-func (pr *NativeProvider) selfSend(p *sim.Proc, req *SendReq, buf []byte) {
-	pr.stats.SelfSends++
-	env := req.Env
-	pr.tr.Emit(p.Now(), tracelog.LMPCI, tracelog.KSelfSend, pr.rank, pr.rank, 0, len(buf), int64(env.Tag))
-	if rreq := pr.core.matchArrival(env); rreq != nil {
-		pr.h.ChargeCPU(p, pr.par.MatchCost+pr.par.CopyCost(len(buf)))
-		copy(rreq.Buf, buf)
-		rreq.complete(env.Src, env.Tag, len(buf))
-		pr.freeBsend(req)
-		req.done = true
-		pr.h.KickProgress()
-		return
-	}
-	if env.Mode == ModeReady {
-		panic("mpci: ready-mode send with no matching receive posted (fatal per MPI)")
-	}
-	em := &earlyMsg{env: env, complete: true, data: pr.eng.Pool().Snapshot(buf)}
-	if env.Mode == ModeSync {
-		em.onClaim = func(p *sim.Proc) {
-			req.done = true
-			pr.h.KickProgress()
-		}
-	} else {
-		req.done = true
-	}
-	pr.h.ChargeCPU(p, pr.par.CopyCost(len(buf)))
-	pr.core.addEarly(em)
-	pr.freeBsend(req)
-	pr.h.KickProgress()
-}
-
-// Irecv implements Provider.
-func (pr *NativeProvider) Irecv(p *sim.Proc, src, tag, ctx int, buf []byte) *RecvReq {
-	req := &RecvReq{
-		Match: Envelope{Src: src, Tag: tag, Ctx: ctx, Size: len(buf)},
-		Buf:   buf,
-	}
-	pr.h.ChargeCPU(p, pr.par.MatchCost)
-	em := pr.core.postRecv(req)
-	if em == nil {
-		return req
-	}
-	pr.claimEarly(p, req, em)
-	return req
-}
-
-// claimEarly resolves a posted receive against a matched early arrival.
-func (pr *NativeProvider) claimEarly(p *sim.Proc, req *RecvReq, em *earlyMsg) {
-	if em.isRTS {
-		// Late-matched rendezvous: acknowledge the request-to-send now
-		// (Figure 9's "if request_to_send" branch).
-		id := uint32(len(pr.recvReqs))
-		pr.recvReqs = append(pr.recvReqs, req)
-		pr.core.releaseEarly(em)
-		cts := pr.frame(fCTS, 0, false, 0, 0, 0, em.rtsSendReq, id)
-		req.pendingEnv = em.env
-		ord := pr.enqueueFrame(em.env.Src, cts, nil)
-		pr.tr.Emit(p.Now(), tracelog.LMPCI, tracelog.KRTSAck, pr.rank, em.env.Src, tracelog.FrameID(pr.rank, em.env.Src, ord), 0, int64(em.rtsSendReq))
-		return
-	}
-	em.claimedBy = req
-	pr.tr.Emit(p.Now(), tracelog.LMPCI, tracelog.KEarlyClaim, pr.rank, em.env.Src, em.traceID, em.env.Size, int64(em.env.Tag))
-	if em.complete {
-		pr.finishEarly(p, req, em)
-		return
-	}
-	// Data still arriving into the EA buffer; the parser completes it.
-	em.onComplete = func(p *sim.Proc) { pr.finishEarly(p, req, em) }
-}
-
-// finishEarly copies a completed early arrival into the user buffer.
-func (pr *NativeProvider) finishEarly(p *sim.Proc, req *RecvReq, em *earlyMsg) {
-	pr.h.ChargeCPU(p, pr.par.CopyCost(em.env.Size)) // EA buffer -> user buffer
-	pr.tr.Emit(p.Now(), tracelog.LMPCI, tracelog.KCopy, pr.rank, em.env.Src, em.traceID, em.env.Size, int64(pr.par.CopyCost(em.env.Size)))
-	copy(req.Buf, em.data)
-	// The pooled early-arrival buffer is dead once drained into the user
-	// buffer (the completion closure below reads only envelope scalars).
-	//simlint:allow bufpoolown ownership transfer: em.data is the pooled early-arrival copy this provider took, dead once drained
-	pr.eng.Pool().Put(em.data)
-	em.data = nil
-	pr.core.releaseEarly(em)
-	if em.onClaim != nil {
-		em.onClaim(p)
-	}
-	pr.stats.BytesRecved += uint64(em.env.Size)
-	pr.tr.Emit(p.Now(), tracelog.LMPCI, tracelog.KRecvDone, pr.rank, em.env.Src, em.traceID, em.env.Size, int64(em.env.Tag))
-	pr.publish(p, func(p *sim.Proc) {
-		req.complete(em.env.Src, em.env.Tag, em.env.Size)
-		pr.h.KickProgress()
-	})
-}
-
-// Iprobe implements Provider.
-func (pr *NativeProvider) Iprobe(p *sim.Proc, src, tag, ctx int) (Envelope, bool) {
-	pr.h.Poll(p)
-	pr.h.ChargeCPU(p, pr.par.MatchCost)
-	return pr.core.probe(src, tag, ctx)
-}
-
-// AttachBuffer implements Provider (MPI_Buffer_attach).
-func (pr *NativeProvider) AttachBuffer(buf []byte) {
-	if pr.bsendBuf != nil {
-		panic("mpci: buffer already attached")
-	}
-	pr.bsendBuf = buf
-	pr.bsendUsed = 0
-}
-
-// DetachBuffer implements Provider (MPI_Buffer_detach): waits until every
-// buffered send's staging space has been released by its receiver.
-func (pr *NativeProvider) DetachBuffer(p *sim.Proc) []byte {
-	pr.h.ProgressWait(p, func() bool { return pr.bsendUsed == 0 })
-	b := pr.bsendBuf
-	pr.bsendBuf = nil
-	return b
-}
-
-// stageBsend copies a buffered-mode message into the attached buffer.
-func (pr *NativeProvider) stageBsend(p *sim.Proc, buf []byte) []byte {
-	if pr.bsendBuf == nil {
-		panic("mpci: buffered send with no attached buffer")
-	}
-	if pr.bsendUsed+len(buf) > len(pr.bsendBuf) {
-		panic(fmt.Sprintf("mpci: attached buffer exhausted (%d + %d > %d)", pr.bsendUsed, len(buf), len(pr.bsendBuf)))
-	}
-	pr.bsendUsed += len(buf)
-	pr.h.ChargeCPU(p, pr.par.CopyCost(len(buf)))
-	return pr.eng.Pool().Snapshot(buf)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+// sendCTS answers a matched request-to-send with a clear-to-send frame,
+// whether the receive was already posted or is matching late.
+func (pr *NativeProvider) sendCTS(p *sim.Proc, req *RecvReq, em *earlyMsg) {
+	src := em.env.Src
+	id := pr.addRecvReq(req, em.env)
+	cts := pr.frame(fCTS, 0, false, 0, 0, 0, em.rtsSendReq, id)
+	ord := pr.enqueueFrame(src, cts, nil)
+	pr.tr.Emit(p.Now(), tracelog.LMPCI, tracelog.KRTSAck, pr.rank, src, tracelog.FrameID(pr.rank, src, ord), 0, int64(em.rtsSendReq))
 }

@@ -117,20 +117,9 @@ func (fp *frameParser) frame(p *sim.Proc, b []byte) {
 	case fEager:
 		fp.env = Envelope{Src: fp.src, Tag: tag, Ctx: ctx, Size: size, Mode: mode}
 		fp.curID = fid
-		pr.h.ChargeCPU(p, pr.par.MatchCost)
-		if req := pr.core.matchArrival(fp.env); req != nil {
-			pr.stats.Matched++
-			pr.tr.Emit(p.Now(), tracelog.LMPCI, tracelog.KMatch, pr.rank, fp.src, fid, size, int64(pr.par.MatchCost))
-			fp.dstReq = req
-		} else {
-			if mode == ModeReady {
-				panic("mpci: ready-mode message arrived with no matching receive posted (fatal per MPI)")
-			}
-			pr.stats.Unexpected++
-			pr.tr.Emit(p.Now(), tracelog.LMPCI, tracelog.KUnexpected, pr.rank, fp.src, fid, size, int64(tag))
-			em := &earlyMsg{env: fp.env, data: pr.eng.Pool().Get(size), traceID: fid}
-			pr.core.addEarly(em)
-			fp.dstEarly = em
+		fp.dstReq, fp.dstEarly = pr.arrive(p, fp.env, fid, nil)
+		if fp.dstEarly != nil {
+			fp.dstEarly.data = pr.eng.Pool().Get(size)
 		}
 		fp.bodyLen, fp.bodyOff = size, 0
 		if size == 0 {
@@ -138,21 +127,12 @@ func (fp *frameParser) frame(p *sim.Proc, b []byte) {
 		}
 
 	case fRTS:
-		env := Envelope{Src: fp.src, Tag: tag, Ctx: ctx, Size: size, Mode: mode}
-		pr.h.ChargeCPU(p, pr.par.MatchCost)
-		if req := pr.core.matchArrival(env); req != nil {
-			pr.stats.Matched++
-			pr.tr.Emit(p.Now(), tracelog.LMPCI, tracelog.KMatch, pr.rank, fp.src, fid, size, int64(pr.par.MatchCost))
-			id := uint32(len(pr.recvReqs))
-			pr.recvReqs = append(pr.recvReqs, req)
-			req.pendingEnv = env
-			cts := pr.frame(fCTS, 0, false, 0, 0, 0, reqID, id)
-			ord := pr.enqueueFrame(fp.src, cts, nil)
-			pr.tr.Emit(p.Now(), tracelog.LMPCI, tracelog.KRTSAck, pr.rank, fp.src, tracelog.FrameID(pr.rank, fp.src, ord), 0, int64(reqID))
-		} else {
-			pr.stats.Unexpected++
-			pr.tr.Emit(p.Now(), tracelog.LMPCI, tracelog.KUnexpected, pr.rank, fp.src, fid, size, int64(tag))
-			pr.core.addEarly(&earlyMsg{env: env, isRTS: true, rtsSendReq: reqID, rtsBlocking: b[2] == 1, traceID: fid})
+		em := &earlyMsg{
+			env:   Envelope{Src: fp.src, Tag: tag, Ctx: ctx, Size: size, Mode: mode},
+			isRTS: true, rtsSendReq: reqID, rtsBlocking: b[2] == 1, traceID: fid,
+		}
+		if req, _ := pr.arrive(p, em.env, fid, em); req != nil {
+			pr.sendCTS(p, req, em)
 		}
 
 	case fCTS:
@@ -175,7 +155,6 @@ func (fp *frameParser) frame(p *sim.Proc, b []byte) {
 	default:
 		panic(fmt.Sprintf("mpci: bad native frame kind %d from %d", kind, fp.src))
 	}
-	_ = auxID
 }
 
 // body consumes body bytes for the frame in progress, charging the native
@@ -195,27 +174,14 @@ func (fp *frameParser) body(p *sim.Proc, data []byte) {
 	}
 }
 
-// endBody finishes the frame: publish completion (deferred to interrupt
-// end under the hysteresis scheme).
+// endBody finishes the frame: complete the receive (published at interrupt
+// end under the hysteresis scheme) or mark the early arrival assembled.
 func (fp *frameParser) endBody(p *sim.Proc) {
-	pr := fp.pr
-	env := fp.env
 	switch {
 	case fp.dstReq != nil:
-		req := fp.dstReq
-		pr.stats.BytesRecved += uint64(env.Size)
-		pr.tr.Emit(p.Now(), tracelog.LMPCI, tracelog.KRecvDone, pr.rank, env.Src, fp.curID, env.Size, int64(env.Tag))
-		pr.publish(p, func(p *sim.Proc) {
-			req.complete(env.Src, env.Tag, env.Size)
-			pr.h.KickProgress()
-		})
+		fp.pr.finishRecv(p, fp.dstReq, fp.env, 0, fp.curID)
 	case fp.dstEarly != nil:
-		em := fp.dstEarly
-		em.complete = true
-		if em.onComplete != nil {
-			em.onComplete(p)
-		}
-		pr.h.KickProgress()
+		fp.pr.earlyArrived(p, fp.dstEarly)
 	}
 	fp.dstReq, fp.dstEarly = nil, nil
 	fp.bodyLen, fp.bodyOff = 0, 0

@@ -20,32 +20,18 @@
 package mpci
 
 import (
-	"splapi/internal/lapi"
-	"splapi/internal/machine"
 	"splapi/internal/sim"
 	"splapi/internal/tracelog"
 )
-
-// NewRdmaLAPI builds the rdma provider for one task: the Enhanced-design
-// LAPI MPCI with the zero-copy rendezvous enabled. The LAPI endpoint must
-// use the Inline variant; the machine generation must support RDMA
-// (Params.RdmaSupported — HAL.Rdma panics otherwise).
-func NewRdmaLAPI(eng *sim.Engine, par *machine.Params, l *lapi.LAPI, size int, bar sim.JobBarrier) *LAPIProvider {
-	pr := NewLAPI(eng, par, l, size, bar, DesignEnhanced)
-	pr.zc = l.HAL().Rdma()
-	return pr
-}
 
 // zcIsendRdv starts a zero-copy rendezvous send: register the message
 // buffer, then request-to-send with the region handle. The body never
 // leaves this buffer — the receiver pulls it. Runs in the sending process.
 func (pr *LAPIProvider) zcIsendRdv(p *sim.Proc, req *SendReq, buf []byte, slot uint32, blocking bool) {
 	pr.stats.ZeroCopySends++
-	id := uint32(len(pr.sendReqs))
-	pr.sendReqs = append(pr.sendReqs, req)
 	// The buffer stays pinned (and, for buffered mode, the staging copy
 	// stays alive) until the receiver's pull completes.
-	req.rdvBuf = buf
+	id := pr.addSendReq(req, buf)
 	rkey, ready := pr.zc.RegisterRegion(buf)
 	req.rdmaKey = rkey
 	// Pinning and translation must finish before the request-to-send goes
@@ -74,10 +60,8 @@ func (pr *LAPIProvider) zcIsendRdv(p *sim.Proc, req *SendReq, buf []byte, slot u
 // block (the registration charge is the returned ready time).
 func (pr *LAPIProvider) zcStartPull(p *sim.Proc, req *RecvReq, em *earlyMsg) {
 	pr.stats.ZeroCopyRecvs++
-	id := uint32(len(pr.recvReqs))
-	pr.recvReqs = append(pr.recvReqs, req)
-	req.pendingEnv = em.env
 	env := em.env
+	id := pr.addRecvReq(req, env)
 	n := env.Size
 	mid := em.traceID
 	slot := em.bsendSlot
@@ -115,5 +99,5 @@ func (pr *LAPIProvider) zcSendDone(reqID uint32) {
 	pr.stats.BytesSent += uint64(req.Env.Size)
 	req.acked = true
 	req.done = true
-	pr.l.HAL().KickProgress()
+	pr.h.KickProgress()
 }

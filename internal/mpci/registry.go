@@ -70,14 +70,16 @@ type Factory struct {
 	Name string
 	// Doc is a one-line description for listings.
 	Doc string
-	// Caps are the capabilities instances of this factory will report.
+	// Caps is the one place a provider's capability set is written down:
+	// it selects the behaviour of the instances Build makes, and is what
+	// they report. A ZeroCopyRendezvous provider needs
+	// Params.RdmaSupported; config validation rejects it on machine
+	// generations without it.
 	Caps Capabilities
-	// RequiresRdma marks providers that need Params.RdmaSupported; config
-	// validation rejects them on machine generations without it.
-	RequiresRdma bool
-	// Build constructs the stack for one node. The HAL's trace log is
-	// already attached; factories propagate it to the layers they build.
-	Build func(eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, bar sim.JobBarrier) NodeStack
+	// Build constructs the stack for one node; callers pass the factory's
+	// own Caps. The HAL's trace log is already attached; factories
+	// propagate it to the layers they build.
+	Build func(caps Capabilities, eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, bar sim.JobBarrier) NodeStack
 }
 
 // registry state: a lookup map plus a sorted name list, so listings never
@@ -115,53 +117,53 @@ func Providers() []Factory {
 	return out
 }
 
-// lapiFactory builds the MPI-LAPI stack of one Section 5 design.
-func lapiFactory(design Design) func(eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, bar sim.JobBarrier) NodeStack {
-	return func(eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, bar sim.JobBarrier) NodeStack {
-		l := lapi.New(eng, par, h, size, design.LAPIVariant())
-		l.SetTrace(h.Trace())
-		return NodeStack{Prov: NewLAPI(eng, par, l, size, bar, design), LAPI: l}
+func buildNative(caps Capabilities, eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, bar sim.JobBarrier) NodeStack {
+	pp := pipes.New(eng, par, h, size)
+	pp.SetTrace(h.Trace())
+	return NodeStack{Prov: newNative(eng, par, h, pp, size, bar, caps), Pipes: pp}
+}
+
+// buildLAPI builds every LAPI-backed stack: the Section 5 designs and the
+// zero-copy rendezvous differ only in caps.
+func buildLAPI(caps Capabilities, eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, bar sim.JobBarrier) NodeStack {
+	variant := lapi.Threaded
+	if caps.InlineCompletions {
+		variant = lapi.Inline
 	}
+	l := lapi.New(eng, par, h, size, variant)
+	l.SetTrace(h.Trace())
+	return NodeStack{Prov: newLAPI(eng, par, l, size, bar, caps), LAPI: l}
 }
 
 func init() {
 	Register(Factory{
-		Name: "native",
-		Doc:  "original MPCI over the Pipes byte stream (Figure 1a)",
-		Caps: Capabilities{NativeFraming: true, HysteresisInterrupts: true},
-		Build: func(eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, bar sim.JobBarrier) NodeStack {
-			pp := pipes.New(eng, par, h, size)
-			pp.SetTrace(h.Trace())
-			return NodeStack{Prov: NewNative(eng, par, h, pp, size, bar), Pipes: pp}
-		},
+		Name:  "native",
+		Doc:   "original MPCI over the Pipes byte stream (Figure 1a)",
+		Caps:  Capabilities{NativeFraming: true, HysteresisInterrupts: true},
+		Build: buildNative,
 	})
 	Register(Factory{
 		Name:  "mpi-lapi-base",
 		Doc:   "MPI-LAPI with threaded completion handlers (Section 4)",
 		Caps:  Capabilities{EnvelopeResequencing: true},
-		Build: lapiFactory(DesignBase),
+		Build: buildLAPI,
 	})
 	Register(Factory{
 		Name:  "mpi-lapi-counters",
 		Doc:   "MPI-LAPI completing eager messages by counters (Section 5.2)",
 		Caps:  Capabilities{EnvelopeResequencing: true, CounterCompletions: true},
-		Build: lapiFactory(DesignCounters),
+		Build: buildLAPI,
 	})
 	Register(Factory{
 		Name:  "mpi-lapi-enhanced",
 		Doc:   "MPI-LAPI with same-context completion handlers (Section 5.3)",
 		Caps:  Capabilities{EnvelopeResequencing: true, InlineCompletions: true},
-		Build: lapiFactory(DesignEnhanced),
+		Build: buildLAPI,
 	})
 	Register(Factory{
-		Name:         "rdma",
-		Doc:          "enhanced MPI-LAPI with zero-copy RDMA-read rendezvous",
-		Caps:         Capabilities{EnvelopeResequencing: true, InlineCompletions: true, ZeroCopyRendezvous: true},
-		RequiresRdma: true,
-		Build: func(eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, bar sim.JobBarrier) NodeStack {
-			l := lapi.New(eng, par, h, size, lapi.Inline)
-			l.SetTrace(h.Trace())
-			return NodeStack{Prov: NewRdmaLAPI(eng, par, l, size, bar), LAPI: l}
-		},
+		Name:  "rdma",
+		Doc:   "enhanced MPI-LAPI with zero-copy RDMA-read rendezvous",
+		Caps:  Capabilities{EnvelopeResequencing: true, InlineCompletions: true, ZeroCopyRendezvous: true},
+		Build: buildLAPI,
 	})
 }

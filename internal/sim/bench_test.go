@@ -6,8 +6,8 @@ import "testing"
 // hot paths in isolation: the schedule+dispatch cycle (events/sec), the
 // timer arm/cancel cycle, and the full process park/unpark handoff behind
 // Proc.Sleep. Virtual-time results are irrelevant here; only host-side
-// throughput and allocs/op matter. `make bench` persists the same
-// quantities to BENCH_walltime.json via cmd/walltime.
+// throughput and allocs/op matter. cmd/benchmark reports the same kernels
+// as its sim.*_ns per-layer metrics.
 
 // BenchmarkEventLoop is the events/sec microbenchmark: schedule and
 // dispatch b.N no-op callbacks, keeping a standing batch in the queue so

@@ -100,9 +100,6 @@ func NewResource(capacity int) *Resource {
 // InUse returns the number of units currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen returns the number of processes waiting to acquire.
-func (r *Resource) QueueLen() int { return len(r.queue) }
-
 // Acquire obtains one unit, blocking in FIFO order if none is free.
 func (r *Resource) Acquire(p *Proc) {
 	if r.inUse < r.Capacity && len(r.queue) == 0 {
@@ -113,15 +110,6 @@ func (r *Resource) Acquire(p *Proc) {
 	r.queue = append(r.queue, w)
 	p.yield()
 	// The releaser incremented inUse on our behalf.
-}
-
-// TryAcquire obtains a unit without blocking; reports success.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.Capacity && len(r.queue) == 0 {
-		r.inUse++
-		return true
-	}
-	return false
 }
 
 // Release returns one unit and hands it to the next queued process, if any.
@@ -194,17 +182,6 @@ func (q *Queue) Get(p *Proc) any {
 	q.items = q.items[1:]
 	q.notFull.Signal()
 	return item
-}
-
-// TryGet removes the oldest item without blocking.
-func (q *Queue) TryGet() (any, bool) {
-	if len(q.items) == 0 {
-		return nil, false
-	}
-	item := q.items[0]
-	q.items = q.items[1:]
-	q.notFull.Signal()
-	return item, true
 }
 
 // JobBarrier is the barrier contract a simulated job sees: the serial

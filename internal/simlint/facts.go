@@ -364,15 +364,6 @@ func (pr *Program) propagate() {
 	}
 }
 
-// FuncEffects returns the propagated effect mask for key (zero when the
-// function is unknown, e.g. declared outside the loaded units).
-func (pr *Program) funcEffects(key string) effectMask {
-	if fi := pr.funcs[key]; fi != nil {
-		return fi.effects
-	}
-	return 0
-}
-
 // chain reconstructs the witness path for one effect of one function: the
 // sequence of displayed callee names from the function down to the
 // primitive that introduces the effect.

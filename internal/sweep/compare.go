@@ -20,10 +20,6 @@ const (
 	// sweeps whose timing distributions are skewed by retransmission
 	// tails.
 	MethodRankSum = "ranksum"
-	// MethodCI: legacy fallback when either artifact predates stored
-	// samples (sweep/v1) — the new median is checked against the old
-	// run's stored median CI.
-	MethodCI = "ci"
 	// MethodMissing: the point exists only in the old result; there is
 	// nothing to test.
 	MethodMissing = "missing"
@@ -59,11 +55,11 @@ type Delta struct {
 	// the relative movement is undefined (an arbitrarily large absolute
 	// movement divided by zero) and must never be rendered as "+0.00%".
 	PctOK bool
-	// P is the two-sided p-value of the rank-sum test (1 for the exact,
-	// CI, and missing methods, where no test statistic exists).
+	// P is the two-sided p-value of the rank-sum test (1 for the exact
+	// and missing methods, where no test statistic exists).
 	P float64
 	// Method records which judgment produced Moved: "exact", "ranksum",
-	// "ci", or "missing".
+	// or "missing".
 	Method string
 	// Moved reports a statistically significant movement beyond the
 	// tolerance (for "missing", that the point disappeared).
@@ -76,27 +72,17 @@ type Delta struct {
 	Regression bool
 }
 
-// direction resolves the regression direction of a result: the declared
-// field when present (sweep/v2), else the unit map for legacy artifacts.
-// Unknown directions and unknown units fail loudly.
-func direction(r *Result) (bench.Direction, error) {
-	if r.Direction != "" {
-		return bench.ParseDirection(r.Direction)
-	}
-	return bench.DirectionForUnit(r.Unit)
-}
-
 // Compare matches the points of two results by (series, x) and judges each
 // matched pair with a distribution-aware test:
 //
 //   - both sides degenerate (all repetitions equal): any median movement
 //     beyond the tolerance is real — the simulator is deterministic;
-//   - both sides carry per-seed samples: Wilcoxon rank-sum at alpha=0.05,
-//     with the tolerance as a practical-significance floor on the median
-//     movement;
-//   - otherwise (legacy sweep/v1 artifact on either side): the new median
-//     is checked against the old run's stored median CI, widened by the
-//     tolerance.
+//   - otherwise both sides carry per-seed samples: Wilcoxon rank-sum at
+//     alpha=0.05, with the tolerance as a practical-significance floor on
+//     the median movement.
+//
+// The regression direction is the one both results declare; a missing,
+// unknown or conflicting declaration fails loudly.
 //
 // Points present in old but missing in new are reported as regressions
 // unless o.AllowMissing is set; points present only in new are ignored
@@ -108,11 +94,11 @@ func Compare(old, new *Result, o CompareOpts) ([]Delta, error) {
 	if old.Unit != new.Unit {
 		return nil, fmt.Errorf("sweep: comparing different units %q vs %q", old.Unit, new.Unit)
 	}
-	oldDir, err := direction(old)
+	oldDir, err := bench.ParseDirection(old.Direction)
 	if err != nil {
 		return nil, err
 	}
-	newDir, err := direction(new)
+	newDir, err := bench.ParseDirection(new.Direction)
 	if err != nil {
 		return nil, err
 	}
@@ -151,9 +137,7 @@ func Compare(old, new *Result, o CompareOpts) ([]Delta, error) {
 			d.P = rankSumP(op.Samples, np.Samples)
 			d.Moved = d.P < rankSumAlpha && math.Abs(move) > slack
 		default:
-			d.Method = MethodCI
-			lo, hi := op.Stats.CI95Lo-slack, op.Stats.CI95Hi+slack
-			d.Moved = np.Stats.Median < lo || np.Stats.Median > hi
+			return nil, fmt.Errorf("sweep: %s x=%d: a point without per-seed samples cannot be judged", np.Series, np.X)
 		}
 		if d.Moved {
 			if higherWorse {

@@ -16,9 +16,13 @@ func mkPoint(series string, x int, samples ...float64) PointResult {
 	return PointResult{Series: series, X: x, Stats: bench.Summarize(samples), Samples: samples}
 }
 
-// mkResult builds a v2 result over per-x sample sets.
+// mkResult builds a v2 result over per-x sample sets, declaring the
+// direction the way Run does (from the unit when it is a known one).
 func mkResult(unit string, pts map[int][]float64) *Result {
 	r := &Result{Schema: SchemaV2, Experiment: "x", Unit: unit, Seeds: 3}
+	if d, err := bench.DirectionForUnit(unit); err == nil {
+		r.Direction = string(d)
+	}
 	for x, samples := range pts {
 		r.Points = append(r.Points, mkPoint("s", x, samples...))
 	}
@@ -243,13 +247,11 @@ func TestCompareDirectionHandling(t *testing.T) {
 	}
 }
 
-// TestCompareSelfIsClean is the gate's core property, asserted against
-// both schema generations: old-vs-old at tolerance 0 reports nothing.
-// The v1 fixture reproduces the historical failure mode — a mean-centered
-// CI whose floating-point summation noise excludes the median itself —
-// which the v1 loader now normalizes away.
+// TestCompareSelfIsClean is the gate's core property: a result compared
+// with itself at tolerance 0 reports nothing. A schema-less pre-v2 file —
+// whose mean-centered CI could exclude its own median — is no longer read
+// at all: Load rejects it as loudly as any other foreign schema.
 func TestCompareSelfIsClean(t *testing.T) {
-	// v2: built by Summarize from degenerate samples.
 	v2 := mkResult("us", map[int][]float64{1: {23.009, 23.009, 23.009}})
 	deltas, err := Compare(v2, v2, CompareOpts{})
 	if err != nil {
@@ -259,52 +261,14 @@ func TestCompareSelfIsClean(t *testing.T) {
 		t.Errorf("v2 self-comparison flagged a movement: %+v", deltas[0])
 	}
 
-	// v1: raw legacy JSON (no schema field, no samples, noisy mean CI).
-	legacy := `{
-  "experiment": "x", "title": "t", "unit": "us",
-  "gitDescribe": "old", "seeds": 16, "baseSeed": 1,
-  "overrides": {"dropProb": 0, "dupProb": 0},
-  "points": [{
-    "series": "s", "x": 1,
-    "stats": {"n": 16, "min": 23.009, "max": 23.009, "median": 23.009,
-              "mean": 23.009000000000007, "std": 7.338453819646733e-15,
-              "ci95lo": 23.009000000000004, "ci95hi": 23.00900000000001},
-    "virtualTimeNs": 1, "trace": {"packetsSent": 1, "retransmits": 0,
-    "injected": 1, "delivered": 1, "dropped": 0, "duplicated": 0,
-    "reordered": 0, "bytesWire": 1}
-  }]
-}`
+	legacy := `{"experiment": "x", "title": "t", "unit": "us", "seeds": 16, "baseSeed": 1,
+  "points": [{"series": "s", "x": 1, "stats": {"n": 16, "min": 23.009, "max": 23.009, "median": 23.009}}]}`
 	path := filepath.Join(t.TempDir(), "BENCH_v1.json")
 	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	v1, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v1.Schema != "" {
-		t.Fatalf("legacy file acquired a schema: %q", v1.Schema)
-	}
-	deltas, err = Compare(v1, v1, CompareOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if deltas[0].Moved || deltas[0].Regression {
-		t.Errorf("v1 self-comparison flagged a movement: %+v", deltas[0])
-	}
-	// Cross-generation: a v2 regeneration with identical medians against
-	// the v1 baseline must also be clean (the CI fallback path).
-	v2x := mkResult("us", map[int][]float64{1: {23.009, 23.0095, 23.0085, 23.009}})
-	v2x.Experiment = "x"
-	deltas, err = Compare(v1, v2x, CompareOpts{TolPct: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if deltas[0].Method != MethodCI {
-		t.Errorf("v1-vs-v2 comparison should fall back to the CI method: %+v", deltas[0])
-	}
-	if deltas[0].Regression {
-		t.Errorf("within-tolerance cross-generation comparison flagged: %+v", deltas[0])
+	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "unsupported schema") {
+		t.Fatalf("Load(schema-less file) = %v, want an unsupported-schema error", err)
 	}
 }
 
@@ -321,11 +285,6 @@ func TestCompareSelfCleanAllArtifacts(t *testing.T) {
 	for _, path := range matches {
 		r, err := Load(path)
 		if err != nil {
-			// The walltime artifacts are a different schema; the loader
-			// must reject them loudly rather than misread them.
-			if strings.Contains(filepath.Base(path), "walltime") {
-				continue
-			}
 			t.Errorf("%s: %v", path, err)
 			continue
 		}

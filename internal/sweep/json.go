@@ -10,9 +10,8 @@ import (
 // SchemaV2 tags result files written by this version: median-based CIs
 // with a recorded construction method, raw per-repetition samples, a
 // declared regression direction, sequential-stopping provenance, and the
-// per-series variance decomposition. Files without a schema field are
-// legacy (v1) artifacts; Load still reads them (see below). Unrelated
-// schemas (e.g. walltime/v1) are rejected.
+// per-series variance decomposition. Load rejects everything else,
+// schema-less pre-v2 files included.
 const SchemaV2 = "sweep/v2"
 
 // Encode renders a result as indented JSON. Field order follows the struct
@@ -38,13 +37,7 @@ func Save(path string, r *Result) error {
 	return os.WriteFile(path, b, 0o644)
 }
 
-// Load reads a result file written by Save. Legacy files (no schema
-// field, written before sweep/v2) are accepted and normalized: their
-// intervals were normal-theory CIs of the *mean*, whose floating-point
-// summation noise can exclude the median of an all-equal sample, so each
-// point's interval is widened to include its own median — the old median
-// is definitionally an acceptable value. v2 intervals contain the median
-// by construction and load untouched.
+// Load reads a result file written by Save.
 func Load(path string) (*Result, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -54,16 +47,8 @@ func Load(path string) (*Result, error) {
 	if err := json.Unmarshal(b, &r); err != nil {
 		return nil, fmt.Errorf("sweep: %s: %w", path, err)
 	}
-	switch r.Schema {
-	case SchemaV2:
-	case "":
-		for i := range r.Points {
-			s := &r.Points[i].Stats
-			s.CI95Lo = min(s.CI95Lo, s.Median)
-			s.CI95Hi = max(s.CI95Hi, s.Median)
-		}
-	default:
-		return nil, fmt.Errorf("sweep: %s: unsupported schema %q (want %q or a legacy file without a schema field)", path, r.Schema, SchemaV2)
+	if r.Schema != SchemaV2 {
+		return nil, fmt.Errorf("sweep: %s: unsupported schema %q (want %q)", path, r.Schema, SchemaV2)
 	}
 	if r.Experiment == "" || len(r.Points) == 0 {
 		return nil, fmt.Errorf("sweep: %s: not a sweep result file", path)

@@ -69,12 +69,6 @@ type Options struct {
 	// deterministic per seed and the dispersion statistics collapse to a
 	// point; with faults enabled the seed list yields a real distribution.
 	Faults string
-	// DropProb / DupProb are the deprecated flat-probability overrides,
-	// kept so old call sites keep working: they are shorthand for
-	// Faults = "uniform:drop=DropProb,dup=DupProb" and must not be
-	// combined with an explicit Faults spec.
-	DropProb float64
-	DupProb  float64
 	// GitDescribe is recorded in the result for provenance (the CLI fills
 	// it from `git describe`).
 	GitDescribe string
@@ -209,8 +203,7 @@ type PointResult struct {
 	// (repetition r ran under CellSeed(..., r), so the correspondence is
 	// recoverable). They are what makes the nonparametric regression gate
 	// possible: Compare runs a rank-sum test on old-vs-new samples rather
-	// than trusting any summary interval. New in sweep/v2; absent from
-	// legacy artifacts.
+	// than trusting any summary interval.
 	Samples []float64 `json:"samples,omitempty"`
 	// VirtualTimeNs is the summed virtual time of all repetitions: the
 	// simulated cost of producing this point.
@@ -239,8 +232,6 @@ type SeriesVariance struct {
 // Overrides records the matrix-level parameter overrides a result was
 // produced under.
 type Overrides struct {
-	DropProb float64 `json:"dropProb"`
-	DupProb  float64 `json:"dupProb"`
 	// Faults is the fault-plan spec the sweep ran under ("" = clean
 	// fabric; omitted then, keeping fault-free artifacts byte-identical).
 	Faults string `json:"faults,omitempty"`
@@ -261,7 +252,7 @@ type Result struct {
 	Unit       string `json:"unit"`
 	// Direction is the declared regression direction of the metric
 	// (bench.LowerIsBetter / bench.HigherIsBetter), so the gate never
-	// infers it from unit spelling. Empty on legacy artifacts.
+	// infers it from unit spelling.
 	Direction   string `json:"direction,omitempty"`
 	GitDescribe string `json:"gitDescribe"`
 	Seeds       int    `json:"seeds"`
@@ -394,15 +385,9 @@ func RunCtx(ctx context.Context, e bench.Experiment, o Options) (*Result, error)
 	} else if _, err := bench.ParseDirection(string(e.Direction)); err != nil {
 		return nil, err
 	}
-	if o.Faults != "" && (o.DropProb > 0 || o.DupProb > 0) {
-		return nil, fmt.Errorf("sweep: Faults spec and DropProb/DupProb overrides are mutually exclusive")
-	}
 	plan, err := faults.Parse(o.Faults)
 	if err != nil {
 		return nil, err
-	}
-	if plan.Empty() {
-		plan = faults.Uniform(o.DropProb, o.DupProb)
 	}
 	var mod bench.ParamMod
 	if !plan.Empty() {
@@ -528,7 +513,7 @@ func RunCtx(ctx context.Context, e bench.Experiment, o Options) (*Result, error)
 		SeedsMax:    o.SeedsMax,
 		RelCIPct:    o.RelCIPct,
 		BaseSeed:    base,
-		Overrides:   Overrides{DropProb: o.DropProb, DupProb: o.DupProb, Faults: o.Faults},
+		Overrides:   Overrides{Faults: o.Faults},
 		WallClock:   time.Since(start),
 		Par:         par,
 	}

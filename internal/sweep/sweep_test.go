@@ -120,7 +120,7 @@ func TestFaultInjectionProducesDispersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Cells = full.Cells[:2]
-	r, err := Run(e, Options{Seeds: 4, Par: 2, DropProb: 0.004})
+	r, err := Run(e, Options{Seeds: 4, Par: 2, Faults: "uniform:drop=0.004"})
 	if err != nil {
 		t.Fatal(err)
 	}

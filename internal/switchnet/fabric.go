@@ -234,15 +234,9 @@ func Partition(nodes, shards int) []int {
 // shardFor returns the fabric state owned by node's shard.
 func (f *Fabric) shardFor(node int) *fabShard { return f.sh[f.shardOf[node]] }
 
-// EngineFor returns the engine that owns node.
-func (f *Fabric) EngineFor(node int) *sim.Engine { return f.shardFor(node).eng }
-
 // InjectorFor exposes the compiled fault injector of node's shard (nil for
 // a clean fabric) so the adapters share their shard's script.
 func (f *Fabric) InjectorFor(node int) *faults.Injector { return f.shardFor(node).inj }
-
-// Ports returns the number of ports.
-func (f *Fabric) Ports() int { return f.n }
 
 // Stats returns the cumulative counters summed over all shards. Must be
 // called when no shard window is running (serial context, or after Run).

@@ -258,8 +258,8 @@ func (r *Report) Print(w io.Writer) {
 				p.LAPI.MsgsSent, p.LAPI.Retransmits, p.LAPI.Timeouts, p.LAPI.HdrHandlers, p.LAPI.CmplThreaded, p.LAPI.CmplInline, p.LAPI.CounterUpdates)
 		}
 		if p.Rdma != nil {
-			fmt.Fprintf(w, "          rdma reg=%d regHits=%d dereg=%d reads=%d writes=%d chunks=%d crcDrops=%d retries=%d stale=%d\n",
-				p.Rdma.Registrations, p.Rdma.CacheHits, p.Rdma.Deregistrations, p.Rdma.Reads, p.Rdma.Writes, p.Rdma.DataPackets, p.Rdma.CrcDrops, p.Rdma.Retries, p.Rdma.StaleDrops)
+			fmt.Fprintf(w, "          rdma reg=%d regHits=%d dereg=%d reads=%d chunks=%d crcDrops=%d retries=%d stale=%d\n",
+				p.Rdma.Registrations, p.Rdma.CacheHits, p.Rdma.Deregistrations, p.Rdma.Reads, p.Rdma.DataPackets, p.Rdma.CrcDrops, p.Rdma.Retries, p.Rdma.StaleDrops)
 		}
 		if p.Provider != nil {
 			fmt.Fprintf(w, "          mpci eager=%d rdv=%d matched=%d unexpected=%d\n",

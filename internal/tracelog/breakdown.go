@@ -31,7 +31,7 @@ func categoryOf(k Kind) Category {
 		return CatCopy
 	case KOverhead, KHALSend, KHALDispatch, KHdrHandler, KMatch, KCounter:
 		return CatDispatch
-	case KRdmaReg, KRdmaRead, KRdmaWrite:
+	case KRdmaReg, KRdmaRead:
 		// Registration pin/translate and request-descriptor service are
 		// driver software costs; the RDMA data path itself charges only
 		// DMA and wire time through the adapter/fabric kinds above.

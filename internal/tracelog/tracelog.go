@@ -125,7 +125,6 @@ const (
 	KRdmaRegHit  // registration cache hit; Size = bytes
 	KRdmaDereg   // region deregistered; Size = bytes
 	KRdmaRead    // read request issued/served; Size = bytes, Arg = request cost ns
-	KRdmaWrite   // write initiated; Size = bytes, Arg = request cost ns
 	KRdmaData    // data chunk landed in a registered region; Size = chunk bytes, Arg = chunk index
 	KRdmaDone    // operation complete at the initiator; Size = bytes
 	KRdmaCrcDrop // RDMA data-path packet failed the link CRC check
@@ -153,7 +152,7 @@ var kindNames = [numKinds]string{
 	"fabric.dup",
 	"flow.timeout", "fabric.corrupt", "hal.crc-drop", "fabric.route-mask",
 	"fabric.no-route", "adapter.stall",
-	"rdma.reg", "rdma.reg-hit", "rdma.dereg", "rdma.read", "rdma.write",
+	"rdma.reg", "rdma.reg-hit", "rdma.dereg", "rdma.read",
 	"rdma.data", "rdma.done", "rdma.crc-drop", "rdma.retry", "rdma.stale",
 }
 
