@@ -1,6 +1,6 @@
 # Tier-1 verification, as run by CI (.github/workflows/ci.yml).
 
-.PHONY: verify build vet test lint lint-sarif tidy-check benchmark-smoke loc determinism-check trace-smoke chaos-smoke compare-selfcheck serve-smoke conformance ablate-smoke
+.PHONY: verify build vet test lint lint-sarif tidy-check benchmark-smoke perf-ab loc determinism-check trace-smoke chaos-smoke compare-selfcheck serve-smoke conformance ablate-smoke
 
 verify: build vet test lint tidy-check conformance ablate-smoke benchmark-smoke
 
@@ -52,6 +52,17 @@ tidy-check:
 benchmark-smoke:
 	go vet -C cmd/benchmark ./...
 	go test -C cmd/benchmark ./...
+
+# perf-ab judges the working tree against BASE with the repository
+# benchmark: BASE is unpacked beside it, both cmd/benchmark binaries are
+# built once, and every workload runs PAIRS (default and minimum 10) pairs
+# with the first side alternating over one shared seed list; the output is
+# pairs won per workload x metric, then -compare both ways round. It refuses
+# to run if cmd/benchmark or BENCHMARK.json differ from BASE. About 40
+# minutes for all five workloads; WORKLOADS="a b" narrows it.
+perf-ab:
+	@test -n "$(BASE)" || { echo "usage: make perf-ab BASE=<rev> [PAIRS=10] [WORKLOADS='pingpong_small ...']" >&2; exit 2; }
+	sh scripts/perf-ab.sh "$(BASE)"
 
 # loc prints the tracked size of the tree: non-test Go lines per package
 # and in total, outside testdata and cmd/benchmark (ROADMAP: "non-test LoC

@@ -2,16 +2,21 @@
 // simulation kernel with a virtual nanosecond clock.
 //
 // The kernel executes exactly one logical thread of control at a time: either
-// the engine's event loop or a single simulated process. Control is passed
-// between goroutines with a single "token", so simulated code never races
-// with other simulated code even though each process is a real goroutine.
-// This makes the whole simulation deterministic: given the same seed and the
-// same program, every virtual timestamp is identical on every run.
+// the event loop or a single simulated process. Control is passed between
+// goroutines with a single "token", so simulated code never races with other
+// simulated code even though each process is a real goroutine. This makes
+// the whole simulation deterministic: given the same seed and the same
+// program, every virtual timestamp is identical on every run.
+//
+// The event loop has no goroutine of its own: it runs on whichever goroutine
+// holds the token — Run's caller, or a process that parked and has nothing
+// better to do than dispatch events until its own wake-up pops (see
+// Engine.dispatch and DESIGN.md "Token-passing dispatch").
 //
 // Processes are spawned with Engine.Spawn and block using the primitives in
 // this package (Proc.Sleep, Cond.Wait, Resource.Acquire, Queue.Get, ...).
-// Callback events scheduled with Engine.At run in engine context and must not
-// block.
+// Callback events scheduled with Engine.At run in engine context — on an
+// arbitrary goroutine of the simulation — and must not block.
 //
 // The event queue and the scheduling paths are engineered for wall-clock
 // throughput (see DESIGN.md "Kernel performance"): a specialized 4-ary
@@ -56,11 +61,12 @@ func (t Time) String() string {
 // Micros reports t as a float number of microseconds.
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
-// Event kinds. The generic callback kind calls fn; the resume kind unparks
-// proc directly, so the Sleep/unpark path needs no per-sleep closure.
+// Event kinds. The generic callback kind calls fn; the resume and start
+// kinds name their proc directly, so neither Sleep nor Spawn needs a closure.
 const (
 	evCall byte = iota
 	evResume
+	evStart
 )
 
 // event is a scheduled occurrence. Events are owned by the engine and
@@ -80,7 +86,7 @@ type event struct {
 	kind  byte
 	dead  bool   // cancelled; skipped (and recycled) when popped
 	fn    func() // evCall
-	proc  *Proc  // evResume
+	proc  *Proc  // evResume, evStart
 }
 
 // eventLess is the queue's strict total order. seq is unique, so two
@@ -105,17 +111,22 @@ func eventLess(a, b *event) bool {
 // Engine is the discrete-event simulation engine. It owns the virtual clock
 // and the event queue. An Engine must be created with NewEngine.
 type Engine struct {
-	now     Time
-	seq     uint64
-	events  []*event      // 4-ary min-heap ordered by eventLess
-	free    []*event      // recycled event slots
-	ctl     chan struct{} // token returned to the engine by a yielding proc
-	rng     *rand.Rand
-	procs   map[*Proc]struct{} // live (spawned, not finished) processes
-	blocked map[*Proc]struct{} // processes parked on a primitive
-	running bool
-	procSeq int
-	stopped bool // Stop was called; Run drains no further events
+	now      Time
+	seq      uint64
+	executed uint64        // events run so far, over all Runs (Sleep's fast path counts too)
+	handoffs uint64        // token transfers between goroutines, for tests
+	events   []*event      // 4-ary min-heap ordered by eventLess
+	free     []*event      // recycled event slots
+	ctl      chan struct{} // token returned to Run's goroutine by a proc
+	rng      *rand.Rand
+	procs    map[*Proc]struct{} // live (spawned, not finished) processes
+	parked   int                // how many of them are parked on a primitive
+	running  bool
+	procSeq  int
+	stopped  bool // Stop was called; Run drains no further events
+	// winEnd is the exclusive time bound of the current Run (horizon+1) or
+	// shard window (lowered in-flight by cross-shard posts).
+	winEnd Time
 	// Sharding (see shard.go). group is nil for a serial engine. winStop
 	// asks runWindow to return after the current event (set by
 	// GroupBarrier.Await: a parked barrier waiter can learn nothing more
@@ -125,10 +136,10 @@ type Engine struct {
 	group    *ShardGroup
 	shard    int
 	winStop  bool
-	winEnd   Time // current window bound; lowered in-flight by cross-shard posts
 	crossSeq uint64
-	// procPanic carries a panic out of a process goroutine so Run can
-	// re-raise it on the caller's goroutine (where tests can recover it).
+	// procPanic carries a panic out of a process goroutine — the process's
+	// own, or that of a callback it was dispatching — so Run can re-raise
+	// it on the caller's goroutine (where tests can recover it).
 	procPanic any
 	// pool is large (free lists + per-class counters for every size class)
 	// and cold relative to the dispatch loop; keeping it last keeps the
@@ -142,9 +153,8 @@ func NewEngine(seed int64) *Engine {
 	return &Engine{
 		ctl: make(chan struct{}),
 		//simlint:allow globalrand the engine owns the per-run root source; all other sim code draws from Engine.Rand()
-		rng:     rand.New(rand.NewSource(seed)),
-		procs:   make(map[*Proc]struct{}),
-		blocked: make(map[*Proc]struct{}),
+		rng:   rand.New(rand.NewSource(seed)),
+		procs: make(map[*Proc]struct{}),
 	}
 }
 
@@ -301,8 +311,9 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Run executes events until the queue is empty, the horizon is exceeded, or
 // Stop is called. horizon <= 0 means no horizon. It returns the number of
-// events executed. After the loop it force-kills any still-parked processes
-// so their goroutines exit (their pending work is abandoned).
+// events executed. Before returning — normally, or by re-raising a panic
+// from simulated code — it force-kills any still-parked processes so their
+// goroutines exit (their pending work is abandoned).
 func (e *Engine) Run(horizon Time) int {
 	if e.running {
 		panic("sim: Engine.Run re-entered")
@@ -310,46 +321,39 @@ func (e *Engine) Run(horizon Time) int {
 	if e.group != nil {
 		panic("sim: Engine.Run on a sharded engine; use ShardGroup.Run")
 	}
-	e.running = true
-	n := 0
-	for len(e.events) > 0 && !e.stopped {
-		ev := e.pop()
-		if ev.dead {
-			e.release(ev)
-			continue
-		}
-		if horizon > 0 && ev.t > horizon {
-			// The event is beyond this run's horizon, not consumed: push it
-			// back so a later Run with a larger horizon still sees it.
-			e.push(ev)
-			e.now = horizon
-			break
-		}
-		e.now = ev.t
-		// Recycle the slot before dispatch: the callback commonly schedules
-		// follow-up events, which then reuse it immediately. The gen bump in
-		// release is what makes Stop-after-fire report false.
-		kind, fn, p := ev.kind, ev.fn, ev.proc
-		e.release(ev)
-		if kind == evCall {
-			fn()
-		} else if !p.done {
-			delete(e.blocked, p)
-			//simlint:allow baregoroutine resume/ctl is the scheduler's own token handoff, not cross-shard traffic
-			p.resume <- struct{}{}
-			<-e.ctl
-		}
-		n++
-		if e.procPanic != nil {
-			r := e.procPanic
-			e.procPanic = nil
-			e.running = false
-			panic(r)
-		}
+	e.winEnd = timeInf
+	if horizon > 0 {
+		e.winEnd = satAdd(horizon, 1)
 	}
+	start := e.executed
+	e.running = true
+	defer e.shutdown()
+	e.dispatch(nil)
+	if horizon > 0 && e.live() && len(e.events) > 0 {
+		// The loop ended on a live event beyond the horizon. It stays
+		// queued for a later Run with a larger one; the clock stops here.
+		e.now = horizon
+	}
+	return int(e.executed - start)
+}
+
+// shutdown ends a Run: parked processes are killed, and a panic carried out
+// of a process goroutine is re-raised on this one. Run defers it, so a
+// callback that panics on Run's own goroutine passes through it as well and
+// leaves no goroutine and no running flag behind.
+func (e *Engine) shutdown() {
 	e.running = false
 	e.killAll()
-	return n
+	if r := e.procPanic; r != nil {
+		e.procPanic = nil
+		panic(r)
+	}
+}
+
+// live reports whether the loop may execute another event: the engine is
+// inside Run or a shard window and nothing has asked it to end.
+func (e *Engine) live() bool {
+	return e.running && !e.stopped && !e.winStop && e.procPanic == nil
 }
 
 // nextTime returns the time of the earliest pending live event. Dead
@@ -365,6 +369,111 @@ func (e *Engine) nextTime() (t Time, ok bool) {
 	return 0, false
 }
 
+// next pops the event the loop must execute now. It returns nil when the
+// loop is over: the engine is not live, the queue is empty, or the earliest
+// live event lies at or beyond winEnd (and stays queued).
+func (e *Engine) next() *event {
+	if !e.live() {
+		return nil
+	}
+	for len(e.events) > 0 {
+		ev := e.pop()
+		if ev.dead {
+			e.release(ev)
+			continue
+		}
+		if ev.t >= e.winEnd {
+			// Not consumed: pushed back, so a later Run or window with a
+			// larger bound still sees it. Popping first and undoing it
+			// once per run is cheaper than peeking before every pop.
+			e.push(ev)
+			return nil
+		}
+		return ev
+	}
+	return nil
+}
+
+// dispatch is the event loop. It runs on whichever goroutine holds the
+// token: Run's (self == nil), or that of a process parked in yield, which
+// dispatches events instead of waiting for a middle-man to do it.
+//
+// Callbacks run in place. A resume event for self returns straight into the
+// process — no goroutine switch at all. A start or resume event for another
+// process hands the token to it directly, one switch; a process that has
+// handed the token on waits on its resume channel and returns once its own
+// resume (or kill) is delivered by whoever holds the token then. Run's
+// goroutine instead waits on ctl and re-enters the loop: the token comes
+// back to it when a process exits or when a process finds the loop over.
+// Every condition that ends the loop is engine state (see next), so Run's
+// goroutine re-evaluates it and returns.
+func (e *Engine) dispatch(self *Proc) {
+	for {
+		ev := e.next()
+		if ev == nil {
+			if self == nil {
+				return
+			}
+			e.handoffs++
+			//simlint:allow baregoroutine the loop is over: the token goes back to Run's goroutine, which is parked on ctl
+			e.ctl <- struct{}{}
+			break
+		}
+		e.now = ev.t
+		// Recycle the slot before dispatch: the callback commonly schedules
+		// follow-up events, which then reuse it immediately. The gen bump in
+		// release is what makes Stop-after-fire report false.
+		kind, fn, p := ev.kind, ev.fn, ev.proc
+		e.release(ev)
+		e.executed++
+		switch {
+		case kind == evCall:
+			if self == nil {
+				fn()
+			} else {
+				e.callGuarded(fn)
+			}
+			continue
+		case p.done:
+			continue // a resume left behind by a killed process
+		case p == self:
+			e.unparked(p)
+			return
+		}
+		// The token leaves this goroutine, which touches no engine state
+		// from the transfer until the token is handed back to it.
+		e.handoffs++
+		if kind == evStart {
+			//simlint:allow baregoroutine Spawn's one legal goroutine; it starts holding the token and this goroutine parks below until the token returns
+			go p.run()
+		} else {
+			e.unparked(p)
+			//simlint:allow baregoroutine direct token handoff to the process whose resume popped; it is parked on resume, this goroutine parks below
+			p.resume <- struct{}{}
+		}
+		if self != nil {
+			break
+		}
+		<-e.ctl
+	}
+	<-self.resume
+}
+
+// callGuarded runs a callback on a process's goroutine. The process only
+// lends its goroutine to the loop, so a panic in the callback is not its
+// own: it must not unwind the process's stack (running its deferred calls
+// and exit hooks as if it had failed, or being swallowed by a recover
+// there). The value is kept in procPanic instead, which ends the loop and
+// surfaces from Run like a callback panic on Run's own goroutine.
+func (e *Engine) callGuarded(fn func()) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.procPanic = r
+		}
+	}()
+	fn()
+}
+
 // runWindow executes events strictly before end (exclusive), then returns.
 // Unlike Run it neither kills parked processes nor consumes events at or
 // past end; the clock stays at the last executed event. The effective
@@ -377,40 +486,13 @@ func (e *Engine) runWindow(end Time) int {
 	if e.running {
 		panic("sim: Engine window re-entered")
 	}
-	e.running = true
 	e.winStop = false
 	e.winEnd = end
-	n := 0
-	for len(e.events) > 0 && !e.stopped {
-		if top := e.events[0]; top.dead {
-			e.release(e.pop())
-			continue
-		} else if top.t >= e.winEnd {
-			break
-		}
-		ev := e.pop()
-		e.now = ev.t
-		kind, fn, p := ev.kind, ev.fn, ev.proc
-		e.release(ev)
-		if kind == evCall {
-			fn()
-		} else if !p.done {
-			delete(e.blocked, p)
-			//simlint:allow baregoroutine resume/ctl is the scheduler's own token handoff, not cross-shard traffic
-			p.resume <- struct{}{}
-			<-e.ctl
-		}
-		n++
-		if e.procPanic != nil {
-			break
-		}
-		if e.winStop {
-			e.winStop = false
-			break
-		}
-	}
-	e.running = false
-	return n
+	start := e.executed
+	e.running = true
+	defer func() { e.running = false }()
+	e.dispatch(nil)
+	return int(e.executed - start)
 }
 
 // Shard returns this engine's shard index within its ShardGroup (0 for a
@@ -441,25 +523,36 @@ func (e *Engine) Post(dst *Engine, t Time, fn func()) {
 	e.group.post(e, dst, t, fn)
 }
 
+// unparked clears p's parked mark as its resume or kill is delivered.
+func (e *Engine) unparked(p *Proc) {
+	p.parked = false
+	e.parked--
+}
+
 // killAll resumes every parked process with the killed flag set so its
 // goroutine unwinds (see Proc.yield), then waits for it to exit. Kill order
-// is ascending proc id; exit hooks may park further processes, so the scan
-// repeats until the blocked set drains.
+// is ascending proc id; unwinding code may park again, so the scan repeats
+// until no process is parked.
 func (e *Engine) killAll() {
 	var order []*Proc
-	for len(e.blocked) > 0 {
+	for e.parked > 0 {
 		order = order[:0]
-		for q := range e.blocked {
-			order = append(order, q)
+		for q := range e.procs {
+			if q.parked {
+				order = append(order, q)
+			}
+		}
+		if len(order) == 0 {
+			panic("sim: parked count out of step with the process table")
 		}
 		sort.Slice(order, func(i, j int) bool { return order[i].id < order[j].id })
 		for _, p := range order {
-			if _, ok := e.blocked[p]; !ok {
+			if !p.parked {
 				continue
 			}
-			delete(e.blocked, p)
+			e.unparked(p)
 			p.killed = true
-			//simlint:allow baregoroutine resume/ctl is the scheduler's own token handoff, not cross-shard traffic
+			//simlint:allow baregoroutine token handoff to the process being killed; it unwinds and returns the token on ctl
 			p.resume <- struct{}{}
 			<-e.ctl
 		}
@@ -473,7 +566,7 @@ func (e *Engine) Idle() bool { return len(e.events) == 0 }
 func (e *Engine) LiveProcs() int { return len(e.procs) }
 
 // BlockedProcs returns the number of processes parked on a primitive.
-func (e *Engine) BlockedProcs() int { return len(e.blocked) }
+func (e *Engine) BlockedProcs() int { return e.parked }
 
 // procKilled is the panic value used to unwind a killed process.
 type procKilled struct{}
@@ -484,7 +577,9 @@ type Proc struct {
 	eng    *Engine
 	name   string
 	id     int
+	fn     func(p *Proc)
 	resume chan struct{}
+	parked bool // inside yield, waiting for a resume event or a kill
 	killed bool
 	done   bool
 	onExit []func()
@@ -493,41 +588,35 @@ type Proc struct {
 // Spawn creates a process named name running fn, starting at the current
 // virtual time (after already-scheduled same-time events).
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, id: e.procSeq, resume: make(chan struct{})}
+	p := &Proc{eng: e, name: name, id: e.procSeq, fn: fn, resume: make(chan struct{})}
 	e.procSeq++
 	e.procs[p] = struct{}{}
-	e.At(e.now, func() {
-		//simlint:allow baregoroutine Spawn owns the one legal goroutine; the ctl/resume token handoff serializes it with the engine
-		go p.run(fn)
-		//simlint:allow baregoroutine resume/ctl is the scheduler's own token handoff, not cross-shard traffic
-		p.resume <- struct{}{} // hand the token to the new process
-		<-e.ctl                // wait until it yields or finishes
-	})
+	e.schedule(e.now, evStart, nil, p)
 	return p
 }
 
-func (p *Proc) run(fn func(p *Proc)) {
+// run is the process goroutine. It is started by the start event holding
+// the token, and hands the token back to Run's goroutine when it ends.
+func (p *Proc) run() {
+	e := p.eng
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(procKilled); !ok {
-				// A real panic from simulated code: carry it to the
-				// engine goroutine, where Run re-raises it.
-				p.eng.procPanic = r
+				// A real panic from simulated code: carry it to Run's
+				// goroutine, where it is re-raised.
+				e.procPanic = r
 			}
 		}
 		p.done = true
-		delete(p.eng.procs, p)
+		delete(e.procs, p)
 		for i := len(p.onExit) - 1; i >= 0; i-- {
 			p.onExit[i]()
 		}
-		//simlint:allow baregoroutine resume/ctl is the scheduler's own token handoff, not cross-shard traffic
-		p.eng.ctl <- struct{}{} // hand the token back to the engine
+		e.handoffs++
+		//simlint:allow baregoroutine a finished process returns the token to Run's goroutine, which is parked on ctl
+		e.ctl <- struct{}{}
 	}()
-	<-p.resume // wait for the spawn event to hand us the token
-	if p.killed {
-		panic(procKilled{})
-	}
-	fn(p)
+	p.fn(p)
 }
 
 // Name returns the process name.
@@ -543,14 +632,13 @@ func (p *Proc) Now() Time { return p.eng.now }
 // finishes or is killed. LIFO order.
 func (p *Proc) OnExit(fn func()) { p.onExit = append(p.onExit, fn) }
 
-// yield parks the process: the token goes back to the engine, and the
-// process sleeps until something sends on p.resume. If the process was
-// killed while parked, it unwinds.
+// yield parks the process until its resume event pops. The process keeps
+// the token and runs the event loop itself meanwhile (see dispatch); if it
+// was killed while parked, it unwinds.
 func (p *Proc) yield() {
-	p.eng.blocked[p] = struct{}{}
-	//simlint:allow baregoroutine resume/ctl is the scheduler's own token handoff, not cross-shard traffic
-	p.eng.ctl <- struct{}{}
-	<-p.resume
+	p.parked = true
+	p.eng.parked++
+	p.eng.dispatch(p)
 	if p.killed {
 		panic(procKilled{})
 	}
@@ -568,7 +656,23 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	p.unpark(p.eng.now + d)
+	e := p.eng
+	t := e.now + d
+	if e.live() && t < e.winEnd {
+		if next, ok := e.nextTime(); !ok || next > t {
+			// Every pending event is strictly later than the wake-up, so the
+			// resume event this Sleep would schedule is the very next pop
+			// (an event at exactly t is older and would go first, hence the
+			// strict comparison). Do what that pop would do — advance the
+			// clock, count the event, and use up its sequence number so the
+			// numbering of later events is unchanged — and keep running.
+			e.now = t
+			e.seq++
+			e.executed++
+			return
+		}
+	}
+	p.unpark(t)
 	p.yield()
 }
 

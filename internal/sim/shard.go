@@ -284,7 +284,7 @@ func (g *ShardGroup) runner(i int) {
 // the total number of events executed. Like the serial Engine.Run it then
 // force-kills still-parked processes (in shard order, ascending proc id
 // within a shard). Panics from simulated code re-raise on the caller's
-// goroutine, lowest shard first.
+// goroutine, lowest shard first, after that shutdown.
 func (g *ShardGroup) Run(horizon Time) int {
 	if g.running {
 		panic("sim: ShardGroup.Run re-entered")
@@ -307,6 +307,7 @@ func (g *ShardGroup) Run(horizon Time) int {
 	}()
 
 	total := 0
+	var failed any // first panic out of a window; ends the run
 	next := make([]Time, p)
 	ends := make([]Time, p)
 	waitCap := make([]Time, p)
@@ -391,11 +392,9 @@ func (g *ShardGroup) Run(horizon Time) int {
 			// goroutine round trip — this is the common regime for
 			// small-topology cells and keeps them near serial speed.
 			i := active[0]
-			n, pan := g.runShard(g.engs[i], ends[i])
+			var n int
+			n, failed = g.runShard(g.engs[i], ends[i])
 			total += n
-			if pan != nil {
-				panic(pan)
-			}
 		} else {
 			for _, i := range active {
 				//simlint:allow baregoroutine epoch fan-out from the coordinator to the shard runners, outside any simulation context
@@ -404,18 +403,14 @@ func (g *ShardGroup) Run(horizon Time) int {
 			for range active {
 				<-g.done
 			}
-			var pan any
 			for _, i := range active {
 				total += g.res[i].n
-				if pan == nil {
-					pan = g.res[i].pan
+				if failed == nil {
+					failed = g.res[i].pan
 				}
 			}
-			if pan != nil {
-				panic(pan)
-			}
 		}
-		stop := false
+		stop := failed != nil
 		for _, e := range g.engs {
 			if e.stopped {
 				stop = true
@@ -427,6 +422,9 @@ func (g *ShardGroup) Run(horizon Time) int {
 	}
 	for _, e := range g.engs {
 		e.killAll()
+	}
+	if failed != nil {
+		panic(failed)
 	}
 	return total
 }
