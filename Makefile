@@ -1,6 +1,9 @@
-# Tier-1 verification, as run by CI (.github/workflows/ci.yml).
+# Tier-1 verification. `make ci` is the one list of gates;
+# .github/workflows/ci.yml runs it.
 
-.PHONY: verify build vet test lint lint-sarif tidy-check benchmark-smoke perf-ab loc determinism-check trace-smoke chaos-smoke compare-selfcheck serve-smoke conformance ablate-smoke
+.PHONY: ci verify build vet test lint tidy-check benchmark-smoke perf-ab loc determinism-check trace-smoke chaos-smoke compare-selfcheck serve-smoke conformance ablate-smoke golden-check
+
+ci: verify determinism-check compare-selfcheck trace-smoke chaos-smoke serve-smoke golden-check
 
 verify: build vet test lint tidy-check conformance ablate-smoke benchmark-smoke
 
@@ -34,11 +37,6 @@ test:
 # Exit: 0 clean, 1 findings, 2 load errors, 3 stale allow directives.
 lint:
 	go run ./cmd/simlint ./...
-
-# lint-sarif is the CI flavor: same gate, plus a SARIF 2.1.0 log for
-# annotation/archival tooling.
-lint-sarif:
-	go run ./cmd/simlint -sarif simlint.sarif ./...
 
 tidy-check:
 	go mod tidy -diff
@@ -105,16 +103,23 @@ compare-selfcheck:
 		go run ./cmd/sweep -compare $$f $$f -tol 0 || exit 1; \
 	done
 
+# golden-check demands that the text reports still regenerate the committed
+# results_all.txt byte for byte (about 4 s).
+golden-check:
+	go run ./cmd/spsim -exp all | cmp - results_all.txt
+
 # trace-smoke exercises the tracing triangle in CI: export a trace from the
-# smallest fig10 cell, validate the schema tag, require self-comparison to
-# report identity (exit 0), and require two fault-injected runs on different
-# seeds to diverge (tracediff exit 1 with a first-divergence report).
+# smallest fig10 cell (raw LAPI, 1 byte), validate the schema tag, require
+# self-comparison to report identity (exit 0), and require two
+# fault-injected runs on different seeds to diverge (tracediff exit 1 with a
+# first-divergence report).
+TRACE_CELL = go run ./cmd/pingpong -provider raw-lapi -size 1
 trace-smoke:
-	go run ./cmd/spsim -exp fig10 -trace /tmp/trace_clean.json
+	$(TRACE_CELL) -trace /tmp/trace_clean.json
 	grep -q '"schema":"tracelog/v1"' /tmp/trace_clean.json
 	go run ./cmd/tracediff /tmp/trace_clean.json /tmp/trace_clean.json
-	go run ./cmd/spsim -exp fig10 -trace /tmp/trace_drop1.json -faults uniform:drop=0.02 -traceseed 1
-	go run ./cmd/spsim -exp fig10 -trace /tmp/trace_drop2.json -faults uniform:drop=0.02 -traceseed 2
+	$(TRACE_CELL) -trace /tmp/trace_drop1.json -faults uniform:drop=0.02 -seed 1
+	$(TRACE_CELL) -trace /tmp/trace_drop2.json -faults uniform:drop=0.02 -seed 2
 	go run ./cmd/tracediff /tmp/trace_drop1.json /tmp/trace_drop2.json; test $$? -eq 1
 
 # serve-smoke exercises the spsimd service end to end over real HTTP: a

@@ -20,7 +20,6 @@ import (
 	"splapi/internal/cliconf"
 	"splapi/internal/cluster"
 	"splapi/internal/nas"
-	"splapi/internal/tracelog"
 )
 
 func main() {
@@ -28,7 +27,7 @@ func main() {
 	prov := cliconf.Provider(flag.CommandLine, false, cluster.Native, cluster.LAPIEnhanced)
 	mach := cliconf.Machine(flag.CommandLine)
 	seed := cliconf.Seed(flag.CommandLine)
-	traceOut := flag.String("trace", "", "write a Chrome trace-event file of the run (requires -bench and -provider)")
+	tr := cliconf.Trace(flag.CommandLine, 1<<22)
 	flag.Parse()
 
 	if prov.IsList() {
@@ -40,7 +39,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nasrun:", err)
 		os.Exit(2)
 	}
-	if *traceOut != "" && (*benchName == "" || !prov.Explicit()) {
+	if tr.Enabled() && (*benchName == "" || !prov.Explicit()) {
 		fmt.Fprintln(os.Stderr, "nasrun: -trace needs a single run; give both -bench and -provider")
 		os.Exit(2)
 	}
@@ -58,15 +57,12 @@ func main() {
 		}
 		kernels = []nas.Kernel{k}
 	}
-	stacks, err := prov.Stacks(&par)
+	stacks, err := prov.Stacks(&par, false)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nasrun:", err)
 		os.Exit(2)
 	}
-	var tl *tracelog.Log
-	if *traceOut != "" {
-		tl = tracelog.New(1 << 22)
-	}
+	tl := tr.New()
 	fmt.Printf("%-6s %-22s %14s %10s\n", "bench", "stack", "time(ms)", "verified")
 	for _, k := range kernels {
 		for _, s := range stacks {
@@ -75,10 +71,11 @@ func main() {
 		}
 	}
 	if tl != nil {
-		if err := tracelog.WriteChromeFile(*traceOut, tl); err != nil {
+		line, err := tr.Write(tl)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "nasrun:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %s (%d events, %d dropped)\n", *traceOut, tl.Len(), tl.Dropped())
+		fmt.Println(line)
 	}
 }

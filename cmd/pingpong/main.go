@@ -10,6 +10,7 @@
 //	pingpong -bw                   # bandwidth instead of latency
 //	pingpong -machine sp160        # the previous-generation node
 //	pingpong -faults burst-loss -seed 7    # scripted fault plan
+//	pingpong -provider raw-lapi -size 1 -trace t.json   # Chrome trace of one cell
 package main
 
 import (
@@ -20,7 +21,7 @@ import (
 	"splapi/internal/bench"
 	"splapi/internal/cliconf"
 	"splapi/internal/cluster"
-	"splapi/internal/tracelog"
+	"splapi/internal/machine"
 )
 
 func main() {
@@ -31,7 +32,7 @@ func main() {
 	count := flag.Int("count", 48, "messages per bandwidth measurement")
 	mach := cliconf.Machine(flag.CommandLine)
 	seed := cliconf.Seed(flag.CommandLine)
-	traceOut := flag.String("trace", "", "write a Chrome trace-event file of the run (requires -provider and -size)")
+	tr := cliconf.Trace(flag.CommandLine, 1<<20)
 	flag.Parse()
 
 	if prov.IsList() {
@@ -43,7 +44,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pingpong:", err)
 		os.Exit(2)
 	}
-	stacks, err := prov.Stacks(&par)
+	stacks, err := prov.Stacks(&par, *interrupts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pingpong:", err)
 		os.Exit(2)
@@ -52,14 +53,13 @@ func main() {
 	if *size >= 0 {
 		sizes = []int{*size}
 	}
-	var tl *tracelog.Log
-	if *traceOut != "" {
-		if len(stacks) != 1 || len(sizes) != 1 {
-			fmt.Fprintln(os.Stderr, "pingpong: -trace needs a single cell; give both -provider and -size")
-			os.Exit(2)
-		}
-		tl = tracelog.New(1 << 20)
+	if tr.Enabled() && (len(stacks) != 1 || len(sizes) != 1) {
+		fmt.Fprintln(os.Stderr, "pingpong: -trace needs a single cell; give both -provider and -size")
+		os.Exit(2)
 	}
+	tl := tr.New()
+	// The -machine/-faults cost model replaces the cells' default one whole.
+	spec := bench.RunSpec{Seed: *seed, Mod: func(p *machine.Params) { *p = par }, Trace: tl}
 	unit := "us one-way"
 	if *bw {
 		unit = "MB/s"
@@ -72,24 +72,20 @@ func main() {
 	for _, sz := range sizes {
 		fmt.Printf("%10d", sz)
 		for _, st := range stacks {
-			var v float64
-			switch {
-			case st == cluster.RawLAPI:
-				v = bench.RawLAPIPingPongOpts(sz, par, *seed, tl)
-			case *bw:
-				v = bench.MPIBandwidthOpts(st, sz, *count, par, *seed, tl)
-			default:
-				v = bench.MPIPingPongOpts(st, sz, *interrupts, par, *seed, tl)
+			cell := bench.PingPongCell("", st, sz, *interrupts, nil)
+			if *bw && st != cluster.RawLAPI {
+				cell = bench.BandwidthCell("", st, sz, *count, nil)
 			}
-			fmt.Printf("  %22.2f", v)
+			fmt.Printf("  %22.2f", cell.Run(spec).Value)
 		}
 		fmt.Println()
 	}
 	if tl != nil {
-		if err := tracelog.WriteChromeFile(*traceOut, tl); err != nil {
+		line, err := tr.Write(tl)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "pingpong:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %s (%d events, %d dropped)\n", *traceOut, tl.Len(), tl.Dropped())
+		fmt.Println(line)
 	}
 }

@@ -17,9 +17,7 @@
 //
 // With -json the diagnostics are emitted as a JSON array on stdout so the
 // sweep tooling and CI can consume them; stale directives still go to
-// stderr. With -sarif FILE a SARIF 2.1.0 log is also written (use "-" for
-// stdout), with findings as level "error" results and stale directives as
-// level "warning" results under the synthetic rule ID "stale-allow".
+// stderr.
 package main
 
 import (
@@ -34,7 +32,6 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
-	sarifOut := flag.String("sarif", "", "also write a SARIF 2.1.0 log to this file (\"-\" for stdout)")
 	tests := flag.Bool("tests", true, "also analyze _test.go files")
 	run := flag.String("run", "", "comma-separated subset of analyzers to run (default: all)")
 	list := flag.Bool("list", false, "list the analyzers and exit")
@@ -123,13 +120,6 @@ func main() {
 	}
 	for _, s := range stale {
 		fmt.Fprintln(os.Stderr, s)
-	}
-
-	if *sarifOut != "" {
-		if err := writeSARIF(*sarifOut, diags, stale); err != nil {
-			fmt.Fprintf(os.Stderr, "simlint: %v\n", err)
-			os.Exit(2)
-		}
 	}
 
 	switch {

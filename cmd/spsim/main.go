@@ -1,39 +1,97 @@
 // Command spsim regenerates the paper's experiments on the simulated SP
-// system.
+// system as text reports; `spsim -exp all` is the committed results_all.txt.
 //
 // Usage:
 //
-//	spsim -exp fig10|fig11|fig12|fig13|nas|table2|ablate-ctxswitch|ablate-copies|ablate-eager|generations|breakdown|stats|all
-//	spsim -exp fig10 -json            # also write BENCH_fig10.json via the sweep harness
-//	spsim -exp fig10 -trace out.json  # run the experiment's first cell traced, export Chrome trace JSON
+//	spsim -exp fig10|fig11|fig12|fig13|table2|nas|ablate-ctxswitch|ablate-copies|ablate-eager|generations|breakdown|stats|all
 //
-// For multi-seed parallel sweeps with dispersion statistics, use cmd/sweep.
+// For multi-seed sweeps and BENCH_<exp>.json artifacts use cmd/sweep; for an
+// event trace of one cell use cmd/pingpong -trace.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"splapi/internal/bench"
-	"splapi/internal/faults"
-	"splapi/internal/machine"
 	"splapi/internal/prof"
-	"splapi/internal/sweep"
-	"splapi/internal/tracelog"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
 
-func run() int {
-	exp := flag.String("exp", "all", "experiment to run (fig10, fig11, fig12, fig13, nas, table2, ablate-ctxswitch, ablate-copies, ablate-eager, generations, breakdown, stats, all)")
-	jsonOut := flag.Bool("json", false, "additionally write BENCH_<exp>.json for registry experiments (single seed; use cmd/sweep for multi-seed)")
-	traceOut := flag.String("trace", "", "run the named registry experiment's first cell with event tracing and write a Chrome trace-event file (load in Perfetto)")
-	traceSeed := flag.Int64("traceseed", 1, "seed for the -trace run")
-	faultSpec := flag.String("faults", "", "fault plan for the -trace run: 'uniform:drop=P,dup=P,corrupt=P', a preset name, or '@plan.json' (a clean fabric consumes no randomness, so only faulted runs diverge across seeds)")
-	shards := flag.Int("shards", 0, "engine shards per cell run (0/1 = serial; results are bit-identical at any shard count)")
-	pf := prof.Flags()
-	flag.Parse()
+// report is one block of spsim output; id names it on -exp and is handed
+// to its printer.
+type report struct {
+	id    string
+	print func(w io.Writer, id string) error
+}
+
+// reports is the order of `-exp all`, and so of results_all.txt.
+var reports = []report{
+	{"fig10", figure},
+	{"fig11", figure},
+	{"fig12", figure},
+	{"fig13", figure},
+	{"table2", plain(bench.PrintTable2)},
+	{"nas", plain(bench.PrintNAS)},
+	{"ablate-ctxswitch", ablation("ctxswitch(us)", 22)},
+	{"ablate-copies", figure},
+	{"ablate-eager", ablation("eager(B)", 26)},
+	{"generations", plain(bench.PrintNodeGenerations)},
+	{"breakdown", plain(bench.PrintBreakdowns)},
+	{"stats", func(w io.Writer, _ string) error { return bench.PrintStats(w) }},
+}
+
+// registry adapts a printer of a registry experiment: id names the
+// bench.Experiments() entry that supplies title, unit and cells.
+func registry(print func(io.Writer, bench.Experiment)) func(io.Writer, string) error {
+	return func(w io.Writer, id string) error {
+		e, err := bench.FindExperiment(id)
+		if err != nil {
+			return err
+		}
+		print(w, e)
+		return nil
+	}
+}
+
+// figure prints a registry experiment as a size-by-series table.
+var figure = registry(func(w io.Writer, e bench.Experiment) {
+	bench.PrintSeries(w, e.Title, e.Unit, bench.SeriesOf(e, 1, nil))
+})
+
+// ablation prints a registry experiment whose x axis is the ablated
+// quantity rather than a message size.
+func ablation(xLabel string, colWidth int) func(io.Writer, string) error {
+	return registry(func(w io.Writer, e bench.Experiment) { bench.PrintAblation(w, e, xLabel, colWidth) })
+}
+
+// plain adapts a non-registry report that cannot fail.
+func plain(print func(io.Writer)) func(io.Writer, string) error {
+	return func(w io.Writer, _ string) error {
+		print(w)
+		return nil
+	}
+}
+
+func run(args []string, stdout io.Writer) int {
+	ids := make([]string, len(reports))
+	for i, r := range reports {
+		ids[i] = r.id
+	}
+	fs := flag.NewFlagSet("spsim", flag.ContinueOnError)
+	exp := fs.String("exp", "all", "report to print ("+strings.Join(ids, ", ")+", all)")
+	pf := prof.Flags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	stop, err := pf.Start()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spsim:", err)
@@ -41,116 +99,23 @@ func run() int {
 	}
 	defer stop()
 
-	run := func(name string) bool { return *exp == "all" || *exp == name }
 	any := false
-	if run("fig10") {
+	for _, r := range reports {
+		if *exp != "all" && *exp != r.id {
+			continue
+		}
 		any = true
-		bench.PrintSeries(os.Stdout, "Figure 10: raw LAPI vs MPI-LAPI designs (one-way time, polling)", "us", bench.Fig10())
-		fmt.Println()
-	}
-	if run("fig11") {
-		any = true
-		bench.PrintSeries(os.Stdout, "Figure 11: native MPI vs MPI-LAPI Enhanced (one-way latency, polling)", "us", bench.Fig11())
-		fmt.Println()
-	}
-	if run("fig12") {
-		any = true
-		bench.PrintSeries(os.Stdout, "Figure 12: native MPI vs MPI-LAPI Enhanced (streaming bandwidth)", "MB/s", bench.Fig12())
-		fmt.Println()
-	}
-	if run("fig13") {
-		any = true
-		bench.PrintSeries(os.Stdout, "Figure 13: native MPI vs MPI-LAPI Enhanced (one-way latency, interrupt mode)", "us", bench.Fig13())
-		fmt.Println()
-	}
-	if run("table2") {
-		any = true
-		bench.PrintTable2(os.Stdout)
-		fmt.Println()
-	}
-	if run("nas") {
-		any = true
-		bench.PrintNAS(os.Stdout)
-		fmt.Println()
-	}
-	if run("ablate-ctxswitch") {
-		any = true
-		bench.PrintAblateCtxSwitch(os.Stdout)
-		fmt.Println()
-	}
-	if run("ablate-copies") {
-		any = true
-		bench.PrintAblateCopies(os.Stdout)
-		fmt.Println()
-	}
-	if run("ablate-eager") {
-		any = true
-		bench.PrintAblateEager(os.Stdout)
-		fmt.Println()
-	}
-	if run("generations") {
-		any = true
-		bench.PrintNodeGenerations(os.Stdout)
-		fmt.Println()
-	}
-	if run("breakdown") {
-		any = true
-		bench.PrintBreakdowns(os.Stdout)
-		fmt.Println()
-	}
-	if run("stats") {
-		any = true
-		if err := bench.PrintStats(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "spsim: stats:", err)
+		err := r.print(stdout, r.id)
+		fmt.Fprintln(stdout)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "spsim: %s: %v\n", r.id, err)
 			return 1
 		}
 	}
 	if !any {
 		fmt.Fprintf(os.Stderr, "spsim: unknown experiment %q\n", *exp)
-		flag.Usage()
+		fs.Usage()
 		return 2
-	}
-	if *traceOut != "" {
-		e, err := bench.FindExperiment(*exp)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "spsim: -trace needs a registry experiment:", err)
-			return 2
-		}
-		c := e.Cells[0]
-		tl := tracelog.New(1 << 20)
-		plan, err := faults.Parse(*faultSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "spsim:", err)
-			return 2
-		}
-		var mod bench.ParamMod
-		if !plan.Empty() {
-			mod = func(p *machine.Params) { p.Faults = plan }
-		}
-		c.Run(bench.RunSpec{Seed: *traceSeed, Mod: mod, Trace: tl, Shards: *shards})
-		if err := tracelog.WriteChromeFile(*traceOut, tl); err != nil {
-			fmt.Fprintln(os.Stderr, "spsim:", err)
-			return 1
-		}
-		fmt.Printf("wrote %s (%s/%d, %d events, %d dropped)\n", *traceOut, c.Series, c.X, tl.Len(), tl.Dropped())
-	}
-	if *jsonOut {
-		for _, e := range bench.Experiments() {
-			if !run(e.ID) {
-				continue
-			}
-			res, err := sweep.Run(e, sweep.Options{Seeds: 1, Shards: *shards})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "spsim:", err)
-				return 1
-			}
-			path := "BENCH_" + e.ID + ".json"
-			if err := sweep.Save(path, res); err != nil {
-				fmt.Fprintln(os.Stderr, "spsim:", err)
-				return 1
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
 	}
 	return 0
 }

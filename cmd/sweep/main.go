@@ -6,7 +6,6 @@
 //	sweep -exp fig10 -seeds 16 -par 8 -o BENCH_fig10.json
 //	sweep -exp all -seeds 8                  # every experiment, BENCH_<id>.json each
 //	sweep -exp fig12 -seeds 8 -faults burst-loss      # scripted fault plan
-//	sweep -exp fig12 -seeds 8 -drop 0.001    # deprecated alias for -faults uniform:drop=0.001
 //	sweep -exp fig12 -seeds 4 -seeds-max 32 -rel-ci 2 -faults burst-loss
 //	                                         # sequential stopping: batches of 4
 //	                                         # until the median CI is within 2%
@@ -55,7 +54,6 @@ func run() int {
 		relCI    = flag.Float64("rel-ci", 0, "sequential stopping target: relative median-CI half-width in percent")
 		par      = flag.Int("par", 0, "worker-pool size (0 = GOMAXPROCS)")
 		shards   = flag.Int("shards", 0, "engine shards per cell run (0/1 = serial; results are bit-identical at any shard count)")
-		budget   = flag.Int("budget", 0, "worker budget: outer pool is capped at budget/shards workers (0 = max(GOMAXPROCS, -par))")
 		baseSeed = flag.Int64("baseseed", 1, "base seed perturbing every derived seed")
 		out      = flag.String("o", "", "output file (default BENCH_<exp>.json)")
 		faultsFl = cliconf.Faults(flag.CommandLine)
@@ -66,7 +64,7 @@ func run() int {
 		missing  = flag.Bool("allow-missing", false, "comparison: tolerate points present in old but absent in new (coverage loss fails the gate otherwise)")
 		verbose  = flag.Bool("v", false, "verbose comparison output (include unmoved points)")
 	)
-	pf := prof.Flags()
+	pf := prof.Flags(flag.CommandLine)
 	flag.Parse()
 	stop, err := pf.Start()
 	if err != nil {
@@ -136,10 +134,13 @@ func run() int {
 		}
 		exps = []bench.Experiment{e}
 	}
-	if err := (cliconf.SweepParams{
+	opts := sweep.Options{
 		Seeds: *seeds, SeedsMax: *seedsMax, RelCIPct: *relCI,
-		Par: *par, Shards: *shards, WorkerBudget: *budget,
-	}).Validate(); err != nil {
+		Par: *par, BaseSeed: *baseSeed,
+		Faults: faultsFl.Spec(), GitDescribe: cliconf.GitDescribe(), Trace: *traced,
+		Shards: *shards,
+	}
+	if _, err := opts.Validate(); err != nil {
 		eprint(err)
 		return 2
 	}
@@ -150,14 +151,7 @@ func run() int {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
-	git := cliconf.GitDescribe()
 	for _, e := range exps {
-		opts := sweep.Options{
-			Seeds: *seeds, SeedsMax: *seedsMax, RelCIPct: *relCI,
-			Par: *par, BaseSeed: *baseSeed,
-			Faults: faultsFl.Spec(), GitDescribe: git, Trace: *traced,
-			Shards: *shards, WorkerBudget: *budget,
-		}
 		res, err := sweep.RunCtx(ctx, e, opts)
 		if err != nil {
 			eprint(err)

@@ -59,51 +59,10 @@ func PrintTable2(w io.Writer) {
 	}
 }
 
-// AblateCtxSwitch sweeps the thread context-switch cost and reports the
-// small-message latency of the Base design against Enhanced: the Section
-// 5.2 finding that the context switch dominates the Base design's overhead.
-func AblateCtxSwitch() []Series { return SeriesOf(AblateCtxSwitchExperiment(), 1, nil) }
-
-// PrintAblateCtxSwitch prints the context-switch ablation; the x column is
-// the context-switch cost in microseconds.
-func PrintAblateCtxSwitch(w io.Writer) {
-	fmt.Fprintln(w, "Ablation (Section 5.2): completion-handler thread context-switch cost")
-	s := AblateCtxSwitch()
-	fmt.Fprintf(w, "%14s  %22s  %22s\n", "ctxswitch(us)", s[0].Label, s[1].Label)
-	for i := range s[0].Points {
-		fmt.Fprintf(w, "%14d  %22.2f  %22.2f\n", s[0].Points[i].Size, s[0].Points[i].Value, s[1].Points[i].Value)
-	}
-}
-
-// AblateCopies disables the native stack's 16 KB head/tail copy rule
-// (PipeHeadTailCopyBytes = 0 charges every byte a single copy) to isolate
-// how much of the Figure 12 bandwidth gap the Section 2 copies explain.
-func AblateCopies() []Series { return SeriesOf(AblateCopiesExperiment(), 1, nil) }
-
-// PrintAblateCopies prints the copy-rule ablation.
-func PrintAblateCopies(w io.Writer) {
-	PrintSeries(w, "Ablation (Section 2): native user<->pipe copy rule vs bandwidth", "MB/s", AblateCopies())
-}
-
-// AblateEager sweeps the eager limit and reports mid-size message latency
-// on the Enhanced stack: the buffer-space/latency tradeoff of Section 4.
-func AblateEager() []Series { return SeriesOf(AblateEagerExperiment(), 1, nil) }
-
-// PrintAblateEager prints the eager-limit ablation; the x column is the
-// eager limit in bytes.
-func PrintAblateEager(w io.Writer) {
-	fmt.Fprintln(w, "Ablation (Section 4): eager limit vs latency (receives pre-posted)")
-	s := AblateEager()
-	fmt.Fprintf(w, "%14s  %26s  %26s\n", "eager(B)", s[0].Label, s[1].Label)
-	for i := range s[0].Points {
-		fmt.Fprintf(w, "%14d  %26.2f  %26.2f\n", s[0].Points[i].Size, s[0].Points[i].Value, s[1].Points[i].Value)
-	}
-}
-
-// pingPongWithParams is MPIPingPong with an explicit cost model.
-func pingPongWithParams(stack cluster.Stack, size int, par *machine.Params) float64 {
-	c := cluster.New(cluster.Config{Nodes: 2, Stack: stack, Seed: 1, Params: par})
-	return runPingPong(c, size, false)
+// PrintAblation runs an ablation experiment at seed 1 and prints it with
+// the ablated quantity (xLabel) as the x column instead of a message size.
+func PrintAblation(w io.Writer, e Experiment, xLabel string, colWidth int) {
+	printTable(w, e.Title, xLabel, 14, colWidth, "", SeriesOf(e, 1, nil))
 }
 
 // NodeGenerations compares the Figure 11 headline (16 KB polling latency)
@@ -111,26 +70,18 @@ func pingPongWithParams(stack cluster.Stack, size int, par *machine.Params) floa
 // both, with larger absolute gaps on the slower node (more expensive
 // copies and context switches).
 func NodeGenerations() []Series {
-	gens := []struct {
-		name string
-		par  func() machine.Params
-	}{
-		{"SP332/TBMX", machine.SP332},
-		{"SP160/TB3", machine.SP160},
-	}
 	out := []Series{{Label: "Native 16KB (us)"}, {Label: "MPI-LAPI 16KB (us)"}, {Label: "Base-Enhanced gap 16B (us)"}}
-	for i, g := range gens {
-		par := g.par()
-		par.EagerLimit = 78
-		parN := par
-		out[0].Points = append(out[0].Points, Point{i, pingPongWithParams(cluster.Native, 16384, &parN)})
-		parL := par
-		out[1].Points = append(out[1].Points, Point{i, pingPongWithParams(cluster.LAPIEnhanced, 16384, &parL)})
-		parB := par
-		base := pingPongWithParams(cluster.LAPIBase, 16, &parB)
-		parE := par
-		enh := pingPongWithParams(cluster.LAPIEnhanced, 16, &parE)
-		out[2].Points = append(out[2].Points, Point{i, base - enh})
+	for i, gen := range []func() machine.Params{machine.SP332, machine.SP160} {
+		onGen := func(par *machine.Params) {
+			*par = gen()
+			par.EagerLimit = 78
+		}
+		latency := func(stack cluster.Stack, size int) float64 {
+			return PingPongCell("", stack, size, false, onGen).Run(RunSpec{Seed: 1}).Value
+		}
+		out[0].Points = append(out[0].Points, Point{i, latency(cluster.Native, 16384)})
+		out[1].Points = append(out[1].Points, Point{i, latency(cluster.LAPIEnhanced, 16384)})
+		out[2].Points = append(out[2].Points, Point{i, latency(cluster.LAPIBase, 16) - latency(cluster.LAPIEnhanced, 16)})
 	}
 	return out
 }

@@ -20,7 +20,6 @@ import (
 	"splapi/internal/mpci"
 	"splapi/internal/mpi"
 	"splapi/internal/sim"
-	"splapi/internal/tracelog"
 )
 
 // Point is one measurement of a sweep.
@@ -60,29 +59,11 @@ const pingIters = 12
 // cells/sec into round-trips/sec.
 const PingPongRoundTrips = pingIters + 2
 
-// MPIPingPong measures one-way latency (microseconds) of MPI_Send/MPI_Recv
-// ping-pong between two nodes on the given stack, as in Sections 5.1/6.1.
-// With interrupts enabled, the receiver posts MPI_Irecv and checks the
-// buffer without calling MPI until the message lands (the Section 6.1
-// interrupt-mode methodology).
-func MPIPingPong(stack cluster.Stack, size int, interrupts bool) float64 {
-	return MPIPingPongOpts(stack, size, interrupts, paperParams(), 1, nil)
-}
-
-// MPIPingPongOpts is MPIPingPong with an explicit cost model and seed and
-// an event log attached to the cluster (nil tl means untraced; the timing
-// result is identical either way) — the entry point the CLI and chaos
-// testing use to run the ping-pong on a non-default machine or a faulted
-// fabric.
-func MPIPingPongOpts(stack cluster.Stack, size int, interrupts bool, par machine.Params, seed int64, tl *tracelog.Log) float64 {
-	c := cluster.New(cluster.Config{
-		Nodes: 2, Stack: stack, Seed: seed, Params: &par, Interrupts: interrupts, Trace: tl,
-	})
-	return runPingPong(c, size, interrupts)
-}
-
-// runPingPong executes the ping-pong body on a built cluster and returns
-// the one-way latency in microseconds.
+// runPingPong executes the MPI_Send/MPI_Recv ping-pong of Sections 5.1/6.1
+// on a built two-node cluster and returns the one-way latency in
+// microseconds. With interrupts enabled, the receiver posts MPI_Irecv and
+// checks the buffer without calling MPI until the message lands (the
+// Section 6.1 interrupt-mode methodology).
 func runPingPong(c *cluster.Cluster, size int, interrupts bool) float64 {
 	buf := make([]byte, size)
 	var elapsed sim.Time
@@ -130,21 +111,9 @@ func runPingPong(c *cluster.Cluster, size int, interrupts bool) float64 {
 	return elapsed.Micros() / (2 * pingIters)
 }
 
-// RawLAPIPingPong measures one-way latency of a LAPI_Put ping-pong with
-// LAPI_Waitcntr, as in Section 5.1.
-func RawLAPIPingPong(size int) float64 {
-	return RawLAPIPingPongOpts(size, paperParams(), 1, nil)
-}
-
-// RawLAPIPingPongOpts is RawLAPIPingPong with an explicit cost model and
-// seed and an optional event log.
-func RawLAPIPingPongOpts(size int, par machine.Params, seed int64, tl *tracelog.Log) float64 {
-	c := cluster.New(cluster.Config{Nodes: 2, Stack: cluster.RawLAPI, Seed: seed, Params: &par, Trace: tl})
-	return runRawLAPIPingPong(c, size)
-}
-
-// runRawLAPIPingPong executes the raw-LAPI ping-pong body on a built
-// cluster and returns the one-way latency in microseconds.
+// runRawLAPIPingPong executes the LAPI_Put ping-pong with LAPI_Waitcntr of
+// Section 5.1 on a built two-node cluster and returns the one-way latency
+// in microseconds.
 func runRawLAPIPingPong(c *cluster.Cluster, size int) float64 {
 	bufs := [2][]byte{make([]byte, size+1), make([]byte, size+1)}
 	var bufID [2]int
@@ -183,23 +152,10 @@ func runRawLAPIPingPong(c *cluster.Cluster, size int) float64 {
 	return elapsed.Micros() / (2 * pingIters)
 }
 
-// MPIBandwidth measures unidirectional streaming bandwidth (MB/s) with
-// MPI_Isend/MPI_Irecv as in Section 6.1: the sender streams count messages
-// back to back and stops the clock when the receiver's acknowledgement of
-// the last message returns.
-func MPIBandwidth(stack cluster.Stack, size, count int) float64 {
-	return MPIBandwidthOpts(stack, size, count, paperParams(), 1, nil)
-}
-
-// MPIBandwidthOpts is MPIBandwidth with an explicit cost model and seed
-// and an optional event log.
-func MPIBandwidthOpts(stack cluster.Stack, size, count int, par machine.Params, seed int64, tl *tracelog.Log) float64 {
-	c := cluster.New(cluster.Config{Nodes: 2, Stack: stack, Seed: seed, Params: &par, Trace: tl})
-	return runBandwidth(c, size, count)
-}
-
-// runBandwidth executes the streaming body on a built cluster and returns
-// MB/s.
+// runBandwidth measures unidirectional streaming bandwidth (MB/s) with
+// MPI_Isend/MPI_Irecv as in Section 6.1 on a built two-node cluster: the
+// sender streams count messages back to back and stops the clock when the
+// receiver's acknowledgement of the last message returns.
 func runBandwidth(c *cluster.Cluster, size, count int) float64 {
 	var elapsed sim.Time
 	c.RunMPI(0, func(p *sim.Proc, prov mpci.Provider) {
@@ -269,34 +225,25 @@ func runRing(c *cluster.Cluster, size, count int) float64 {
 	return bytes / (float64(elapsed) / 1e9) / 1e6
 }
 
-// Fig10 regenerates Figure 10: message transfer time of raw LAPI vs the
-// MPI-LAPI Base, Counters, and Enhanced designs, 1 B to 1 MB.
-func Fig10() []Series { return SeriesOf(Fig10Experiment(), 1, nil) }
-
-// Fig11 regenerates Figure 11: polling-mode latency, native MPI vs
-// MPI-LAPI Enhanced.
-func Fig11() []Series { return SeriesOf(Fig11Experiment(), 1, nil) }
-
-// Fig12 regenerates Figure 12: streaming bandwidth, native MPI vs MPI-LAPI
-// Enhanced.
-func Fig12() []Series { return SeriesOf(Fig12Experiment(), 1, nil) }
-
-// Fig13 regenerates Figure 13: interrupt-mode latency, native MPI vs
-// MPI-LAPI Enhanced.
-func Fig13() []Series { return SeriesOf(Fig13Experiment(), 1, nil) }
-
 // PrintSeries writes a sweep as an aligned table, one row per size.
 func PrintSeries(w io.Writer, title, unit string, series []Series) {
+	printTable(w, title, "size(B)", 12, 22, "   ["+unit+"]", series)
+}
+
+// printTable is the one table layout: an xWidth-wide x column headed
+// xLabel, then one colWidth-wide column per series; suffix ends the header
+// row.
+func printTable(w io.Writer, title, xLabel string, xWidth, colWidth int, suffix string, series []Series) {
 	fmt.Fprintf(w, "%s\n", title)
-	fmt.Fprintf(w, "%12s", "size(B)")
+	fmt.Fprintf(w, "%*s", xWidth, xLabel)
 	for _, s := range series {
-		fmt.Fprintf(w, "  %22s", s.Label)
+		fmt.Fprintf(w, "  %*s", colWidth, s.Label)
 	}
-	fmt.Fprintf(w, "   [%s]\n", unit)
+	fmt.Fprintf(w, "%s\n", suffix)
 	for i := range series[0].Points {
-		fmt.Fprintf(w, "%12d", series[0].Points[i].Size)
+		fmt.Fprintf(w, "%*d", xWidth, series[0].Points[i].Size)
 		for _, s := range series {
-			fmt.Fprintf(w, "  %22.2f", s.Points[i].Value)
+			fmt.Fprintf(w, "  %*.2f", colWidth, s.Points[i].Value)
 		}
 		fmt.Fprintln(w)
 	}

@@ -9,20 +9,30 @@ import (
 	"splapi/internal/mpci"
 )
 
+// latency and bandwidth run one cell at seed 1 with no overrides: the text
+// reports' path through the cell constructor.
+func latency(stack cluster.Stack, size int, interrupts bool) float64 {
+	return PingPongCell("", stack, size, interrupts, nil).Run(RunSpec{Seed: 1}).Value
+}
+
+func bandwidth(stack cluster.Stack, size, count int) float64 {
+	return BandwidthCell("", stack, size, count, nil).Run(RunSpec{Seed: 1}).Value
+}
+
 // TestFig11Shape asserts the paper's Figure 11 findings: native MPI wins
 // for very small messages (LAPI's parameter checking and larger headers),
 // MPI-LAPI wins beyond the crossover, with a material improvement at large
 // sizes.
 func TestFig11Shape(t *testing.T) {
 	tiny := 8
-	nativeTiny := MPIPingPong(cluster.Native, tiny, false)
-	lapiTiny := MPIPingPong(cluster.LAPIEnhanced, tiny, false)
+	nativeTiny := latency(cluster.Native, tiny, false)
+	lapiTiny := latency(cluster.LAPIEnhanced, tiny, false)
 	if nativeTiny >= lapiTiny {
 		t.Errorf("tiny message: native %.2fus should beat MPI-LAPI %.2fus", nativeTiny, lapiTiny)
 	}
 	big := 16384
-	nativeBig := MPIPingPong(cluster.Native, big, false)
-	lapiBig := MPIPingPong(cluster.LAPIEnhanced, big, false)
+	nativeBig := latency(cluster.Native, big, false)
+	lapiBig := latency(cluster.LAPIEnhanced, big, false)
 	imp := (nativeBig - lapiBig) / nativeBig * 100
 	if imp < 10 {
 		t.Errorf("16KB: improvement %.1f%%, want >= 10%% (native copies dominate)", imp)
@@ -33,14 +43,14 @@ func TestFig11Shape(t *testing.T) {
 // higher over the mid-size range, and the curves converge at very large
 // sizes (the 16 KB head/tail copy rule stops mattering).
 func TestFig12Shape(t *testing.T) {
-	nMid := MPIBandwidth(cluster.Native, 16384, 48)
-	lMid := MPIBandwidth(cluster.LAPIEnhanced, 16384, 48)
+	nMid := bandwidth(cluster.Native, 16384, 48)
+	lMid := bandwidth(cluster.LAPIEnhanced, 16384, 48)
 	if lMid <= nMid {
 		t.Errorf("16KB bandwidth: MPI-LAPI %.1f should exceed native %.1f MB/s", lMid, nMid)
 	}
 	gapMid := (lMid - nMid) / nMid
-	nBig := MPIBandwidth(cluster.Native, 1<<20, 8)
-	lBig := MPIBandwidth(cluster.LAPIEnhanced, 1<<20, 8)
+	nBig := bandwidth(cluster.Native, 1<<20, 8)
+	lBig := bandwidth(cluster.LAPIEnhanced, 1<<20, 8)
 	gapBig := (lBig - nBig) / nBig
 	if gapBig >= gapMid {
 		t.Errorf("bandwidth gap should shrink at 1MB: mid %.1f%%, big %.1f%%", gapMid*100, gapBig*100)
@@ -54,12 +64,12 @@ func TestFig12Shape(t *testing.T) {
 // MPI performs far worse (its hysteresis dwell delays completion), while
 // MPI-LAPI stays close to its polling latency.
 func TestFig13Shape(t *testing.T) {
-	native := MPIPingPong(cluster.Native, 8, true)
-	lapiE := MPIPingPong(cluster.LAPIEnhanced, 8, true)
+	native := latency(cluster.Native, 8, true)
+	lapiE := latency(cluster.LAPIEnhanced, 8, true)
 	if native < 2*lapiE {
 		t.Errorf("interrupt mode 8B: native %.1fus should be >= 2x MPI-LAPI %.1fus", native, lapiE)
 	}
-	lapiPoll := MPIPingPong(cluster.LAPIEnhanced, 8, false)
+	lapiPoll := latency(cluster.LAPIEnhanced, 8, false)
 	if lapiE > 3*lapiPoll {
 		t.Errorf("MPI-LAPI interrupt latency %.1fus implausibly above polling %.1fus", lapiE, lapiPoll)
 	}
@@ -71,10 +81,10 @@ func TestFig13Shape(t *testing.T) {
 // everywhere and comes close to raw LAPI.
 func TestFig10Shape(t *testing.T) {
 	const small = 16
-	raw := RawLAPIPingPong(small)
-	base := MPIPingPong(cluster.LAPIBase, small, false)
-	counters := MPIPingPong(cluster.LAPICounters, small, false)
-	enhanced := MPIPingPong(cluster.LAPIEnhanced, small, false)
+	raw := latency(cluster.RawLAPI, small, false)
+	base := latency(cluster.LAPIBase, small, false)
+	counters := latency(cluster.LAPICounters, small, false)
+	enhanced := latency(cluster.LAPIEnhanced, small, false)
 	if !(raw < enhanced && enhanced < base) {
 		t.Errorf("ordering violated: raw %.1f, enhanced %.1f, base %.1f", raw, enhanced, base)
 	}
@@ -86,9 +96,9 @@ func TestFig10Shape(t *testing.T) {
 	}
 	// Rendezvous sizes: counters no longer helps (Section 5.2).
 	const mid = 1024
-	baseMid := MPIPingPong(cluster.LAPIBase, mid, false)
-	countersMid := MPIPingPong(cluster.LAPICounters, mid, false)
-	enhancedMid := MPIPingPong(cluster.LAPIEnhanced, mid, false)
+	baseMid := latency(cluster.LAPIBase, mid, false)
+	countersMid := latency(cluster.LAPICounters, mid, false)
+	enhancedMid := latency(cluster.LAPIEnhanced, mid, false)
 	if countersMid < baseMid-3 {
 		t.Errorf("counters should match base for rendezvous: %.1f vs %.1f", countersMid, baseMid)
 	}
@@ -104,13 +114,13 @@ func TestFig10Shape(t *testing.T) {
 // TestDeterministicMeasurements locks reproducibility: repeated experiment
 // runs yield identical numbers.
 func TestDeterministicMeasurements(t *testing.T) {
-	a := MPIPingPong(cluster.Native, 1024, false)
-	b := MPIPingPong(cluster.Native, 1024, false)
+	a := latency(cluster.Native, 1024, false)
+	b := latency(cluster.Native, 1024, false)
 	if a != b {
 		t.Fatalf("nondeterministic latency: %v vs %v", a, b)
 	}
-	x := MPIBandwidth(cluster.LAPIEnhanced, 4096, 16)
-	y := MPIBandwidth(cluster.LAPIEnhanced, 4096, 16)
+	x := bandwidth(cluster.LAPIEnhanced, 4096, 16)
+	y := bandwidth(cluster.LAPIEnhanced, 4096, 16)
 	if x != y {
 		t.Fatalf("nondeterministic bandwidth: %v vs %v", x, y)
 	}
@@ -119,7 +129,7 @@ func TestDeterministicMeasurements(t *testing.T) {
 // TestAblateCtxSwitchMonotone: the Base design's latency grows with the
 // context-switch cost while Enhanced stays flat (Section 5.2's diagnosis).
 func TestAblateCtxSwitchMonotone(t *testing.T) {
-	s := AblateCtxSwitch()
+	s := SeriesOf(AblateCtxSwitchExperiment(), 1, nil)
 	basePts, enhPts := s[0].Points, s[1].Points
 	for i := 1; i < len(basePts); i++ {
 		if basePts[i].Value <= basePts[i-1].Value {
@@ -136,7 +146,7 @@ func TestAblateCtxSwitchMonotone(t *testing.T) {
 // TestAblateCopiesExplainsGap: removing the native 16 KB copy rule recovers
 // most of the bandwidth gap to MPI-LAPI (Section 2's diagnosis).
 func TestAblateCopiesExplainsGap(t *testing.T) {
-	s := AblateCopies()
+	s := SeriesOf(AblateCopiesExperiment(), 1, nil)
 	for i := range s[0].Points {
 		withRule := s[0].Points[i].Value
 		without := s[1].Points[i].Value

@@ -42,10 +42,8 @@ func PingPongBreakdown(stack cluster.Stack, size int, interrupts bool) [tracelog
 
 // tracedPingPong runs one traced ping-pong cell and returns its events.
 func tracedPingPong(stack cluster.Stack, size int, interrupts bool) []tracelog.Event {
-	par := paperParams()
 	tl := tracelog.New(1 << 20)
-	c := cluster.New(cluster.Config{Nodes: 2, Stack: stack, Seed: 1, Params: &par, Interrupts: interrupts, Trace: tl})
-	runPingPong(c, size, interrupts)
+	PingPongCell("", stack, size, interrupts, nil).Run(RunSpec{Seed: 1, Trace: tl})
 	return tl.Events()
 }
 

@@ -13,11 +13,10 @@ import (
 // This file turns the figure drivers into data: every experiment is a list
 // of cells, each a self-contained measurement (it builds its own cluster,
 // hence its own sim.Engine) parameterized by seed and by machine-parameter
-// overrides. The legacy text path (Fig10()..Fig13(), Ablate*()) runs the
-// cells serially at seed 1; the parallel sweep harness (internal/sweep)
-// runs the same cells across a seed list on a worker pool. Because each
-// cell is a fully independent deterministic universe, the two paths produce
-// bit-identical values.
+// overrides. The text reports (SeriesOf at seed 1) run the cells serially;
+// the parallel sweep harness (internal/sweep) runs the same cells across a
+// seed list on a worker pool. Because each cell is a fully independent
+// deterministic universe, the two paths produce bit-identical values.
 
 // ParamMod mutates a cost model before a cell run (a machine-parameter
 // override in the sweep matrix). It is applied after the cell's own
@@ -107,9 +106,13 @@ type Experiment struct {
 	Cells     []Cell
 }
 
-// mpiPingPongCell builds a latency cell (one-way microseconds).
-func mpiPingPongCell(series string, stack cluster.Stack, size int, interrupts bool, overrides ParamMod) Cell {
-	return Cell{Series: series, X: size, Run: func(rc RunSpec) Measurement {
+// newCell is the one cell constructor: every cell builds its cluster here.
+// cfg carries the cell's shape (Nodes, Stack, Interrupts); each run fills
+// in its seed, event log, shard count and cost model — paperParams with the
+// cell's own overrides applied first and the run's Mod last, so
+// matrix-level overrides win. body measures on the built cluster.
+func newCell(series string, x int, cfg cluster.Config, overrides ParamMod, body func(*cluster.Cluster) float64) Cell {
+	return Cell{Series: series, X: x, Run: func(rc RunSpec) Measurement {
 		par := paperParams()
 		if overrides != nil {
 			overrides(&par)
@@ -117,53 +120,31 @@ func mpiPingPongCell(series string, stack cluster.Stack, size int, interrupts bo
 		if rc.Mod != nil {
 			rc.Mod(&par)
 		}
-		c := cluster.New(cluster.Config{Nodes: 2, Stack: stack, Seed: rc.Seed, Params: &par, Interrupts: interrupts, Trace: rc.Trace, Shards: rc.Shards})
-		v := runPingPong(c, size, interrupts)
+		cfg := cfg
+		cfg.Seed, cfg.Params, cfg.Trace, cfg.Shards = rc.Seed, &par, rc.Trace, rc.Shards
+		c := cluster.New(cfg)
+		v := body(c)
 		return Measurement{Value: v, VirtualTime: c.Now(), Trace: trace.Collect(c)}
 	}}
 }
 
-// rawLAPIPingPongCell builds a latency cell on the bare LAPI stack.
-func rawLAPIPingPongCell(series string, size int) Cell {
-	return Cell{Series: series, X: size, Run: func(rc RunSpec) Measurement {
-		par := paperParams()
-		if rc.Mod != nil {
-			rc.Mod(&par)
-		}
-		c := cluster.New(cluster.Config{Nodes: 2, Stack: cluster.RawLAPI, Seed: rc.Seed, Params: &par, Trace: rc.Trace, Shards: rc.Shards})
-		v := runRawLAPIPingPong(c, size)
-		return Measurement{Value: v, VirtualTime: c.Now(), Trace: trace.Collect(c)}
-	}}
+// PingPongCell builds a two-node latency cell (one-way microseconds); x is
+// the message size. On cluster.RawLAPI it is the LAPI_Put ping-pong of
+// Section 5.1, which has no interrupt-mode variant.
+func PingPongCell(series string, stack cluster.Stack, size int, interrupts bool, overrides ParamMod) Cell {
+	if stack == cluster.RawLAPI {
+		return newCell(series, size, cluster.Config{Nodes: 2, Stack: stack}, overrides,
+			func(c *cluster.Cluster) float64 { return runRawLAPIPingPong(c, size) })
+	}
+	return newCell(series, size, cluster.Config{Nodes: 2, Stack: stack, Interrupts: interrupts}, overrides,
+		func(c *cluster.Cluster) float64 { return runPingPong(c, size, interrupts) })
 }
 
-// bandwidthCell builds a streaming-bandwidth cell (MB/s).
-func bandwidthCell(series string, stack cluster.Stack, size, count int, overrides ParamMod) Cell {
-	return Cell{Series: series, X: size, Run: func(rc RunSpec) Measurement {
-		par := paperParams()
-		if overrides != nil {
-			overrides(&par)
-		}
-		if rc.Mod != nil {
-			rc.Mod(&par)
-		}
-		c := cluster.New(cluster.Config{Nodes: 2, Stack: stack, Seed: rc.Seed, Params: &par, Trace: rc.Trace, Shards: rc.Shards})
-		v := runBandwidth(c, size, count)
-		return Measurement{Value: v, VirtualTime: c.Now(), Trace: trace.Collect(c)}
-	}}
-}
-
-// ringCell builds a multi-node neighbour-exchange cell (aggregate MB/s);
-// x is the node count.
-func ringCell(series string, stack cluster.Stack, nodes, size, count int) Cell {
-	return Cell{Series: series, X: nodes, Run: func(rc RunSpec) Measurement {
-		par := paperParams()
-		if rc.Mod != nil {
-			rc.Mod(&par)
-		}
-		c := cluster.New(cluster.Config{Nodes: nodes, Stack: stack, Seed: rc.Seed, Params: &par, Trace: rc.Trace, Shards: rc.Shards})
-		v := runRing(c, size, count)
-		return Measurement{Value: v, VirtualTime: c.Now(), Trace: trace.Collect(c)}
-	}}
+// BandwidthCell builds a two-node streaming-bandwidth cell (MB/s) of count
+// messages; x is the message size.
+func BandwidthCell(series string, stack cluster.Stack, size, count int, overrides ParamMod) Cell {
+	return newCell(series, size, cluster.Config{Nodes: 2, Stack: stack}, overrides,
+		func(c *cluster.Cluster) float64 { return runBandwidth(c, size, count) })
 }
 
 // RingExperiment: aggregate ring-exchange throughput as the job grows
@@ -171,6 +152,12 @@ func ringCell(series string, stack cluster.Stack, nodes, size, count int) Cell {
 // the largest committed workload and the one cmd/benchmark's
 // sim.shard2_ratio runs at one and two engine shards.
 func RingExperiment() Experiment {
+	// A multi-node neighbour-exchange cell (aggregate MB/s); x is the node
+	// count.
+	ringCell := func(series string, stack cluster.Stack, nodes int) Cell {
+		return newCell(series, nodes, cluster.Config{Nodes: nodes, Stack: stack}, nil,
+			func(c *cluster.Cluster) float64 { return runRing(c, 65536, 16) })
+	}
 	e := Experiment{
 		ID:        "ring",
 		Title:     "Ring exchange: aggregate neighbour throughput vs node count",
@@ -179,8 +166,8 @@ func RingExperiment() Experiment {
 	}
 	for _, n := range []int{4, 8, 16} {
 		e.Cells = append(e.Cells,
-			ringCell("Native MPI", cluster.Native, n, 65536, 16),
-			ringCell("MPI-LAPI Enhanced", cluster.LAPIEnhanced, n, 65536, 16),
+			ringCell("Native MPI", cluster.Native, n),
+			ringCell("MPI-LAPI Enhanced", cluster.LAPIEnhanced, n),
 		)
 	}
 	return e
@@ -196,10 +183,10 @@ func Fig10Experiment() Experiment {
 	}
 	for _, s := range sweepSizes() {
 		e.Cells = append(e.Cells,
-			rawLAPIPingPongCell("RAW LAPI", s),
-			mpiPingPongCell("MPI-LAPI Base", cluster.LAPIBase, s, false, nil),
-			mpiPingPongCell("MPI-LAPI Counters", cluster.LAPICounters, s, false, nil),
-			mpiPingPongCell("MPI-LAPI Enhanced", cluster.LAPIEnhanced, s, false, nil),
+			PingPongCell("RAW LAPI", cluster.RawLAPI, s, false, nil),
+			PingPongCell("MPI-LAPI Base", cluster.LAPIBase, s, false, nil),
+			PingPongCell("MPI-LAPI Counters", cluster.LAPICounters, s, false, nil),
+			PingPongCell("MPI-LAPI Enhanced", cluster.LAPIEnhanced, s, false, nil),
 		)
 	}
 	return e
@@ -215,8 +202,8 @@ func Fig11Experiment() Experiment {
 	}
 	for _, s := range latencySizes() {
 		e.Cells = append(e.Cells,
-			mpiPingPongCell("Native MPI", cluster.Native, s, false, nil),
-			mpiPingPongCell("MPI-LAPI Enhanced", cluster.LAPIEnhanced, s, false, nil),
+			PingPongCell("Native MPI", cluster.Native, s, false, nil),
+			PingPongCell("MPI-LAPI Enhanced", cluster.LAPIEnhanced, s, false, nil),
 		)
 	}
 	return e
@@ -236,8 +223,8 @@ func Fig12Experiment() Experiment {
 			count = 16
 		}
 		e.Cells = append(e.Cells,
-			bandwidthCell("Native MPI", cluster.Native, s, count, nil),
-			bandwidthCell("MPI-LAPI Enhanced", cluster.LAPIEnhanced, s, count, nil),
+			BandwidthCell("Native MPI", cluster.Native, s, count, nil),
+			BandwidthCell("MPI-LAPI Enhanced", cluster.LAPIEnhanced, s, count, nil),
 		)
 	}
 	return e
@@ -253,8 +240,8 @@ func Fig13Experiment() Experiment {
 	}
 	for _, s := range latencySizes() {
 		e.Cells = append(e.Cells,
-			mpiPingPongCell("Native MPI", cluster.Native, s, true, nil),
-			mpiPingPongCell("MPI-LAPI Enhanced", cluster.LAPIEnhanced, s, true, nil),
+			PingPongCell("Native MPI", cluster.Native, s, true, nil),
+			PingPongCell("MPI-LAPI Enhanced", cluster.LAPIEnhanced, s, true, nil),
 		)
 	}
 	return e
@@ -273,9 +260,9 @@ func AblateCtxSwitchExperiment() Experiment {
 		cost := cost
 		ov := func(par *machine.Params) { par.ThreadContextSwitch = cost }
 		x := int(cost / sim.Microsecond)
-		base := mpiPingPongCell("MPI-LAPI Base (64B)", cluster.LAPIBase, 64, false, ov)
+		base := PingPongCell("MPI-LAPI Base (64B)", cluster.LAPIBase, 64, false, ov)
 		base.X = x
-		enh := mpiPingPongCell("MPI-LAPI Enhanced (64B)", cluster.LAPIEnhanced, 64, false, ov)
+		enh := PingPongCell("MPI-LAPI Enhanced (64B)", cluster.LAPIEnhanced, 64, false, ov)
 		enh.X = x
 		e.Cells = append(e.Cells, base, enh)
 	}
@@ -299,10 +286,10 @@ func AblateCopiesExperiment() Experiment {
 	for _, size := range []int{4096, 16384, 65536, 262144} {
 		const count = 64
 		e.Cells = append(e.Cells,
-			bandwidthCell("Native (16KB copy rule)", cluster.Native, size, count, nil),
-			bandwidthCell("Native (copies removed)", cluster.Native, size, count, noCopy),
-			bandwidthCell("MPI-LAPI Enhanced", cluster.LAPIEnhanced, size, count, nil),
-			bandwidthCell("RDMA zero-copy rendezvous", cluster.RDMA, size, count, nil),
+			BandwidthCell("Native (16KB copy rule)", cluster.Native, size, count, nil),
+			BandwidthCell("Native (copies removed)", cluster.Native, size, count, noCopy),
+			BandwidthCell("MPI-LAPI Enhanced", cluster.LAPIEnhanced, size, count, nil),
+			BandwidthCell("RDMA zero-copy rendezvous", cluster.RDMA, size, count, nil),
 		)
 	}
 	return e
@@ -320,9 +307,9 @@ func AblateEagerExperiment() Experiment {
 	for _, lim := range []int{0, 78, 512, 4096, 16384} {
 		lim := lim
 		ov := func(par *machine.Params) { par.EagerLimit = lim }
-		c1 := mpiPingPongCell("MPI-LAPI Enhanced (1KB)", cluster.LAPIEnhanced, 1024, false, ov)
+		c1 := PingPongCell("MPI-LAPI Enhanced (1KB)", cluster.LAPIEnhanced, 1024, false, ov)
 		c1.X = lim
-		c8 := mpiPingPongCell("MPI-LAPI Enhanced (8KB)", cluster.LAPIEnhanced, 8192, false, ov)
+		c8 := PingPongCell("MPI-LAPI Enhanced (8KB)", cluster.LAPIEnhanced, 8192, false, ov)
 		c8.X = lim
 		e.Cells = append(e.Cells, c1, c8)
 	}

@@ -204,7 +204,10 @@ func splitmix64(state *uint64) uint64 {
 // run.
 func PrintStats(w io.Writer) error {
 	var firstErr error
-	for _, f := range registryStacks(paperParams()) {
+	for i, f := range registryStacks(paperParams()) {
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
 		stack := cluster.Stack(f.Name)
 		par := paperParams()
 		c := cluster.New(cluster.Config{Nodes: 4, Stack: stack, Seed: 2, Params: &par})
@@ -226,7 +229,6 @@ func PrintStats(w io.Writer) error {
 				firstErr = fmt.Errorf("stack %s: %w", stack, err)
 			}
 		}
-		fmt.Fprintln(w)
 	}
 	return firstErr
 }

@@ -6,8 +6,8 @@
 // The digest is what makes the service's cache *exact* rather than
 // heuristic: every field that can move a result — experiment, seed plan,
 // fault plan, shard count, code version — is folded into a canonical JSON
-// payload and hashed, and everything that cannot (worker-pool size, worker
-// budget, progress callbacks) is deliberately excluded. Because the
+// payload and hashed, and everything that cannot (worker-pool size,
+// progress callbacks) is deliberately excluded. Because the
 // simulator is deterministic per (request, code version), two requests
 // with equal digests are guaranteed to produce byte-identical artifacts,
 // so N identical queries cost one simulation and a cache hit is
@@ -25,7 +25,6 @@ import (
 
 	"splapi/internal/bench"
 	"splapi/internal/chaos"
-	"splapi/internal/cliconf"
 	"splapi/internal/faults"
 	"splapi/internal/machine"
 	"splapi/internal/sweep"
@@ -127,7 +126,7 @@ func Canonicalize(req Request) (Request, error) {
 			return req, err
 		}
 		req.Experiment = e.ID
-		if err := (cliconf.SweepParams{
+		if _, err := (sweep.Options{
 			Seeds: req.Seeds, SeedsMax: req.SeedsMax, RelCIPct: req.RelCIPct,
 			Shards: req.Shards,
 		}).Validate(); err != nil {
@@ -218,8 +217,7 @@ func Canonicalize(req Request) (Request, error) {
 }
 
 // findCell resolves (series, x) to one cell of the experiment. An empty
-// series selects the experiment's first cell (ignoring x), matching the
-// spsim -trace convention.
+// series selects the experiment's first cell (ignoring x).
 func findCell(experiment, series string, x int) (bench.Cell, error) {
 	e, err := bench.FindExperiment(experiment)
 	if err != nil {
@@ -313,10 +311,9 @@ type Runner struct {
 	// Git is the code version recorded in artifacts; it must equal the
 	// code component of the digests the artifacts are cached under.
 	Git string
-	// Par / WorkerBudget bound the sweep worker pool per campaign (see
-	// sweep.Options); zero means the sweep defaults.
-	Par          int
-	WorkerBudget int
+	// Par sizes the sweep worker pool per campaign (see sweep.Options);
+	// zero means GOMAXPROCS.
+	Par int
 }
 
 // Run executes one canonicalized request and returns the artifact bytes:
@@ -336,7 +333,7 @@ func (r *Runner) Run(ctx context.Context, req Request, progress func(ProgressEve
 			Seeds: req.Seeds, SeedsMax: req.SeedsMax, RelCIPct: req.RelCIPct,
 			BaseSeed: req.BaseSeed, Faults: req.Faults,
 			GitDescribe: r.Git,
-			Par:         r.Par, Shards: req.Shards, WorkerBudget: r.WorkerBudget,
+			Par:         r.Par, Shards: req.Shards,
 		}
 		if progress != nil {
 			opts.Progress = func(p sweep.Progress) {

@@ -1,7 +1,7 @@
 // Package server composes the campaign layers into the spsimd service: a
 // Service that routes requests through the content-addressed cache and
 // the job queue, and an HTTP handler exposing submission, job lifecycle,
-// progress streaming (NDJSON or SSE), cached-result lookup, and a
+// progress streaming (NDJSON), cached-result lookup, and a
 // plaintext metrics endpoint.
 //
 // The flow per submission is: canonicalize → digest → cache probe. A hit
@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strings"
 
 	"splapi/internal/campaign"
 	"splapi/internal/campaign/cache"
@@ -33,10 +32,9 @@ type Config struct {
 	CacheDir string
 	// Jobs bounds how many campaigns run concurrently (min 1).
 	Jobs int
-	// Par and WorkerBudget bound each campaign's internal worker pool
-	// (see sweep.Options); zero means the sweep defaults.
-	Par          int
-	WorkerBudget int
+	// Par sizes each campaign's internal worker pool (see sweep.Options);
+	// zero means GOMAXPROCS.
+	Par int
 }
 
 // Service is the campaign service: queue + cache + runner.
@@ -56,7 +54,7 @@ func NewService(cfg Config) (*Service, error) {
 	s := &Service{
 		git:    cfg.Git,
 		store:  store,
-		runner: &campaign.Runner{Git: cfg.Git, Par: cfg.Par, WorkerBudget: cfg.WorkerBudget},
+		runner: &campaign.Runner{Git: cfg.Git, Par: cfg.Par},
 	}
 	s.jobs = queue.New(cfg.Jobs, s.execute)
 	return s, nil
@@ -148,7 +146,7 @@ func viewOf(j *queue.Job) jobView {
 //	GET  /v1/campaigns            list jobs
 //	GET  /v1/jobs/{id}            job status
 //	GET  /v1/jobs/{id}/result     artifact bytes of a done job
-//	GET  /v1/jobs/{id}/events     progress stream (NDJSON, or SSE via Accept)
+//	GET  /v1/jobs/{id}/events     progress stream (NDJSON)
 //	POST /v1/jobs/{id}/cancel     cancel
 //	GET  /v1/results/{digest}     cached artifact by digest
 //	GET  /v1/experiments          experiment registry
@@ -262,21 +260,14 @@ func (s *Service) handleJobResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJobEvents streams the job's event log from the start, then live
-// until the job settles. Content negotiation: text/event-stream in Accept
-// selects SSE frames, anything else NDJSON lines.
+// until the job settles, as NDJSON lines.
 func (s *Service) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("campaign: no job %q", r.PathValue("id")))
 		return
 	}
-	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-	if sse {
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 
@@ -288,11 +279,7 @@ func (s *Service) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return
 			}
-			if sse {
-				fmt.Fprintf(w, "data: %s\n\n", data)
-			} else {
-				fmt.Fprintf(w, "%s\n", data)
-			}
+			fmt.Fprintf(w, "%s\n", data)
 		}
 		next += len(evs)
 		if flusher != nil {

@@ -309,27 +309,6 @@ func TestEventStream(t *testing.T) {
 		t.Fatal("no progress frames in the event stream")
 	}
 
-	// SSE negotiation: the same stream framed as text/event-stream.
-	sseReq, err := http.NewRequest("GET", ts.URL+"/v1/jobs/"+jv.ID+"/events", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sseReq.Header.Set("Accept", "text/event-stream")
-	resp, err = ts.Client().Do(sseReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("SSE content type = %q", ct)
-	}
-	frames, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(frames), "data: {") {
-		t.Fatalf("SSE stream does not frame events: %q", frames[:min(len(frames), 40)])
-	}
 }
 
 // Two concurrent submissions of one digest share a single job while a

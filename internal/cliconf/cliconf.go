@@ -1,6 +1,6 @@
 // Package cliconf is the shared command-line wiring for the simulator
-// binaries (spsim, sweep, pingpong, nasrun, chaos): machine
-// preset, fault plan, seed and trace flags are registered here once, so
+// binaries (sweep, pingpong, nasrun, chaos, spsimd): machine preset,
+// provider, fault plan, seed and trace flags are registered here once, so
 // every command spells them the same way.
 package cliconf
 
@@ -90,75 +90,6 @@ func (m *MachineFlags) PaperParams() (machine.Params, error) {
 // Preset returns the selected machine preset name.
 func (m *MachineFlags) Preset() string { return *m.preset }
 
-// SweepParams groups the campaign-shape knobs shared by every sweep-style
-// run — the CLI flags of cmd/sweep and the request fields of the spsimd
-// campaign service — so contradictory combinations are rejected in one
-// place with one spelling of the error, instead of each entry point
-// silently accepting (or differently rejecting) them.
-type SweepParams struct {
-	// Seeds is the repetitions per cell (0 means the default of 1); under
-	// sequential stopping it is the batch size.
-	Seeds int
-	// SeedsMax caps repetitions per cell under sequential stopping
-	// (0 disables stopping). Must be set together with RelCIPct and must
-	// not be lower than Seeds.
-	SeedsMax int
-	// RelCIPct is the sequential-stopping convergence target in percent.
-	RelCIPct float64
-	// Par is the outer worker-pool size (0 = GOMAXPROCS).
-	Par int
-	// Shards is the engine shard count per cell run (0/1 = serial).
-	Shards int
-	// WorkerBudget caps total concurrency across cells × shards (0 =
-	// unset).
-	WorkerBudget int
-}
-
-// Validate rejects contradictory or meaningless combinations. It is
-// deliberately stricter than the lower layers: sweep.Options.Validate
-// resolves what it can (flooring the pool to one worker, defaulting
-// zeros), while this check refuses requests whose parts contradict each
-// other — a -seeds-max below -seeds, a stopping cap without a target, a
-// shard count no budget could accommodate — because a request the server
-// would silently reinterpret is a cache key that lies about its run.
-func (p SweepParams) Validate() error {
-	if p.Seeds < 0 {
-		return fmt.Errorf("cliconf: seeds must be >= 0, got %d", p.Seeds)
-	}
-	if p.SeedsMax < 0 {
-		return fmt.Errorf("cliconf: seeds-max must be >= 0, got %d", p.SeedsMax)
-	}
-	if p.RelCIPct < 0 {
-		return fmt.Errorf("cliconf: rel-ci must be >= 0, got %g", p.RelCIPct)
-	}
-	if p.Par < 0 {
-		return fmt.Errorf("cliconf: par must be >= 0, got %d", p.Par)
-	}
-	if p.Shards < 0 {
-		return fmt.Errorf("cliconf: shards must be >= 0, got %d", p.Shards)
-	}
-	if p.WorkerBudget < 0 {
-		return fmt.Errorf("cliconf: worker budget must be >= 0, got %d", p.WorkerBudget)
-	}
-	seeds := p.Seeds
-	if seeds == 0 {
-		seeds = 1
-	}
-	if p.SeedsMax != 0 && p.SeedsMax < seeds {
-		return fmt.Errorf("cliconf: contradictory stopping rule: seeds-max (%d) is below seeds (%d)", p.SeedsMax, seeds)
-	}
-	if p.SeedsMax != 0 && p.RelCIPct == 0 {
-		return fmt.Errorf("cliconf: seeds-max needs a rel-ci convergence target (sequential stopping has no stop condition without one)")
-	}
-	if p.RelCIPct != 0 && p.SeedsMax == 0 {
-		return fmt.Errorf("cliconf: rel-ci needs a seeds-max repetition cap (sequential stopping could sample forever without one)")
-	}
-	if p.WorkerBudget != 0 && p.Shards > p.WorkerBudget {
-		return fmt.Errorf("cliconf: contradictory parallelism: shards (%d) exceeds the worker budget (%d), so a single cell could never run", p.Shards, p.WorkerBudget)
-	}
-	return nil
-}
-
 // Seed registers the -seed flag on fs (default 1).
 func Seed(fs *flag.FlagSet) *int64 {
 	return fs.Int64("seed", 1, "simulation seed (every run is deterministic per seed)")
@@ -180,9 +111,6 @@ func Trace(fs *flag.FlagSet, cap int) *TraceFlags {
 
 // Enabled reports whether -trace was given.
 func (t *TraceFlags) Enabled() bool { return *t.out != "" }
-
-// Path returns the -trace output path ("" when disabled).
-func (t *TraceFlags) Path() string { return *t.out }
 
 // New returns a fresh event log, or nil when tracing is disabled (the
 // nil log is the zero-overhead sink every layer accepts).

@@ -2,6 +2,7 @@ package cliconf
 
 import (
 	"flag"
+	"strings"
 	"testing"
 
 	"splapi/internal/mpci"
@@ -91,42 +92,6 @@ func TestSeedDefault(t *testing.T) {
 	}
 }
 
-func TestSweepParamsValidate(t *testing.T) {
-	cases := []struct {
-		name string
-		p    SweepParams
-		ok   bool
-	}{
-		{"zero value", SweepParams{}, true},
-		{"plain seeds", SweepParams{Seeds: 16}, true},
-		{"stopping rule", SweepParams{Seeds: 4, SeedsMax: 32, RelCIPct: 2}, true},
-		{"shards within budget", SweepParams{Shards: 2, WorkerBudget: 8}, true},
-		{"shards equal budget", SweepParams{Shards: 4, WorkerBudget: 4}, true},
-		{"negative seeds", SweepParams{Seeds: -1}, false},
-		{"negative seeds-max", SweepParams{SeedsMax: -4}, false},
-		{"negative rel-ci", SweepParams{RelCIPct: -1}, false},
-		{"negative par", SweepParams{Par: -2}, false},
-		{"negative shards", SweepParams{Shards: -1}, false},
-		{"negative budget", SweepParams{WorkerBudget: -1}, false},
-		{"seeds-max below seeds", SweepParams{Seeds: 16, SeedsMax: 4, RelCIPct: 2}, false},
-		{"seeds-max below default seeds=1 is fine", SweepParams{SeedsMax: 1, RelCIPct: 2}, true},
-		{"seeds-max without rel-ci", SweepParams{Seeds: 4, SeedsMax: 32}, false},
-		{"rel-ci without seeds-max", SweepParams{Seeds: 4, RelCIPct: 2}, false},
-		{"shards over budget", SweepParams{Shards: 8, WorkerBudget: 4}, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := tc.p.Validate()
-			if tc.ok && err != nil {
-				t.Fatalf("Validate(%+v) = %v, want nil", tc.p, err)
-			}
-			if !tc.ok && err == nil {
-				t.Fatalf("Validate(%+v) = nil, want error", tc.p)
-			}
-		})
-	}
-}
-
 func TestTraceFlags(t *testing.T) {
 	fs := newFS()
 	tr := Trace(fs, 1<<10)
@@ -155,7 +120,7 @@ func TestProviderRejectedByCapabilityOnSP160(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stacks, err := pf.Stacks(&par)
+			stacks, err := pf.Stacks(&par, false)
 			if wantErr := f.Caps.ZeroCopyRendezvous && preset == "sp160"; wantErr {
 				rejected++
 				if err == nil {
@@ -168,5 +133,39 @@ func TestProviderRejectedByCapabilityOnSP160(t *testing.T) {
 	}
 	if rejected == 0 {
 		t.Fatal("no registered provider needs memory registration: the rejection is untested")
+	}
+}
+
+// TestCounterProviderRejectedUnderInterrupts: the interrupt-mode receiver
+// (Section 6.1) makes no MPI calls and a CounterCompletions provider
+// (Section 5.2) completes eager messages only inside them, so exactly that
+// pairing is refused; every other provider runs with -interrupts, and every
+// provider without it.
+func TestCounterProviderRejectedUnderInterrupts(t *testing.T) {
+	rejected := 0
+	for _, f := range mpci.Providers() {
+		for _, interrupts := range []bool{false, true} {
+			fs := newFS()
+			m, pf := Machine(fs), Provider(fs, false)
+			if err := fs.Parse([]string{"-provider", f.Name}); err != nil {
+				t.Fatal(err)
+			}
+			par, err := m.Params()
+			if err != nil {
+				t.Fatal(err)
+			}
+			stacks, err := pf.Stacks(&par, interrupts)
+			if f.Caps.CounterCompletions && interrupts {
+				rejected++
+				if err == nil || !strings.Contains(err.Error(), "Section 5.2") || !strings.Contains(err.Error(), "Section 6.1") {
+					t.Errorf("-provider %s -interrupts = %v, %v, want an error naming Sections 5.2 and 6.1", f.Name, stacks, err)
+				}
+			} else if err != nil || len(stacks) != 1 || stacks[0].String() != f.Name {
+				t.Errorf("-provider %s interrupts=%v = %v, %v", f.Name, interrupts, stacks, err)
+			}
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no registered provider completes by counters: the rejection is untested")
 	}
 }

@@ -63,8 +63,10 @@ func (p *ProviderFlags) PrintList(w io.Writer) {
 // Stacks resolves the flag against par: the named provider, or the default
 // comparison set when the flag is absent. Contradictory combinations are
 // rejected here — naming a provider that needs memory registration on a
-// machine generation that disables it cannot build a cluster.
-func (p *ProviderFlags) Stacks(par *machine.Params) ([]cluster.Stack, error) {
+// machine generation that disables it cannot build a cluster, and one that
+// completes eager messages by counters never finishes under the
+// interrupt-mode receiver (interrupts; false for commands without one).
+func (p *ProviderFlags) Stacks(par *machine.Params, interrupts bool) ([]cluster.Stack, error) {
 	if *p.name == "" {
 		return append([]cluster.Stack(nil), p.def...), nil
 	}
@@ -77,6 +79,9 @@ func (p *ProviderFlags) Stacks(par *machine.Params) ([]cluster.Stack, error) {
 	}
 	if f.Caps.ZeroCopyRendezvous && !par.RdmaSupported {
 		return nil, fmt.Errorf("cliconf: contradictory flags: provider %q needs adapter memory registration, which the selected machine generation disables (pick -machine sp332)", *p.name)
+	}
+	if f.Caps.CounterCompletions && interrupts {
+		return nil, fmt.Errorf("cliconf: contradictory flags: the Section 6.1 interrupt-mode receiver never enters MPI, and provider %q (Section 5.2) reaps single-packet eager completions only inside MPI calls, so the run would never terminate (drop -interrupts or pick another provider)", *p.name)
 	}
 	return []cluster.Stack{cluster.Stack(f.Name)}, nil
 }

@@ -15,12 +15,11 @@ type flags struct {
 	cpu, mem string
 }
 
-// Flags registers -cpuprofile and -memprofile on the default FlagSet.
-// Call before flag.Parse.
-func Flags() *flags {
+// Flags registers -cpuprofile and -memprofile on fs. Call before fs.Parse.
+func Flags(fs *flag.FlagSet) *flags {
 	f := &flags{}
-	flag.StringVar(&f.cpu, "cpuprofile", "", "write a CPU profile to this file")
-	flag.StringVar(&f.mem, "memprofile", "", "write an allocation profile to this file on exit")
+	fs.StringVar(&f.cpu, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&f.mem, "memprofile", "", "write an allocation profile to this file on exit")
 	return f
 }
 

@@ -82,11 +82,6 @@ type Options struct {
 	// artifact; it only trades outer (cell-level) parallelism for inner
 	// (shard-level) parallelism on big cells. 0 or 1 means serial.
 	Shards int
-	// WorkerBudget caps the total goroutine concurrency the sweep may
-	// consume: the outer worker pool is scaled down to at most
-	// budget/Shards workers (floor 1) so cells x shards never oversubscribe
-	// the host. <= 0 means max(GOMAXPROCS, Par).
-	WorkerBudget int
 	// Progress, when non-nil, receives one host-side event per completed
 	// repetition. Events arrive from worker goroutines serialized by an
 	// internal mutex, but their order reflects scheduling, not cell order
@@ -108,40 +103,39 @@ type Progress struct {
 	Planned int    `json:"planned"`
 }
 
-// Validate checks the parallelism options and resolves the outer
-// worker-pool size. Negative Par, Shards, or WorkerBudget values are
-// rejected explicitly — a negative here is always a caller bug, and
-// silently treating it as "default" used to mask flag-plumbing mistakes.
+// Validate is the one statement of what a sweep request may say, shared by
+// the sweep CLI, the campaign service and RunCtx: negative knobs, a
+// seeds-max below seeds, and a stopping cap without a target (or a target
+// without a cap) are rejected rather than reinterpreted — a request the
+// harness silently rewrote would be a cache key that lies about its run.
+// It also resolves the outer worker-pool size: Par (0 = GOMAXPROCS), scaled
+// down so workers x shards stays within max(GOMAXPROCS, Par), floor one.
 func (o Options) Validate() (workers int, err error) {
-	if o.Par < 0 {
-		return 0, fmt.Errorf("sweep: Par must be >= 0, got %d", o.Par)
-	}
-	if o.Shards < 0 {
-		return 0, fmt.Errorf("sweep: Shards must be >= 0, got %d", o.Shards)
-	}
-	if o.WorkerBudget < 0 {
-		return 0, fmt.Errorf("sweep: WorkerBudget must be >= 0, got %d", o.WorkerBudget)
+	switch {
+	case o.Seeds < 0:
+		return 0, fmt.Errorf("sweep: seeds must be >= 0, got %d", o.Seeds)
+	case o.SeedsMax < 0:
+		return 0, fmt.Errorf("sweep: seeds-max must be >= 0, got %d", o.SeedsMax)
+	case o.RelCIPct < 0:
+		return 0, fmt.Errorf("sweep: rel-ci must be >= 0, got %g", o.RelCIPct)
+	case o.Par < 0:
+		return 0, fmt.Errorf("sweep: par must be >= 0, got %d", o.Par)
+	case o.Shards < 0:
+		return 0, fmt.Errorf("sweep: shards must be >= 0, got %d", o.Shards)
+	case o.SeedsMax != 0 && o.SeedsMax < max(o.Seeds, 1):
+		return 0, fmt.Errorf("sweep: contradictory stopping rule: seeds-max (%d) is below seeds (%d)", o.SeedsMax, max(o.Seeds, 1))
+	case o.SeedsMax != 0 && o.RelCIPct == 0:
+		return 0, fmt.Errorf("sweep: seeds-max needs a rel-ci convergence target (sequential stopping has no stop condition without one)")
+	case o.RelCIPct != 0 && o.SeedsMax == 0:
+		return 0, fmt.Errorf("sweep: rel-ci needs a seeds-max repetition cap (sequential stopping could sample forever without one)")
 	}
 	workers = o.Par
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	shards := o.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	budget := o.WorkerBudget
-	if budget <= 0 {
-		budget = workers
-		if g := runtime.GOMAXPROCS(0); g > budget {
-			budget = g
-		}
-	}
-	if workers*shards > budget {
-		workers = budget / shards
-		if workers < 1 {
-			workers = 1
-		}
+	limit, shards := max(workers, runtime.GOMAXPROCS(0)), max(o.Shards, 1)
+	if workers*shards > limit {
+		workers = max(limit/shards, 1)
 	}
 	return workers, nil
 }
@@ -243,9 +237,8 @@ type Overrides struct {
 // cost and pool size are observable on the struct but deliberately kept
 // out of the file (json:"-") to preserve that property.
 type Result struct {
-	// Schema tags the artifact format: SchemaV2 ("sweep/v2") for files
-	// written by this version. Legacy files carry no schema field and are
-	// normalized by Load; see json.go.
+	// Schema tags the artifact format: SchemaV2 ("sweep/v2"), the only one
+	// Load accepts; see json.go.
 	Schema     string `json:"schema"`
 	Experiment string `json:"experiment"`
 	Title      string `json:"title"`
@@ -351,24 +344,15 @@ func Run(e bench.Experiment, o Options) (*Result, error) {
 // sweep never yields a partial artifact that could be mistaken for a
 // complete one.
 func RunCtx(ctx context.Context, e bench.Experiment, o Options) (*Result, error) {
-	seeds := o.Seeds
-	if seeds <= 0 {
-		seeds = 1
-	}
-	maxSeeds := seeds
-	sequential := o.SeedsMax != 0 || o.RelCIPct != 0
-	if sequential {
-		if o.SeedsMax < seeds {
-			return nil, fmt.Errorf("sweep: SeedsMax (%d) must be at least Seeds (%d)", o.SeedsMax, seeds)
-		}
-		if o.RelCIPct <= 0 {
-			return nil, fmt.Errorf("sweep: sequential stopping needs a positive RelCIPct target")
-		}
-		maxSeeds = o.SeedsMax
-	}
 	par, err := o.Validate()
 	if err != nil {
 		return nil, err
+	}
+	seeds := max(o.Seeds, 1)
+	maxSeeds := seeds
+	sequential := o.SeedsMax != 0
+	if sequential {
+		maxSeeds = o.SeedsMax
 	}
 	base := o.BaseSeed
 	if base == 0 {

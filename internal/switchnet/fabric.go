@@ -102,18 +102,21 @@ func (s *Stats) add(o *Stats) {
 	s.NoRouteDrops += o.NoRouteDrops
 }
 
-type route struct {
-	freeAt sim.Time
-	skew   sim.Time
-}
-
-// sendPair is the sender-owned state of an ordered pair: its routes'
-// occupancy, the round-robin cursor, and the injection sequence counter.
-// It lives on the source node's shard.
-type sendPair struct {
-	routes    []route
+// pair is the fabric's state for one ordered (src, dst) pair. Each shard
+// holds the whole n*n table, indexed src*n+dst and built at construction
+// so the packet path never allocates or hashes, but touches only the half
+// of an entry it owns: the sender half on Src's shard, the receiver half
+// on Dst's.
+type pair struct {
+	// Sender half: when each route is next free (a window of the shard's
+	// flat occupancy array), the round-robin cursor, and the injection
+	// sequence counter.
+	freeAt    []sim.Time
 	nextRoute int
 	seq       uint64
+	// Receiver half: the reorder tracker, the highest injection sequence
+	// delivered so far.
+	last uint64
 }
 
 // fabShard is the slice of fabric state owned by one shard. Everything in
@@ -123,8 +126,7 @@ type fabShard struct {
 	eng   *sim.Engine
 	inj   *faults.Injector
 	tr    *tracelog.Log
-	send  map[[2]int]*sendPair // pairs whose Src lives on this shard
-	last  map[[2]int]uint64    // reorder tracker for pairs whose Dst lives here
+	pairs []pair
 	stats Stats
 }
 
@@ -152,7 +154,7 @@ func New(eng *sim.Engine, par *machine.Params, n int) *Fabric {
 		shardOf: make([]int, n),
 		deliver: make([]func(*Packet), n),
 	}
-	f.sh = []*fabShard{newFabShard(eng, par)}
+	f.sh = []*fabShard{newFabShard(eng, par, n)}
 	return f
 }
 
@@ -177,7 +179,7 @@ func NewSharded(group *sim.ShardGroup, par *machine.Params, n int, shardOf []int
 		sh:      make([]*fabShard, len(engs)),
 	}
 	for i, e := range engs {
-		f.sh[i] = newFabShard(e, par)
+		f.sh[i] = newFabShard(e, par, n)
 	}
 	for _, s := range shardOf {
 		if s < 0 || s >= len(engs) {
@@ -187,13 +189,14 @@ func NewSharded(group *sim.ShardGroup, par *machine.Params, n int, shardOf []int
 	return f
 }
 
-func newFabShard(eng *sim.Engine, par *machine.Params) *fabShard {
-	return &fabShard{
-		eng:  eng,
-		inj:  faults.NewInjector(eng, par.Faults),
-		send: make(map[[2]int]*sendPair),
-		last: make(map[[2]int]uint64),
+func newFabShard(eng *sim.Engine, par *machine.Params, n int) *fabShard {
+	sh := &fabShard{eng: eng, inj: faults.NewInjector(eng, par.Faults), pairs: make([]pair, n*n)}
+	r := par.RoutesPerPair
+	freeAt := make([]sim.Time, n*n*r)
+	for i := range sh.pairs {
+		sh.pairs[i].freeAt = freeAt[i*r : (i+1)*r : (i+1)*r]
 	}
+	return sh
 }
 
 // Lookahead returns the conservative cross-shard lookahead of the cost
@@ -268,19 +271,6 @@ func (f *Fabric) AttachPort(node int, deliver func(*Packet)) {
 	f.deliver[node] = deliver
 }
 
-func (sh *fabShard) pairState(par *machine.Params, src, dst int) *sendPair {
-	key := [2]int{src, dst}
-	ps := sh.send[key]
-	if ps == nil {
-		ps = &sendPair{routes: make([]route, par.RoutesPerPair)}
-		for r := range ps.routes {
-			ps.routes[r].skew = sim.Time(r) * par.RouteSkew
-		}
-		sh.send[key] = ps
-	}
-	return ps
-}
-
 // Send transports pkt from its source to its destination. ready is the time
 // the packet finishes injection at the source port (the fabric starts
 // transit no earlier). Must be called in the source node's simulation
@@ -308,7 +298,7 @@ func (f *Fabric) Send(pkt *Packet, ready sim.Time) {
 	if pkt.Wire < len(pkt.Payload) {
 		pkt.Wire = len(pkt.Payload) + f.par.LinkFrameBytes
 	}
-	ps := sh.pairState(f.par, pkt.Src, pkt.Dst)
+	ps := &sh.pairs[pkt.Src*f.n+pkt.Dst]
 	pkt.seq = ps.seq
 	ps.seq++
 	sh.stats.Injected++
@@ -363,39 +353,35 @@ func (f *Fabric) transit(sh *fabShard, pkt *Packet, ready sim.Time) {
 	if ready < now {
 		ready = now
 	}
-	ps := sh.pairState(f.par, pkt.Src, pkt.Dst)
+	ps := &sh.pairs[pkt.Src*f.n+pkt.Dst]
 	r := ps.nextRoute
 	if sh.inj.MasksRoutes() {
 		// Failover: skip routes scripted down, keeping round-robin order
 		// over the survivors. With every route down the packet has
 		// nowhere to go and the switch discards it.
 		skipped := 0
-		for skipped < len(ps.routes) && sh.inj.RouteDown(now, pkt.Src, pkt.Dst, r) {
+		for skipped < len(ps.freeAt) && sh.inj.RouteDown(now, pkt.Src, pkt.Dst, r) {
 			sh.stats.RouteMasked++
 			sh.tr.Emit(now, tracelog.LFabric, tracelog.KRouteMask, pkt.Src, pkt.Dst, tracelog.PacketID(pkt.Src, pkt.Dst, pkt.seq), pkt.Wire, int64(r))
-			r = (r + 1) % len(ps.routes)
+			r = (r + 1) % len(ps.freeAt)
 			skipped++
 		}
-		if skipped == len(ps.routes) {
+		if skipped == len(ps.freeAt) {
 			sh.stats.Dropped++
 			sh.stats.NoRouteDrops++
-			sh.tr.Emit(now, tracelog.LFabric, tracelog.KNoRoute, pkt.Src, pkt.Dst, tracelog.PacketID(pkt.Src, pkt.Dst, pkt.seq), pkt.Wire, int64(len(ps.routes)))
+			sh.tr.Emit(now, tracelog.LFabric, tracelog.KNoRoute, pkt.Src, pkt.Dst, tracelog.PacketID(pkt.Src, pkt.Dst, pkt.seq), pkt.Wire, int64(len(ps.freeAt)))
 			//simlint:allow bufpoolown ownership transfer: the in-flight packet owns the snapshot Send took, and a no-route drop is its delivery point
 			sh.eng.Pool().Put(pkt.Payload)
 			return
 		}
 	}
-	ps.nextRoute = (r + 1) % len(ps.routes)
+	ps.nextRoute = (r + 1) % len(ps.freeAt)
 	pkt.Route = r
 
-	rt := &ps.routes[r]
-	start := ready
-	if rt.freeAt > start {
-		start = rt.freeAt
-	}
+	start := max(ready, ps.freeAt[r])
 	ser := f.par.WireTime(pkt.Wire)
-	rt.freeAt = start + ser
-	arrival := start + ser + f.par.SwitchBaseLatency + rt.skew
+	ps.freeAt[r] = start + ser
+	arrival := start + ser + f.par.SwitchBaseLatency + sim.Time(r)*f.par.RouteSkew
 	sh.tr.Emit(sh.eng.Now(), tracelog.LFabric, tracelog.KWire, pkt.Src, pkt.Dst, tracelog.PacketID(pkt.Src, pkt.Dst, pkt.seq), pkt.Wire, int64(arrival-start))
 
 	// Delivery runs on the destination's shard. Post is plain At when the
@@ -406,11 +392,10 @@ func (f *Fabric) transit(sh *fabShard, pkt *Packet, ready sim.Time) {
 	sh.eng.Post(dsh.eng, arrival, func() {
 		dsh.stats.Delivered++
 		dsh.tr.Emit(dsh.eng.Now(), tracelog.LFabric, tracelog.KDeliver, pkt.Dst, pkt.Src, tracelog.PacketID(pkt.Src, pkt.Dst, pkt.seq), pkt.Wire, 0)
-		key := [2]int{pkt.Src, pkt.Dst}
-		if last, ok := dsh.last[key]; ok && pkt.seq < last {
+		if last := &dsh.pairs[pkt.Src*f.n+pkt.Dst].last; pkt.seq < *last {
 			dsh.stats.Reordered++
 		} else {
-			dsh.last[key] = pkt.seq
+			*last = pkt.seq
 		}
 		if cb := f.deliver[pkt.Dst]; cb != nil {
 			cb(pkt)
