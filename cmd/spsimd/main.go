@@ -40,6 +40,10 @@ import (
 	"splapi/internal/sweep"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so an idle or trickling client cannot hold one open.
+const readHeaderTimeout = 10 * time.Second
+
 func main() { os.Exit(run()) }
 
 func run() int {
@@ -109,7 +113,7 @@ func run() int {
 		return 0
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: server.Handler(svc)}
+	httpSrv := &http.Server{Addr: *addr, Handler: server.Handler(svc), ReadHeaderTimeout: readHeaderTimeout}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spsimd:", err)
@@ -159,7 +163,7 @@ func runSelfsmoke(cfg server.Config, baseline string) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: server.Handler(svc)}
+	httpSrv := &http.Server{Handler: server.Handler(svc), ReadHeaderTimeout: readHeaderTimeout}
 	go httpSrv.Serve(ln)
 	defer httpSrv.Close()
 	base := "http://" + ln.Addr().String()

@@ -53,7 +53,6 @@ func run() int {
 		seedsMax = flag.Int("seeds-max", 0, "sequential stopping: cap repetitions per cell, running batches of -seeds until -rel-ci converges")
 		relCI    = flag.Float64("rel-ci", 0, "sequential stopping target: relative median-CI half-width in percent")
 		par      = flag.Int("par", 0, "worker-pool size (0 = GOMAXPROCS)")
-		shards   = flag.Int("shards", 0, "engine shards per cell run (0/1 = serial; results are bit-identical at any shard count)")
 		baseSeed = flag.Int64("baseseed", 1, "base seed perturbing every derived seed")
 		out      = flag.String("o", "", "output file (default BENCH_<exp>.json)")
 		faultsFl = cliconf.Faults(flag.CommandLine)
@@ -138,7 +137,6 @@ func run() int {
 		Seeds: *seeds, SeedsMax: *seedsMax, RelCIPct: *relCI,
 		Par: *par, BaseSeed: *baseSeed,
 		Faults: faultsFl.Spec(), GitDescribe: cliconf.GitDescribe(), Trace: *traced,
-		Shards: *shards,
 	}
 	if _, err := opts.Validate(); err != nil {
 		eprint(err)

@@ -72,7 +72,7 @@ type Adapter struct {
 
 // New creates the adapter for node and attaches it to the fabric's port.
 func New(eng *sim.Engine, par *machine.Params, fab *switchnet.Fabric, node int) *Adapter {
-	a := &Adapter{eng: eng, par: par, fab: fab, inj: fab.InjectorFor(node), node: node, intrPrimed: true}
+	a := &Adapter{eng: eng, par: par, fab: fab, inj: fab.Injector(), node: node, intrPrimed: true}
 	fab.AttachPort(node, a.fromFabric)
 	return a
 }

@@ -193,8 +193,7 @@ func runBandwidth(c *cluster.Cluster, size, count int) float64 {
 // every rank streams count messages of size bytes to its right neighbour
 // while receiving from its left. Rank 0's elapsed time converts the
 // aggregate bytes moved into MB/s. Unlike the two-node streams above, the
-// traffic spans the whole job, so this is the workload the parallel
-// engine is measured with (sim.shard2_ratio in cmd/benchmark).
+// traffic spans the whole job: every node is busy at once.
 func runRing(c *cluster.Cluster, size, count int) float64 {
 	n := len(c.HALs)
 	var elapsed sim.Time

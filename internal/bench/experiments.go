@@ -47,17 +47,14 @@ type Cell struct {
 	Run func(rc RunSpec) Measurement
 }
 
-// RunSpec parameterizes one cell run. The zero Mod/Trace/Shards are the
-// common case: unmodified cost model, untraced, serial engine.
+// RunSpec parameterizes one cell run. The zero Mod/Trace are the common
+// case: unmodified cost model, untraced.
 type RunSpec struct {
 	Seed int64
 	// Mod mutates the cost model after the cell's own overrides.
 	Mod ParamMod
 	// Trace, when non-nil, attaches an event log to the cell's cluster.
 	Trace *tracelog.Log
-	// Shards runs the cell's cluster on that many engine shards (0/1 =
-	// serial). Values are bit-identical at any shard count.
-	Shards int
 }
 
 // Direction declares which way is "better" for an experiment's metric, so
@@ -108,9 +105,9 @@ type Experiment struct {
 
 // newCell is the one cell constructor: every cell builds its cluster here.
 // cfg carries the cell's shape (Nodes, Stack, Interrupts); each run fills
-// in its seed, event log, shard count and cost model — paperParams with the
-// cell's own overrides applied first and the run's Mod last, so
-// matrix-level overrides win. body measures on the built cluster.
+// in its seed, event log and cost model — paperParams with the cell's own
+// overrides applied first and the run's Mod last, so matrix-level overrides
+// win. body measures on the built cluster.
 func newCell(series string, x int, cfg cluster.Config, overrides ParamMod, body func(*cluster.Cluster) float64) Cell {
 	return Cell{Series: series, X: x, Run: func(rc RunSpec) Measurement {
 		par := paperParams()
@@ -121,7 +118,7 @@ func newCell(series string, x int, cfg cluster.Config, overrides ParamMod, body 
 			rc.Mod(&par)
 		}
 		cfg := cfg
-		cfg.Seed, cfg.Params, cfg.Trace, cfg.Shards = rc.Seed, &par, rc.Trace, rc.Shards
+		cfg.Seed, cfg.Params, cfg.Trace = rc.Seed, &par, rc.Trace
 		c := cluster.New(cfg)
 		v := body(c)
 		return Measurement{Value: v, VirtualTime: c.Now(), Trace: trace.Collect(c)}
@@ -149,8 +146,7 @@ func BandwidthCell(series string, stack cluster.Stack, size, count int, override
 
 // RingExperiment: aggregate ring-exchange throughput as the job grows
 // (64 KiB x 16 messages per rank, barrier-delimited). The 16-node cell is
-// the largest committed workload and the one cmd/benchmark's
-// sim.shard2_ratio runs at one and two engine shards.
+// the largest committed workload.
 func RingExperiment() Experiment {
 	// A multi-node neighbour-exchange cell (aggregate MB/s); x is the node
 	// count.

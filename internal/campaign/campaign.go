@@ -5,8 +5,8 @@
 //
 // The digest is what makes the service's cache *exact* rather than
 // heuristic: every field that can move a result — experiment, seed plan,
-// fault plan, shard count, code version — is folded into a canonical JSON
-// payload and hashed, and everything that cannot (worker-pool size,
+// fault plan, code version — is folded into a canonical JSON payload and
+// hashed, and everything that cannot (worker-pool size,
 // progress callbacks) is deliberately excluded. Because the
 // simulator is deterministic per (request, code version), two requests
 // with equal digests are guaranteed to produce byte-identical artifacts,
@@ -64,11 +64,6 @@ type Request struct {
 	// computed over the *parsed* plan, so equivalent spellings share a
 	// cache entry.
 	Faults string `json:"faults,omitempty"`
-	// Shards is the engine shard count per cell run. Results are
-	// bit-identical at every shard count, but the field is part of the
-	// digest: the request describes the run, and a shards=4 run is not
-	// the run that was asked for under shards=1.
-	Shards int `json:"shards,omitempty"`
 
 	// Chaos-shaped knobs (chaos kind).
 	Plans      []string `json:"plans,omitempty"`
@@ -101,7 +96,6 @@ type keyPayload struct {
 	RelCIPct   float64       `json:"relCIPct,omitempty"`
 	BaseSeed   int64         `json:"baseSeed,omitempty"`
 	Plan       *faults.Plan  `json:"plan,omitempty"`
-	Shards     int           `json:"shards,omitempty"`
 	Plans      []faults.Plan `json:"plans,omitempty"`
 	Workloads  []string      `json:"workloads,omitempty"`
 	ChaosSeeds []int64       `json:"chaosSeeds,omitempty"`
@@ -112,9 +106,8 @@ type keyPayload struct {
 
 // Canonicalize validates the request and resolves every default to its
 // explicit value, so that spellings of the same work ("seeds omitted" vs
-// "seeds: 1", "shards: 0" vs "shards: 1", a workload list omitted vs
-// written out) normalize to one representative. Digest must only be
-// computed over a canonicalized request.
+// "seeds: 1", a workload list omitted vs written out) normalize to one
+// representative. Digest must only be computed over a canonicalized request.
 func Canonicalize(req Request) (Request, error) {
 	switch req.Kind {
 	case Sweep:
@@ -126,10 +119,7 @@ func Canonicalize(req Request) (Request, error) {
 			return req, err
 		}
 		req.Experiment = e.ID
-		if _, err := (sweep.Options{
-			Seeds: req.Seeds, SeedsMax: req.SeedsMax, RelCIPct: req.RelCIPct,
-			Shards: req.Shards,
-		}).Validate(); err != nil {
+		if _, err := (sweep.Options{Seeds: req.Seeds, SeedsMax: req.SeedsMax, RelCIPct: req.RelCIPct}).Validate(); err != nil {
 			return req, err
 		}
 		if _, err := faults.Parse(req.Faults); err != nil {
@@ -142,9 +132,6 @@ func Canonicalize(req Request) (Request, error) {
 		if req.BaseSeed == 0 {
 			req.BaseSeed = 1
 		}
-		if req.Shards <= 0 {
-			req.Shards = 1
-		}
 		if len(req.Plans) != 0 || len(req.Workloads) != 0 || len(req.ChaosSeeds) != 0 {
 			return req, fmt.Errorf("campaign: sweep request must not carry chaos fields (plans, workloads, chaosSeeds)")
 		}
@@ -153,7 +140,7 @@ func Canonicalize(req Request) (Request, error) {
 		}
 	case Chaos:
 		if req.Experiment != "" || req.Seeds != 0 || req.SeedsMax != 0 || req.RelCIPct != 0 ||
-			req.BaseSeed != 0 || req.Faults != "" || req.Shards != 0 || req.Series != "" || req.X != 0 || req.Seed != 0 {
+			req.BaseSeed != 0 || req.Faults != "" || req.Series != "" || req.X != 0 || req.Seed != 0 {
 			return req, fmt.Errorf("campaign: chaos request carries only plans, workloads, and chaosSeeds")
 		}
 		if len(req.Plans) == 0 {
@@ -189,13 +176,6 @@ func Canonicalize(req Request) (Request, error) {
 			len(req.Plans) != 0 || len(req.Workloads) != 0 || len(req.ChaosSeeds) != 0 {
 			return req, fmt.Errorf("campaign: trace request carries only experiment, series, x, seed, and faults")
 		}
-		if req.Shards > 1 {
-			// A sharded run annotates trace events with shard/epoch ids, so
-			// the exported bytes are not the canonical serial trace. Keep
-			// trace artifacts canonical: one cell, one engine.
-			return req, fmt.Errorf("campaign: trace campaigns run serial (shards <= 1): sharded traces are not byte-canonical")
-		}
-		req.Shards = 0
 		if _, err := faults.Parse(req.Faults); err != nil {
 			return req, err
 		}
@@ -253,7 +233,6 @@ func Digest(req Request, code string) (string, error) {
 		SeedsMax:   req.SeedsMax,
 		RelCIPct:   req.RelCIPct,
 		BaseSeed:   req.BaseSeed,
-		Shards:     req.Shards,
 		Workloads:  req.Workloads,
 		ChaosSeeds: req.ChaosSeeds,
 		Series:     req.Series,
@@ -333,7 +312,7 @@ func (r *Runner) Run(ctx context.Context, req Request, progress func(ProgressEve
 			Seeds: req.Seeds, SeedsMax: req.SeedsMax, RelCIPct: req.RelCIPct,
 			BaseSeed: req.BaseSeed, Faults: req.Faults,
 			GitDescribe: r.Git,
-			Par:         r.Par, Shards: req.Shards,
+			Par:         r.Par,
 		}
 		if progress != nil {
 			opts.Progress = func(p sweep.Progress) {

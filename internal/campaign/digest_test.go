@@ -72,11 +72,11 @@ func TestDigestOmittedSelectorsEqualExplicit(t *testing.T) {
 	}
 }
 
-// Default spellings normalize: an omitted seeds/baseSeed/shards field is
-// the same request as the explicit default.
+// Default spellings normalize: an omitted seeds/baseSeed field is the
+// same request as the explicit default.
 func TestDigestNormalizesDefaults(t *testing.T) {
 	implicit := Request{Kind: Sweep, Experiment: "fig10"}
-	explicit := Request{Kind: Sweep, Experiment: "fig10", Seeds: 1, BaseSeed: 1, Shards: 1}
+	explicit := Request{Kind: Sweep, Experiment: "fig10", Seeds: 1, BaseSeed: 1}
 	if d1, d2 := mustDigest(t, implicit), mustDigest(t, explicit); d1 != d2 {
 		t.Fatalf("default and explicit-default requests digest differently:\n  %s\n  %s", d1, d2)
 	}
@@ -91,7 +91,7 @@ func TestDigestNormalizesDefaults(t *testing.T) {
 // these collided, the cache would serve one configuration's results for
 // another's.
 func TestDigestPerturbationSensitivity(t *testing.T) {
-	base := Request{Kind: Sweep, Experiment: "fig10", Seeds: 4, BaseSeed: 1, Shards: 1, Faults: "burst-loss"}
+	base := Request{Kind: Sweep, Experiment: "fig10", Seeds: 4, BaseSeed: 1, Faults: "burst-loss"}
 	d0 := mustDigest(t, base)
 
 	perturb := map[string]Request{}
@@ -107,9 +107,6 @@ func TestDigestPerturbationSensitivity(t *testing.T) {
 	r = base
 	r.BaseSeed = 2
 	perturb["base seed"] = r
-	r = base
-	r.Shards = 2
-	perturb["shards"] = r
 	r = base
 	r.Faults = "corruptor"
 	perturb["fault plan"] = r
@@ -206,7 +203,6 @@ func TestCanonicalizeRejectsContradictions(t *testing.T) {
 		{Kind: Chaos, Plans: []string{"none"}},
 		{Kind: Chaos, Workloads: []string{"no-such-workload"}},
 		{Kind: Trace},
-		{Kind: Trace, Experiment: "fig10", Shards: 2},
 		{Kind: Trace, Experiment: "fig10", Series: "no-such-series", X: 1},
 		{Kind: Trace, Experiment: "fig10", Seeds: 4},
 	}

@@ -14,7 +14,9 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 
@@ -181,12 +183,38 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req campaign.Request
-	dec := json.NewDecoder(r.Body)
+// maxRequestBody caps a submission body. A campaign request is a few
+// hundred bytes; the cap only bounds what a hostile client can make the
+// service read.
+const maxRequestBody = 1 << 20
+
+// decodeRequest reads the one JSON object a submission body may hold, of
+// at most maxRequestBody bytes: unknown fields and anything but whitespace
+// after the object are errors.
+func decodeRequest(w http.ResponseWriter, r *http.Request) (req campaign.Request, err error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("campaign: bad request body: %w", err))
+	if err = dec.Decode(&req); err != nil {
+		return req, err
+	}
+	// With only whitespace left, Token reports io.EOF.
+	if _, err = dec.Token(); err == nil {
+		err = errors.New("trailing data after the request object")
+	} else if err == io.EOF {
+		err = nil
+	}
+	return req, err
+}
+
+func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeRequest(w, r)
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("campaign: bad request body: %w", err))
 		return
 	}
 	j, err := s.Submit(req)

@@ -248,6 +248,48 @@ func TestSubmitRejectsContradictions(t *testing.T) {
 	}
 }
 
+// A submission body is one JSON object of bounded size: trailing bytes, a
+// body over the cap and the retired "shards" knob are refused, and the same
+// requests without the defect are accepted as before.
+func TestSubmitRejectsHostileBodies(t *testing.T) {
+	svc := newTestService(t, t.TempDir())
+	defer svc.Drain(context.Background())
+	ts := httptest.NewServer(Handler(svc))
+	defer ts.Close()
+
+	const ok = `{"kind":"sweep","experiment":"ablate-eager"}`
+	padded := func(n int) string {
+		return `{"kind":"sweep","experiment":"ablate-eager","faults":"` + strings.Repeat(" ", n) + `"}`
+	}
+	for _, tc := range []struct {
+		name, body string
+		status     int
+		mention    string // substring the error must carry
+	}{
+		{"plain object", ok, http.StatusAccepted, ""},
+		{"trailing whitespace", ok + " \n\t", http.StatusAccepted, ""},
+		{"trailing garbage", ok + ` trailing garbage {"kind":`, http.StatusBadRequest, ""},
+		{"second object", ok + ok, http.StatusBadRequest, "trailing data"},
+		{"under the cap", padded(maxRequestBody / 2), http.StatusAccepted, ""},
+		{"over the cap", padded(maxRequestBody), http.StatusRequestEntityTooLarge, ""},
+		{"over the cap after the object", ok + strings.Repeat(" ", maxRequestBody), http.StatusRequestEntityTooLarge, ""},
+		{"retired shards knob", `{"kind":"sweep","experiment":"ablate-eager","shards":2}`, http.StatusBadRequest, "shards"},
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status = %d, want %d (%s)", tc.name, resp.StatusCode, tc.status, msg)
+		}
+		if !strings.Contains(string(msg), tc.mention) {
+			t.Errorf("%s: error %s does not mention %s", tc.name, msg, tc.mention)
+		}
+	}
+}
+
 // The events endpoint replays the full lifecycle as NDJSON and includes
 // per-repetition progress frames from the sweep worker pool.
 func TestEventStream(t *testing.T) {

@@ -22,7 +22,7 @@ type core struct {
 	h    *hal.HAL
 	rank int
 	size int
-	bar  sim.JobBarrier
+	bar  *sim.Barrier
 	caps Capabilities
 
 	matchCore
@@ -73,7 +73,7 @@ type ProviderStats struct {
 	ZeroCopyRecvs uint64
 }
 
-func newCore(eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, bar sim.JobBarrier, caps Capabilities) core {
+func newCore(eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, bar *sim.Barrier, caps Capabilities) core {
 	c := core{eng: eng, par: par, h: h, rank: h.Node(), size: size, bar: bar, caps: caps, tr: h.Trace()}
 	c.eaCap = par.EarlyArrivalBytes
 	// The native MPI interrupt handler uses the hysteresis scheme; LAPI's

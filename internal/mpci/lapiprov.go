@@ -74,7 +74,7 @@ type LAPIProvider struct {
 // newLAPI builds the MPI-LAPI MPCI for one task. caps selects the Section 5
 // design: the LAPI endpoint's completion regime must be Inline exactly when
 // caps.InlineCompletions.
-func newLAPI(eng *sim.Engine, par *machine.Params, l *lapi.LAPI, size int, bar sim.JobBarrier, caps Capabilities) *LAPIProvider {
+func newLAPI(eng *sim.Engine, par *machine.Params, l *lapi.LAPI, size int, bar *sim.Barrier, caps Capabilities) *LAPIProvider {
 	if (l.Variant() == lapi.Inline) != caps.InlineCompletions {
 		panic(fmt.Sprintf("mpci: capabilities %v do not fit LAPI variant %v", caps.List(), l.Variant()))
 	}

@@ -51,7 +51,7 @@ type NativeProvider struct {
 
 // newNative builds the native MPCI for one task. bar is the job-wide
 // barrier shared by all tasks.
-func newNative(eng *sim.Engine, par *machine.Params, h *hal.HAL, pp *pipes.Pipes, size int, bar sim.JobBarrier, caps Capabilities) *NativeProvider {
+func newNative(eng *sim.Engine, par *machine.Params, h *hal.HAL, pp *pipes.Pipes, size int, bar *sim.Barrier, caps Capabilities) *NativeProvider {
 	pr := &NativeProvider{core: newCore(eng, par, h, size, bar, caps), pp: pp}
 	pr.ackRTS = pr.sendCTS
 	pr.parsers = make([]*frameParser, size)

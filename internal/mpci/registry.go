@@ -79,7 +79,7 @@ type Factory struct {
 	// Build constructs the stack for one node; callers pass the factory's
 	// own Caps. The HAL's trace log is already attached; factories
 	// propagate it to the layers they build.
-	Build func(caps Capabilities, eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, bar sim.JobBarrier) NodeStack
+	Build func(caps Capabilities, eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, bar *sim.Barrier) NodeStack
 }
 
 // registry state: a lookup map plus a sorted name list, so listings never
@@ -117,7 +117,7 @@ func Providers() []Factory {
 	return out
 }
 
-func buildNative(caps Capabilities, eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, bar sim.JobBarrier) NodeStack {
+func buildNative(caps Capabilities, eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, bar *sim.Barrier) NodeStack {
 	pp := pipes.New(eng, par, h, size)
 	pp.SetTrace(h.Trace())
 	return NodeStack{Prov: newNative(eng, par, h, pp, size, bar, caps), Pipes: pp}
@@ -125,7 +125,7 @@ func buildNative(caps Capabilities, eng *sim.Engine, par *machine.Params, h *hal
 
 // buildLAPI builds every LAPI-backed stack: the Section 5 designs and the
 // zero-copy rendezvous differ only in caps.
-func buildLAPI(caps Capabilities, eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, bar sim.JobBarrier) NodeStack {
+func buildLAPI(caps Capabilities, eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, bar *sim.Barrier) NodeStack {
 	variant := lapi.Threaded
 	if caps.InlineCompletions {
 		variant = lapi.Inline

@@ -296,45 +296,3 @@ func TestPanicLeavesNoGoroutines(t *testing.T) {
 		})
 	}
 }
-
-// TestShardGroupPanicLeavesNoGoroutines is the same obligation for
-// ShardGroup.Run, with both shards busy so windows run on runner goroutines.
-func TestShardGroupPanicLeavesNoGoroutines(t *testing.T) {
-	boom := errors.New("boom")
-	for _, callback := range []bool{false, true} {
-		base := runtime.NumGoroutine()
-		for i := 0; i < 50; i++ {
-			g := NewShardGroup([]int64{1, 2}, 10)
-			var blamed any
-			for _, e := range g.Engines() {
-				parkForever(e, 2, &blamed)
-				e.Spawn("busy", func(p *Proc) {
-					for l := 0; l < 20; l++ {
-						p.Sleep(3)
-					}
-				})
-			}
-			e := g.Engines()[1]
-			if callback {
-				e.At(31, func() { panic(boom) })
-			} else {
-				e.Spawn("culprit", func(p *Proc) {
-					p.Sleep(31)
-					panic(boom)
-				})
-			}
-			if r := recoverRun(func() { g.Run(0) }); r != any(boom) {
-				t.Fatalf("callback=%v: ShardGroup.Run panicked with %v, want %v", callback, r, boom)
-			}
-			if blamed != nil {
-				t.Fatalf("callback=%v: a parked process was unwound with %v, want a plain kill", callback, blamed)
-			}
-			for s, e := range g.Engines() {
-				if e.running || e.LiveProcs() != 0 || e.BlockedProcs() != 0 {
-					t.Fatalf("callback=%v shard %d: running=%v live=%d parked=%d", callback, s, e.running, e.LiveProcs(), e.BlockedProcs())
-				}
-			}
-		}
-		waitGoroutines(t, base)
-	}
-}

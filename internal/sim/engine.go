@@ -30,6 +30,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 )
@@ -61,6 +62,17 @@ func (t Time) String() string {
 // Micros reports t as a float number of microseconds.
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
+// timeInf is "no pending event": later than any schedulable time.
+const timeInf = Time(math.MaxInt64)
+
+// satAdd returns a+b saturating at timeInf (a, b >= 0).
+func satAdd(a, b Time) Time {
+	if a >= timeInf-b {
+		return timeInf
+	}
+	return a + b
+}
+
 // Event kinds. The generic callback kind calls fn; the resume and start
 // kinds name their proc directly, so neither Sleep nor Spawn needs a closure.
 const (
@@ -73,37 +85,21 @@ const (
 // recycled through a free list; gen counts reuses of the slot so a Timer
 // handle from a previous life can never cancel the current occupant.
 type event struct {
-	t Time
-	// ctime is the virtual time the event was scheduled at. In a serial
-	// run it is redundant with seq (events are scheduled in execution
-	// order, so seq order implies ctime order); in a sharded run it is
-	// what lets a cross-shard delivery take the same place among
-	// same-time events that it would have taken in the serial run, where
-	// its seq was assigned at send time rather than at epoch flush time.
-	ctime Time
-	seq   uint64 // tie-breaker: FIFO among same-(t,ctime) events
-	gen   uint32 // slot reuse count (see Timer)
-	kind  byte
-	dead  bool   // cancelled; skipped (and recycled) when popped
-	fn    func() // evCall
-	proc  *Proc  // evResume, evStart
+	t    Time
+	seq  uint64 // tie-breaker: FIFO among same-time events
+	gen  uint32 // slot reuse count (see Timer)
+	kind byte
+	dead bool   // cancelled; skipped (and recycled) when popped
+	fn   func() // evCall
+	proc *Proc  // evResume, evStart
 }
 
 // eventLess is the queue's strict total order. seq is unique, so two
 // distinct events never compare equal and any correct heap pops them in
 // exactly one order — the bedrock of bit-identical replay.
-//
-// The ctime term is provably a no-op for a serial engine: schedule
-// assigns seq in execution order and e.now never decreases, so for two
-// events with equal t, a.seq < b.seq implies a.ctime <= b.ctime. It
-// exists for sharded runs (see shard.go), where seq is per-shard and the
-// scheduling time is the only cross-shard-comparable tie key.
 func eventLess(a, b *event) bool {
 	if a.t != b.t {
 		return a.t < b.t
-	}
-	if a.ctime != b.ctime {
-		return a.ctime < b.ctime
 	}
 	return a.seq < b.seq
 }
@@ -124,19 +120,8 @@ type Engine struct {
 	running  bool
 	procSeq  int
 	stopped  bool // Stop was called; Run drains no further events
-	// winEnd is the exclusive time bound of the current Run (horizon+1) or
-	// shard window (lowered in-flight by cross-shard posts).
+	// winEnd is the exclusive time bound of the current Run (horizon+1).
 	winEnd Time
-	// Sharding (see shard.go). group is nil for a serial engine. winStop
-	// asks runWindow to return after the current event (set by
-	// GroupBarrier.Await: a parked barrier waiter can learn nothing more
-	// this window, and stopping early lets the group recompute a tighter
-	// bound). crossSeq numbers this engine's cross-shard posts per
-	// destination-independent stream so the epoch merge is totally ordered.
-	group    *ShardGroup
-	shard    int
-	winStop  bool
-	crossSeq uint64
 	// procPanic carries a panic out of a process goroutine — the process's
 	// own, or that of a callback it was dispatching — so Run can re-raise
 	// it on the caller's goroutine (where tests can recover it).
@@ -247,20 +232,11 @@ func (e *Engine) release(ev *event) {
 
 // schedule enqueues an event at absolute time t (clamped to now).
 func (e *Engine) schedule(t Time, kind byte, fn func(), p *Proc) *event {
-	return e.scheduleCT(t, e.now, kind, fn, p)
-}
-
-// scheduleCT is schedule with an explicit creation time. The shard
-// coordinator uses it to give a cross-shard delivery (or a group-barrier
-// release) the creation time it had in the sending context, so the event
-// sorts among same-time local events exactly as in the serial run.
-func (e *Engine) scheduleCT(t, ctime Time, kind byte, fn func(), p *Proc) *event {
 	if t < e.now {
 		t = e.now
 	}
 	ev := e.alloc()
 	ev.t = t
-	ev.ctime = ctime
 	ev.seq = e.seq
 	ev.kind = kind
 	ev.fn = fn
@@ -318,9 +294,6 @@ func (e *Engine) Run(horizon Time) int {
 	if e.running {
 		panic("sim: Engine.Run re-entered")
 	}
-	if e.group != nil {
-		panic("sim: Engine.Run on a sharded engine; use ShardGroup.Run")
-	}
 	e.winEnd = timeInf
 	if horizon > 0 {
 		e.winEnd = satAdd(horizon, 1)
@@ -351,9 +324,9 @@ func (e *Engine) shutdown() {
 }
 
 // live reports whether the loop may execute another event: the engine is
-// inside Run or a shard window and nothing has asked it to end.
+// inside Run and nothing has asked it to end.
 func (e *Engine) live() bool {
-	return e.running && !e.stopped && !e.winStop && e.procPanic == nil
+	return e.running && !e.stopped && e.procPanic == nil
 }
 
 // nextTime returns the time of the earliest pending live event. Dead
@@ -383,8 +356,8 @@ func (e *Engine) next() *event {
 			continue
 		}
 		if ev.t >= e.winEnd {
-			// Not consumed: pushed back, so a later Run or window with a
-			// larger bound still sees it. Popping first and undoing it
+			// Not consumed: pushed back, so a later Run with a larger
+			// horizon still sees it. Popping first and undoing it
 			// once per run is cheaper than peeking before every pop.
 			e.push(ev)
 			return nil
@@ -415,7 +388,7 @@ func (e *Engine) dispatch(self *Proc) {
 				return
 			}
 			e.handoffs++
-			//simlint:allow baregoroutine the loop is over: the token goes back to Run's goroutine, which is parked on ctl
+			// The loop is over: the token goes back to Run's goroutine.
 			e.ctl <- struct{}{}
 			break
 		}
@@ -448,7 +421,7 @@ func (e *Engine) dispatch(self *Proc) {
 			go p.run()
 		} else {
 			e.unparked(p)
-			//simlint:allow baregoroutine direct token handoff to the process whose resume popped; it is parked on resume, this goroutine parks below
+			// Direct handoff to the process whose resume popped.
 			p.resume <- struct{}{}
 		}
 		if self != nil {
@@ -472,55 +445,6 @@ func (e *Engine) callGuarded(fn func()) {
 		}
 	}()
 	fn()
-}
-
-// runWindow executes events strictly before end (exclusive), then returns.
-// Unlike Run it neither kills parked processes nor consumes events at or
-// past end; the clock stays at the last executed event. The effective
-// bound e.winEnd only ever tightens during the window: ShardGroup.post
-// lowers it when this shard sends cross-shard traffic, and
-// GroupBarrier.Await stops the window outright. It is the per-epoch work
-// unit of a ShardGroup and runs on the shard's runner goroutine — never
-// concurrently with another window on the same engine.
-func (e *Engine) runWindow(end Time) int {
-	if e.running {
-		panic("sim: Engine window re-entered")
-	}
-	e.winStop = false
-	e.winEnd = end
-	start := e.executed
-	e.running = true
-	defer func() { e.running = false }()
-	e.dispatch(nil)
-	return int(e.executed - start)
-}
-
-// Shard returns this engine's shard index within its ShardGroup (0 for a
-// serial engine).
-func (e *Engine) Shard() int { return e.shard }
-
-// Group returns the ShardGroup this engine belongs to, or nil when serial.
-func (e *Engine) Group() *ShardGroup { return e.group }
-
-// Post schedules fn at absolute time t on dst, which may live on another
-// shard. On a serial engine (or when dst is the calling engine) it is
-// exactly dst.At. Across shards the call is buffered in the group's epoch
-// mailbox and delivered between epochs in a deterministic merge; t must
-// respect the group's conservative lookahead (t >= now + L), which holds by
-// construction for anything that crosses the switch fabric. Must be called
-// from e's simulation context.
-func (e *Engine) Post(dst *Engine, t Time, fn func()) {
-	if dst == e || e.group == nil {
-		dst.At(t, fn)
-		return
-	}
-	if dst.group != e.group {
-		panic("sim: Post across unrelated engines")
-	}
-	if t < e.now+e.group.lookahead {
-		panic(fmt.Sprintf("sim: Post violates lookahead: t=%v now=%v L=%v", t, e.now, e.group.lookahead))
-	}
-	e.group.post(e, dst, t, fn)
 }
 
 // unparked clears p's parked mark as its resume or kill is delivered.
@@ -552,7 +476,7 @@ func (e *Engine) killAll() {
 			}
 			e.unparked(p)
 			p.killed = true
-			//simlint:allow baregoroutine token handoff to the process being killed; it unwinds and returns the token on ctl
+			// The killed process unwinds and returns the token on ctl.
 			p.resume <- struct{}{}
 			<-e.ctl
 		}
@@ -613,7 +537,7 @@ func (p *Proc) run() {
 			p.onExit[i]()
 		}
 		e.handoffs++
-		//simlint:allow baregoroutine a finished process returns the token to Run's goroutine, which is parked on ctl
+		// A finished process returns the token to Run's goroutine.
 		e.ctl <- struct{}{}
 	}()
 	p.fn(p)

@@ -184,13 +184,6 @@ func (q *Queue) Get(p *Proc) any {
 	return item
 }
 
-// JobBarrier is the barrier contract a simulated job sees: the serial
-// Barrier and the sharded GroupBarrier (shard.go) both satisfy it, so
-// stack code is agnostic to whether its ranks share one engine.
-type JobBarrier interface {
-	Await(p *Proc)
-}
-
 // Barrier blocks n processes until all have arrived, then releases them.
 type Barrier struct {
 	N       int

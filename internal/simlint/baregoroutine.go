@@ -2,24 +2,15 @@ package simlint
 
 import "go/ast"
 
-// Baregoroutine forbids `go` statements and channel sends in simulation
-// packages. The sim kernel multiplexes all simulated control flow over a
-// single token (one Proc or the engine runs at a time); a bare goroutine
-// runs concurrently with simulated code, races with it, and injects
-// host-scheduler nondeterminism into virtual time. Processes must be
-// created with sim.Engine.Spawn, which owns the only legal `go`
-// statement.
-//
-// Channel sends are the same hazard in epoch-synchronized sharded runs:
-// a host channel between shards bypasses the epoch mailbox (Engine.Post),
-// skipping both the lookahead admission check and the deterministic
-// (time, source-shard, seq) merge — delivery order then depends on the
-// host scheduler. The scheduler's own token-handoff and coordination
-// channels carry //simlint:allow annotations; everything else must route
-// cross-engine effects through Post.
+// Baregoroutine forbids `go` statements in simulation packages. The sim
+// kernel multiplexes all simulated control flow over a single token (one
+// Proc or the engine runs at a time); a bare goroutine runs concurrently
+// with simulated code, races with it, and injects host-scheduler
+// nondeterminism into virtual time. Processes must be created with
+// sim.Engine.Spawn, which owns the only legal `go` statement.
 var Baregoroutine = &Analyzer{
 	Name:      "baregoroutine",
-	Doc:       "forbid bare `go` statements and channel sends in simulation packages; use sim.Engine.Spawn / sim.Engine.Post",
+	Doc:       "forbid bare `go` statements in simulation packages; use sim.Engine.Spawn",
 	AppliesTo: InSimDomain,
 	Run:       baregoroutineRun,
 }
@@ -27,13 +18,9 @@ var Baregoroutine = &Analyzer{
 func baregoroutineRun(pass *Pass) {
 	for _, f := range pass.Unit.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch s := n.(type) {
-			case *ast.GoStmt:
+			if s, ok := n.(*ast.GoStmt); ok {
 				pass.Reportf(s.Pos(),
 					"bare goroutine in a simulation package: real goroutines race with the cooperative Proc scheduler; use sim.Engine.Spawn")
-			case *ast.SendStmt:
-				pass.Reportf(s.Pos(),
-					"channel send in a simulation package: host channels bypass the epoch mailbox's lookahead check and deterministic merge; cross-engine effects must go through sim.Engine.Post")
 			}
 			return true
 		})

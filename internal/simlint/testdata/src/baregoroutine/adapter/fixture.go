@@ -1,11 +1,10 @@
-// Fixture: bare goroutines and channel sends in a simulation-domain
-// package must be flagged; the allow directive is the escape hatch for
-// scheduler internals.
+// Fixture: bare goroutines in a simulation-domain package must be flagged;
+// the allow directive is the escape hatch for scheduler internals.
 package adapter
 
 func fire(done chan struct{}) {
 	go func() { // want `bare goroutine`
-		done <- struct{}{} // want `channel send`
+		done <- struct{}{}
 	}()
 }
 
@@ -13,20 +12,7 @@ func fireNamed(f func()) {
 	go f() // want `bare goroutine`
 }
 
-// crossShard models the forbidden pattern the analyzer exists to catch:
-// handing a simulated event to another shard over a host channel instead
-// of the epoch mailbox (sim.Engine.Post). The send bypasses the lookahead
-// admission check and the deterministic merge.
-func crossShard(peer chan int, payload int) {
-	peer <- payload // want `channel send`
-}
-
 func allowed(done chan struct{}) {
 	//simlint:allow baregoroutine fixture demonstrating the directive
 	go func() { done <- struct{}{} }()
-}
-
-func allowedSend(ctl chan int) {
-	//simlint:allow baregoroutine fixture: sanctioned scheduler token handoff
-	ctl <- 1
 }

@@ -76,12 +76,6 @@ type Options struct {
 	// discarded — the option exists to prove (in determinism checks) that
 	// tracing cannot move a virtual-time result.
 	Trace bool
-	// Shards runs every cell on that many engine shards (sim.ShardGroup)
-	// instead of one serial engine. Virtual-time results are bit-identical
-	// at every shard count, so the option never appears in the persisted
-	// artifact; it only trades outer (cell-level) parallelism for inner
-	// (shard-level) parallelism on big cells. 0 or 1 means serial.
-	Shards int
 	// Progress, when non-nil, receives one host-side event per completed
 	// repetition. Events arrive from worker goroutines serialized by an
 	// internal mutex, but their order reflects scheduling, not cell order
@@ -108,8 +102,7 @@ type Progress struct {
 // seeds-max below seeds, and a stopping cap without a target (or a target
 // without a cap) are rejected rather than reinterpreted — a request the
 // harness silently rewrote would be a cache key that lies about its run.
-// It also resolves the outer worker-pool size: Par (0 = GOMAXPROCS), scaled
-// down so workers x shards stays within max(GOMAXPROCS, Par), floor one.
+// It also resolves the worker-pool size: Par, or GOMAXPROCS when Par is 0.
 func (o Options) Validate() (workers int, err error) {
 	switch {
 	case o.Seeds < 0:
@@ -120,8 +113,6 @@ func (o Options) Validate() (workers int, err error) {
 		return 0, fmt.Errorf("sweep: rel-ci must be >= 0, got %g", o.RelCIPct)
 	case o.Par < 0:
 		return 0, fmt.Errorf("sweep: par must be >= 0, got %d", o.Par)
-	case o.Shards < 0:
-		return 0, fmt.Errorf("sweep: shards must be >= 0, got %d", o.Shards)
 	case o.SeedsMax != 0 && o.SeedsMax < max(o.Seeds, 1):
 		return 0, fmt.Errorf("sweep: contradictory stopping rule: seeds-max (%d) is below seeds (%d)", o.SeedsMax, max(o.Seeds, 1))
 	case o.SeedsMax != 0 && o.RelCIPct == 0:
@@ -129,15 +120,10 @@ func (o Options) Validate() (workers int, err error) {
 	case o.RelCIPct != 0 && o.SeedsMax == 0:
 		return 0, fmt.Errorf("sweep: rel-ci needs a seeds-max repetition cap (sequential stopping could sample forever without one)")
 	}
-	workers = o.Par
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if o.Par == 0 {
+		return runtime.GOMAXPROCS(0), nil
 	}
-	limit, shards := max(workers, runtime.GOMAXPROCS(0)), max(o.Shards, 1)
-	if workers*shards > limit {
-		workers = max(limit/shards, 1)
-	}
-	return workers, nil
+	return o.Par, nil
 }
 
 // TraceCounters is the compact per-point protocol/fabric counter summary,
@@ -439,7 +425,7 @@ func RunCtx(ctx context.Context, e bench.Experiment, o Options) (*Result, error)
 						if o.Trace {
 							tl = tracelog.New(0)
 						}
-						slots[j.cell][j.rep] = c.Run(bench.RunSpec{Seed: seed, Mod: mod, Trace: tl, Shards: o.Shards})
+						slots[j.cell][j.rep] = c.Run(bench.RunSpec{Seed: seed, Mod: mod, Trace: tl})
 					}()
 					if o.Progress != nil {
 						c := e.Cells[j.cell]

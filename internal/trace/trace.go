@@ -9,7 +9,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"splapi/internal/adapter"
 	"splapi/internal/cluster"
@@ -45,32 +44,13 @@ type Report struct {
 	PoolClasses []sim.ClassStat
 }
 
-// Collect snapshots every layer of the cluster. Pool traffic is summed
-// over all engine shards (one engine when serial).
+// Collect snapshots every layer of the cluster.
 func Collect(c *cluster.Cluster) *Report {
-	r := &Report{Stack: c.Stack.String(), Nodes: len(c.HALs), Fabric: c.Fabric.Stats()}
-	classes := make(map[uint64]sim.ClassStat)
-	for _, eng := range c.Engines {
-		ps := eng.Pool().Stats()
-		r.Pool.Gets += ps.Gets
-		r.Pool.Hits += ps.Hits
-		r.Pool.Puts += ps.Puts
-		r.Pool.Foreign += ps.Foreign
-		r.Pool.InFlight += ps.InFlight
-		for _, cs := range eng.Pool().ClassStats() {
-			agg := classes[cs.Size]
-			agg.Size = cs.Size
-			agg.Gets += cs.Gets
-			agg.Hits += cs.Hits
-			agg.Puts += cs.Puts
-			agg.Free += cs.Free
-			classes[cs.Size] = agg
-		}
+	pool := c.Eng.Pool()
+	r := &Report{
+		Stack: c.Stack.String(), Nodes: len(c.HALs), Fabric: c.Fabric.Stats(),
+		Pool: pool.Stats(), PoolClasses: pool.ClassStats(),
 	}
-	for _, cs := range classes {
-		r.PoolClasses = append(r.PoolClasses, cs)
-	}
-	sort.Slice(r.PoolClasses, func(i, j int) bool { return r.PoolClasses[i].Size < r.PoolClasses[j].Size })
 	for i := range c.HALs {
 		nr := NodeReport{Node: i, Adapter: c.Adapters[i].Stats(), HAL: c.HALs[i].Stats()}
 		if i < len(c.Pipes) {

@@ -73,8 +73,5 @@ func (e Event) String() string {
 	if e.Kind == KMPIEnter || e.Kind == KMPIExit {
 		s += " " + OpName(e.Arg)
 	}
-	if e.Shard != 0 || e.Epoch != 0 {
-		s += fmt.Sprintf(" [shard %d epoch %d]", e.Shard, e.Epoch)
-	}
 	return s
 }

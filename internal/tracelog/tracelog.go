@@ -227,17 +227,17 @@ func OpName(op int64) string {
 
 // Event is one fixed-size trace record. Events hold only scalars — never
 // a payload slice — so emitting one cannot retain caller-owned memory.
+// Fields are ordered widest first so the record is 40 bytes, which
+// TestEventSize pins: a ring is allocated and zeroed for every traced cell.
 type Event struct {
 	T     sim.Time // virtual time, ns
+	Msg   uint64   // causal message ID (see MsgID packers), 0 if none
+	Arg   int64    // kind-specific: charged ns, op code, seq, offset
+	Node  int32    // emitting node
+	Peer  int32    // the remote node involved, -1 if none
+	Size  int32    // payload/frame bytes when relevant
 	Layer Layer
 	Kind  Kind
-	Shard int16  // engine shard that recorded the event (0 when serial)
-	Node  int32  // emitting node
-	Peer  int32  // the remote node involved, -1 if none
-	Epoch int32  // shard-group epoch at recording time (0 when serial)
-	Msg   uint64 // causal message ID (see MsgID packers), 0 if none
-	Size  int32  // payload/frame bytes when relevant
-	Arg   int64  // kind-specific: charged ns, op code, seq, offset
 }
 
 // Causal message-ID domains. IDs are derivable symmetrically at both ends
@@ -251,8 +251,7 @@ type Event struct {
 //     delivered in order per directed pair, so both sides count them.
 //   - rdv:    (src, dst, receive-request id) — carried by rendezvous-data
 //     headers in both stacks.
-//   - packet: (src, dst, per-(src,dst) injection seq) — per-pair so the id
-//     is identical whether the fabric runs serial or sharded.
+//   - packet: (src, dst, per-(src,dst) injection seq).
 //   - rdmaop: (initiator, per-initiator RDMA operation id) — carried by
 //     every RDMA request and data packet.
 const (
@@ -309,12 +308,6 @@ type Log struct {
 	buf   []Event
 	next  int
 	total uint64
-	// shard/epoch are stamped into every emitted event. A serial run
-	// leaves both 0; a sharded cluster gives each shard its own ring with
-	// SetShard, and the coordinator's epoch hook calls SetEpoch between
-	// windows (never concurrently with the shard's Emit calls).
-	shard int16
-	epoch int32
 }
 
 // New builds a Log with the given event capacity (DefaultCap if n <= 0).
@@ -333,7 +326,6 @@ func (l *Log) Emit(t sim.Time, layer Layer, kind Kind, node, peer int, msg uint6
 	}
 	l.buf[l.next] = Event{
 		T: t, Layer: layer, Kind: kind,
-		Shard: l.shard, Epoch: l.epoch,
 		Node: int32(node), Peer: int32(peer),
 		Msg: msg, Size: int32(size), Arg: arg,
 	}
@@ -342,29 +334,6 @@ func (l *Log) Emit(t sim.Time, layer Layer, kind Kind, node, peer int, msg uint6
 		l.next = 0
 	}
 	l.total++
-}
-
-// Cap returns the ring capacity in events (0 for a nil log).
-func (l *Log) Cap() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.buf)
-}
-
-// SetShard sets the shard index stamped into subsequent events.
-func (l *Log) SetShard(s int) {
-	if l != nil {
-		l.shard = int16(s)
-	}
-}
-
-// SetEpoch sets the epoch stamped into subsequent events. Called by the
-// shard coordinator between windows, so it never races the shard's Emits.
-func (l *Log) SetEpoch(e int64) {
-	if l != nil {
-		l.epoch = int32(e)
-	}
 }
 
 // Enabled reports whether events are being recorded.
