@@ -14,9 +14,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 
 	"splapi/internal/bench"
 	"splapi/internal/cliconf"
@@ -24,38 +27,51 @@ import (
 	"splapi/internal/machine"
 )
 
-func main() {
-	prov := cliconf.Provider(flag.CommandLine, true, cluster.Native, cluster.LAPIEnhanced)
-	size := flag.Int("size", -1, "message size in bytes; -1 sweeps")
-	interrupts := flag.Bool("interrupts", false, "interrupt-mode receiver (Figure 13 methodology)")
-	bw := flag.Bool("bw", false, "measure streaming bandwidth instead of latency")
-	count := flag.Int("count", 48, "messages per bandwidth measurement")
-	mach := cliconf.Machine(flag.CommandLine)
-	seed := cliconf.Seed(flag.CommandLine)
-	tr := cliconf.Trace(flag.CommandLine, 1<<20)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pingpong", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	prov := cliconf.Provider(fs, true, cluster.Native, cluster.LAPIEnhanced)
+	size := fs.Int("size", -1, "message size in bytes; -1 sweeps")
+	interrupts := fs.Bool("interrupts", false, "interrupt-mode receiver (Figure 13 methodology)")
+	bw := fs.Bool("bw", false, "measure streaming bandwidth instead of latency")
+	count := fs.Int("count", 48, "messages per bandwidth measurement")
+	mach := cliconf.Machine(fs)
+	seed := cliconf.Seed(fs)
+	tr := cliconf.Trace(fs, 1<<20)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if prov.IsList() {
-		prov.PrintList(os.Stdout)
-		return
+		prov.PrintList(stdout)
+		return 0
 	}
 	par, err := mach.PaperParams()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pingpong:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "pingpong:", err)
+		return 2
 	}
 	stacks, err := prov.Stacks(&par, *interrupts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pingpong:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "pingpong:", err)
+		return 2
+	}
+	if *bw && slices.Contains(stacks, cluster.RawLAPI) {
+		fmt.Fprintln(stderr, "pingpong: contradictory flags: -bw streams with MPI_Isend/MPI_Irecv and raw-lapi has no MPI; the Figure 10 raw LAPI measurement is the latency ping-pong only (drop -bw or pick an MPI provider)")
+		return 2
 	}
 	sizes := []int{0, 8, 64, 256, 1024, 4096, 16384, 65536}
 	if *size >= 0 {
 		sizes = []int{*size}
 	}
 	if tr.Enabled() && (len(stacks) != 1 || len(sizes) != 1) {
-		fmt.Fprintln(os.Stderr, "pingpong: -trace needs a single cell; give both -provider and -size")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "pingpong: -trace needs a single cell; give both -provider and -size")
+		return 2
 	}
 	tl := tr.New()
 	// The -machine/-faults cost model replaces the cells' default one whole.
@@ -64,28 +80,29 @@ func main() {
 	if *bw {
 		unit = "MB/s"
 	}
-	fmt.Printf("%10s", "size(B)")
+	fmt.Fprintf(stdout, "%10s", "size(B)")
 	for _, s := range stacks {
-		fmt.Printf("  %22s", s)
+		fmt.Fprintf(stdout, "  %22s", s)
 	}
-	fmt.Printf("   [%s]\n", unit)
+	fmt.Fprintf(stdout, "   [%s]\n", unit)
 	for _, sz := range sizes {
-		fmt.Printf("%10d", sz)
+		fmt.Fprintf(stdout, "%10d", sz)
 		for _, st := range stacks {
 			cell := bench.PingPongCell("", st, sz, *interrupts, nil)
-			if *bw && st != cluster.RawLAPI {
+			if *bw {
 				cell = bench.BandwidthCell("", st, sz, *count, nil)
 			}
-			fmt.Printf("  %22.2f", cell.Run(spec).Value)
+			fmt.Fprintf(stdout, "  %22.2f", cell.Run(spec).Value)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if tl != nil {
 		line, err := tr.Write(tl)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pingpong:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "pingpong:", err)
+			return 1
 		}
-		fmt.Println(line)
+		fmt.Fprintln(stdout, line)
 	}
+	return 0
 }

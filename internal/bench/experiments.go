@@ -33,6 +33,10 @@ type Measurement struct {
 	// Trace is the layered statistics report of the run's cluster, so
 	// fabric and protocol counters ride along with the timing.
 	Trace *trace.Report
+	// SeedFree records that the run never drew from its engine's random
+	// source, so every seed would have measured exactly this. The zero
+	// value means unknown: run every seed.
+	SeedFree bool
 }
 
 // Cell is one point of an experiment: a series label, an x value, and the
@@ -50,6 +54,9 @@ type Cell struct {
 // RunSpec parameterizes one cell run. The zero Mod/Trace are the common
 // case: unmodified cost model, untraced.
 type RunSpec struct {
+	// Seed reaches the run only through its engine (cluster.Config.Seed →
+	// sim.NewEngine, read only by Engine.Rand), which is what lets
+	// Measurement.SeedFree be proven rather than assumed.
 	Seed int64
 	// Mod mutates the cost model after the cell's own overrides.
 	Mod ParamMod
@@ -121,7 +128,7 @@ func newCell(series string, x int, cfg cluster.Config, overrides ParamMod, body 
 		cfg.Seed, cfg.Params, cfg.Trace = rc.Seed, &par, rc.Trace
 		c := cluster.New(cfg)
 		v := body(c)
-		return Measurement{Value: v, VirtualTime: c.Now(), Trace: trace.Collect(c)}
+		return Measurement{Value: v, VirtualTime: c.Now(), Trace: trace.Collect(c), SeedFree: !c.Eng.RandUsed()}
 	}}
 }
 

@@ -140,7 +140,8 @@ func TestProviderRejectedByCapabilityOnSP160(t *testing.T) {
 // (Section 6.1) makes no MPI calls and a CounterCompletions provider
 // (Section 5.2) completes eager messages only inside them, so exactly that
 // pairing is refused; every other provider runs with -interrupts, and every
-// provider without it.
+// provider without it. raw-lapi, which has no interrupt-mode receiver, is
+// refused too.
 func TestCounterProviderRejectedUnderInterrupts(t *testing.T) {
 	rejected := 0
 	for _, f := range mpci.Providers() {
@@ -167,5 +168,23 @@ func TestCounterProviderRejectedUnderInterrupts(t *testing.T) {
 	}
 	if rejected == 0 {
 		t.Fatal("no registered provider completes by counters: the rejection is untested")
+	}
+	// raw-lapi (Section 5.1) has no interrupt-mode receiver at all.
+	for _, interrupts := range []bool{false, true} {
+		fs := newFS()
+		m, pf := Machine(fs), Provider(fs, true)
+		if err := fs.Parse([]string{"-provider", "raw-lapi"}); err != nil {
+			t.Fatal(err)
+		}
+		par, err := m.Params()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stacks, err := pf.Stacks(&par, interrupts)
+		if interrupts && (err == nil || !strings.Contains(err.Error(), "Section 6.1")) {
+			t.Errorf("-provider raw-lapi -interrupts = %v, %v, want an error naming Section 6.1", stacks, err)
+		} else if !interrupts && (err != nil || len(stacks) != 1 || stacks[0] != "raw-lapi") {
+			t.Errorf("-provider raw-lapi = %v, %v", stacks, err)
+		}
 	}
 }

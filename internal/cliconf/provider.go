@@ -63,14 +63,18 @@ func (p *ProviderFlags) PrintList(w io.Writer) {
 // Stacks resolves the flag against par: the named provider, or the default
 // comparison set when the flag is absent. Contradictory combinations are
 // rejected here — naming a provider that needs memory registration on a
-// machine generation that disables it cannot build a cluster, and one that
+// machine generation that disables it cannot build a cluster, one that
 // completes eager messages by counters never finishes under the
-// interrupt-mode receiver (interrupts; false for commands without one).
+// interrupt-mode receiver (interrupts; false for commands without one), and
+// raw-lapi has no interrupt-mode receiver at all.
 func (p *ProviderFlags) Stacks(par *machine.Params, interrupts bool) ([]cluster.Stack, error) {
 	if *p.name == "" {
 		return append([]cluster.Stack(nil), p.def...), nil
 	}
 	if p.allowRaw && *p.name == string(cluster.RawLAPI) {
+		if interrupts {
+			return nil, fmt.Errorf("cliconf: contradictory flags: the Section 6.1 interrupt-mode receiver posts an MPI_Irecv, and raw-lapi has no MPI — its Section 5.1 LAPI_Put ping-pong only polls, so the run would silently measure polling (drop -interrupts or pick an MPI provider)")
+		}
 		return []cluster.Stack{cluster.RawLAPI}, nil
 	}
 	f, ok := mpci.Lookup(*p.name)

@@ -114,7 +114,8 @@ type Engine struct {
 	events   []*event      // 4-ary min-heap ordered by eventLess
 	free     []*event      // recycled event slots
 	ctl      chan struct{} // token returned to Run's goroutine by a proc
-	rng      *rand.Rand
+	seed     int64
+	rng      *rand.Rand         // built from seed by the first Rand call; nil until then
 	procs    map[*Proc]struct{} // live (spawned, not finished) processes
 	parked   int                // how many of them are parked on a primitive
 	running  bool
@@ -132,13 +133,13 @@ type Engine struct {
 	pool BufPool
 }
 
-// NewEngine returns an engine whose clock starts at 0 and whose internal
-// random source is seeded with seed (determinism: same seed, same schedule).
+// NewEngine returns an engine whose clock starts at 0 and whose random
+// source is seeded with seed (determinism: same seed, same schedule). The
+// seed is read nowhere but Rand.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		ctl: make(chan struct{}),
-		//simlint:allow globalrand the engine owns the per-run root source; all other sim code draws from Engine.Rand()
-		rng:   rand.New(rand.NewSource(seed)),
+		ctl:   make(chan struct{}),
+		seed:  seed,
 		procs: make(map[*Proc]struct{}),
 	}
 }
@@ -146,9 +147,21 @@ func NewEngine(seed int64) *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Rand returns the engine's deterministic random source. It must only be
-// used from simulation context (engine callbacks or processes).
-func (e *Engine) Rand() *rand.Rand { return e.rng }
+// Rand returns the engine's deterministic random source, built on the first
+// call. It must only be used from simulation context (engine callbacks or
+// processes).
+func (e *Engine) Rand() *rand.Rand {
+	if e.rng == nil {
+		//simlint:allow globalrand the engine owns the per-run root source; all other sim code draws from Engine.Rand()
+		e.rng = rand.New(rand.NewSource(e.seed))
+	}
+	return e.rng
+}
+
+// RandUsed reports whether Rand was ever called. Rand is the only reader of
+// the seed, so a run for which it is false would have been the same under
+// any seed.
+func (e *Engine) RandUsed() bool { return e.rng != nil }
 
 // Pool returns the engine's payload buffer pool. Like everything else on
 // the engine it must only be used from simulation context.

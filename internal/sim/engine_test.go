@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -411,5 +412,29 @@ func TestRunResumePreservesOrderAcrossHorizons(t *testing.T) {
 		if fired[i] != Time(i+1)*Microsecond {
 			t.Fatalf("event %d fired at %v, want %v", i, fired[i], Time(i+1)*Microsecond)
 		}
+	}
+}
+
+// TestRandIsLazyAndUnchanged: the random source is built on the first Rand
+// call, RandUsed reports exactly whether that happened — a run that never
+// draws is observable as seed-free — and the stream drawn is the one
+// rand.New(rand.NewSource(seed)) gives.
+func TestRandIsLazyAndUnchanged(t *testing.T) {
+	const seed = 42
+	e := NewEngine(seed)
+	e.Spawn("idle", func(p *Proc) { p.Sleep(Microsecond) })
+	e.Run(0)
+	if e.RandUsed() {
+		t.Fatal("RandUsed() = true on an engine that never called Rand")
+	}
+	//simlint:allow globalrand the reference stream the engine's lazy source must reproduce
+	ref := rand.New(rand.NewSource(seed))
+	for i := 0; i < 8; i++ {
+		if got, want := e.Rand().Int63(), ref.Int63(); got != want {
+			t.Fatalf("draw %d = %d, want %d", i, got, want)
+		}
+	}
+	if !e.RandUsed() {
+		t.Fatal("RandUsed() = false after Rand was called")
 	}
 }

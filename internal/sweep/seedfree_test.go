@@ -1,0 +1,189 @@
+package sweep
+
+import (
+	"bytes"
+	"path/filepath"
+	"reflect"
+	"sync/atomic"
+	"testing"
+
+	"splapi/internal/bench"
+)
+
+// wrapped wraps every cell of e to count the repetitions it runs in runs
+// and, with force, to clear SeedFree: the sweep that runs every seed, built
+// in test code, that a seed-free sweep must equal.
+func wrapped(e bench.Experiment, runs *atomic.Int64, force bool) bench.Experiment {
+	cells := make([]bench.Cell, len(e.Cells))
+	for i, c := range e.Cells {
+		run := c.Run
+		c.Run = func(rc bench.RunSpec) bench.Measurement {
+			runs.Add(1)
+			m := run(rc)
+			m.SeedFree = m.SeedFree && !force
+			return m
+		}
+		cells[i] = c
+	}
+	e.Cells = cells
+	return e
+}
+
+func encode(t *testing.T, e bench.Experiment, o Options) []byte {
+	t.Helper()
+	r, err := Run(e, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Encode(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestSeedFreeCellRunsOnce: a cell whose repetition 0 reports SeedFree runs
+// once however many seeds are asked for, a plain cell runs every seed, and
+// both points still record n samples.
+func TestSeedFreeCellRunsOnce(t *testing.T) {
+	const cells, seeds = 3, 5
+	for _, free := range []bool{true, false} {
+		e := bench.Experiment{ID: "runs", Title: "runs", Unit: "us"}
+		for i := 0; i < cells; i++ {
+			e.Cells = append(e.Cells, bench.Cell{Series: "s", X: i, Run: func(bench.RunSpec) bench.Measurement {
+				return bench.Measurement{Value: 7, VirtualTime: 11, SeedFree: free}
+			}})
+		}
+		var runs atomic.Int64
+		r, err := Run(wrapped(e, &runs, false), Options{Seeds: seeds, Par: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := cells * seeds
+		if free {
+			want = cells
+		}
+		if got := int(runs.Load()); got != want || r.Ran != want {
+			t.Errorf("SeedFree=%v: %d runs (Result.Ran %d), want %d", free, got, r.Ran, want)
+		}
+		for _, p := range r.Points {
+			if p.Stats.N != seeds || len(p.Samples) != seeds || p.VirtualTimeNs != 11*seeds {
+				t.Errorf("SeedFree=%v: point %d has n=%d, %d samples, %d ns; want %d, %d, %d",
+					free, p.X, p.Stats.N, len(p.Samples), p.VirtualTimeNs, seeds, seeds, 11*seeds)
+			}
+		}
+	}
+}
+
+// TestSeedFreeSweepEqualsForcedFullRun: on a real experiment the artifact
+// of the seed-free sweep is byte for byte the one of a sweep that runs
+// every seed — serially, on a pool, and under sequential stopping.
+func TestSeedFreeSweepEqualsForcedFullRun(t *testing.T) {
+	e, err := bench.FindExperiment("ablate-eager")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []Options{
+		{Seeds: 4, Par: 1},
+		{Seeds: 4, Par: 4},
+		{Seeds: 2, SeedsMax: 6, RelCIPct: 1, Par: 4},
+	} {
+		var runs, forced atomic.Int64
+		got := encode(t, wrapped(e, &runs, false), o)
+		if want := encode(t, wrapped(e, &forced, true), o); !bytes.Equal(got, want) {
+			t.Fatalf("%+v: seed-free artifact differs from the forced full run:\n%s\nvs\n%s", o, got, want)
+		}
+		if n := runs.Load(); n != int64(len(e.Cells)) {
+			t.Errorf("%+v: clean ablate-eager ran %d repetitions, want one per cell (%d)", o, n, len(e.Cells))
+		}
+	}
+}
+
+// TestSeedFreeUnderFaultPlans: a probabilistic plan draws from every run's
+// engine, so every seed of every cell runs; a scripted plan draws nothing,
+// so its cells are seed-free and still equal the forced full run.
+func TestSeedFreeUnderFaultPlans(t *testing.T) {
+	e, err := bench.FindExperiment("ablate-eager")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seeds = 4
+	for _, tc := range []struct {
+		faults string
+		runs   int
+	}{
+		{"uniform:drop=0.004", len(e.Cells) * seeds},
+		{"flappy-route", len(e.Cells)},
+	} {
+		o := Options{Seeds: seeds, Par: 2, Faults: tc.faults}
+		var runs, forced atomic.Int64
+		got := encode(t, wrapped(e, &runs, false), o)
+		if n := int(runs.Load()); n != tc.runs {
+			t.Errorf("%s: %d repetitions ran, want %d", tc.faults, n, tc.runs)
+		}
+		if want := encode(t, wrapped(e, &forced, true), o); !bytes.Equal(got, want) {
+			t.Errorf("%s: artifact differs from the forced full run", tc.faults)
+		}
+	}
+}
+
+// TestSeedFreeProgressCountsEveryRecordedRepetition: copies report progress
+// like runs do, so Done reaches cells × seeds.
+func TestSeedFreeProgressCountsEveryRecordedRepetition(t *testing.T) {
+	e, err := bench.FindExperiment("ablate-eager")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seeds = 4
+	var events []Progress
+	o := Options{Seeds: seeds, Par: 2, Progress: func(p Progress) { events = append(events, p) }}
+	if _, err := Run(e, o); err != nil {
+		t.Fatal(err)
+	}
+	want := len(e.Cells) * seeds
+	if len(events) != want {
+		t.Fatalf("%d progress events, want cells × seeds = %d", len(events), want)
+	}
+	if last := events[len(events)-1]; last.Done != want || last.Planned != want {
+		t.Errorf("last event %+v, want done = planned = %d", last, want)
+	}
+}
+
+// TestCommittedArtifactsRegenerate holds every committed BENCH_*.json field
+// for field: each is re-swept at its recorded seeds, base seed, stopping
+// rule and fault plan, and its points and variance must come back equal.
+func TestCommittedArtifactsRegenerate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sixteen-seed sweeps of every experiment; too slow under the race detector")
+	}
+	files, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(bench.Experiments()) {
+		t.Fatalf("found %d committed artifacts, want one per experiment (%d)", len(files), len(bench.Experiments()))
+	}
+	for _, f := range files {
+		want, err := Load(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := bench.FindExperiment(want.Experiment)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Run(e, Options{
+			Seeds: want.Seeds, SeedsMax: want.SeedsMax, RelCIPct: want.RelCIPct,
+			BaseSeed: want.BaseSeed, Faults: want.Overrides.Faults,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Points, want.Points) {
+			t.Errorf("%s: points do not regenerate", f)
+		}
+		if !reflect.DeepEqual(got.Variance, want.Variance) {
+			t.Errorf("%s: variance does not regenerate", f)
+		}
+	}
+}

@@ -4,7 +4,7 @@
 // instance on a worker pool, aggregates the repetitions into dispersion
 // statistics, and persists machine-readable results.
 //
-// Two properties make this sound:
+// Three properties make this sound and cheap:
 //
 //   - every cell run builds its own cluster and therefore its own engine,
 //     RNG, and event queue — a fully independent deterministic universe —
@@ -13,7 +13,12 @@
 //     identity and repetition index (never from worker identity or
 //     completion order), so the aggregated results are bit-identical no
 //     matter how many workers run the sweep or how the scheduler
-//     interleaves them.
+//     interleaves them;
+//   - a run whose engine never drew from its random source is the same
+//     under every seed (the seed reaches a run only through it), so a cell
+//     whose repetition 0 reports bench.Measurement.SeedFree is recorded as
+//     that run at every seed without running the others, and the artifact
+//     is the one running them would have written.
 //
 // The methodology (repetitions, median + spread rather than single-run
 // numbers, median confidence intervals and nonparametric old-vs-new
@@ -247,9 +252,12 @@ type Result struct {
 	Points    []PointResult    `json:"points"`
 
 	// WallClock is the host time the sweep took; Par is the pool size
-	// used. Reported by the CLI, not persisted.
+	// used; Ran counts the repetitions executed, which is fewer than the
+	// ones recorded when cells proved seed-free. Reported by the CLI, not
+	// persisted.
 	WallClock time.Duration `json:"-"`
 	Par       int           `json:"-"`
+	Ran       int           `json:"-"`
 }
 
 // CellSeed derives the seed for repetition rep of a cell. It depends only
@@ -377,85 +385,108 @@ func RunCtx(ctx context.Context, e bench.Experiment, o Options) (*Result, error)
 	}
 	// Host-side progress accounting: done/planned counters shared by the
 	// workers, serialized by progressMu. Purely observational.
+	type job struct{ cell, rep int }
 	var (
 		progressMu      sync.Mutex
 		progressDone    int
 		progressPlanned int
 	)
+	report := func(j job) {
+		if o.Progress == nil {
+			return
+		}
+		c := e.Cells[j.cell]
+		progressMu.Lock()
+		progressDone++
+		o.Progress(Progress{Cell: j.cell, Series: c.Series, X: c.X, Rep: j.rep, Done: progressDone, Planned: progressPlanned})
+		progressMu.Unlock()
+	}
+	ran := 0 // repetitions executed; the rest of those recorded are copies
 	start := time.Now()
 	for len(active) > 0 {
-		type job struct{ cell, rep int }
-		var batch []job
+		// Repetition 0 of every cell runs first, the rest of the batch after
+		// it. A cell whose repetition 0 proved seed-free would measure the
+		// same under every seed, so its other slots are recorded as copies
+		// of slot 0 instead of being run: the artifact is the one a full run
+		// writes, and only slot 0's Trace is ever read.
+		var lead, rest []job
 		for _, ci := range active {
 			done := len(slots[ci])
 			add := min(seeds, maxSeeds-done)
 			slots[ci] = append(slots[ci], make([]bench.Measurement, add)...)
 			for r := done; r < done+add; r++ {
-				batch = append(batch, job{ci, r})
-			}
-		}
-		progressPlanned += len(batch)
-		jobs := make(chan job)
-		var (
-			wg       sync.WaitGroup
-			panicked error
-			panicMu  sync.Mutex
-		)
-		for w := 0; w < par; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range jobs {
-					if ctx.Err() != nil {
-						continue // drain the queue without running
-					}
-					func() {
-						defer func() {
-							if r := recover(); r != nil {
-								panicMu.Lock()
-								if panicked == nil {
-									panicked = fmt.Errorf("sweep: cell %d rep %d panicked: %v", j.cell, j.rep, r)
-								}
-								panicMu.Unlock()
-							}
-						}()
-						c := e.Cells[j.cell]
-						seed := CellSeed(base, e.ID, c.Series, c.X, j.rep)
-						var tl *tracelog.Log
-						if o.Trace {
-							tl = tracelog.New(0)
-						}
-						slots[j.cell][j.rep] = c.Run(bench.RunSpec{Seed: seed, Mod: mod, Trace: tl})
-					}()
-					if o.Progress != nil {
-						c := e.Cells[j.cell]
-						progressMu.Lock()
-						progressDone++
-						ev := Progress{
-							Cell: j.cell, Series: c.Series, X: c.X, Rep: j.rep,
-							Done: progressDone, Planned: progressPlanned,
-						}
-						o.Progress(ev)
-						progressMu.Unlock()
-					}
+				if r == 0 {
+					lead = append(lead, job{ci, r})
+				} else {
+					rest = append(rest, job{ci, r})
 				}
-			}()
-		}
-	feed:
-		for _, j := range batch {
-			select {
-			case jobs <- j:
-			case <-ctx.Done():
-				break feed
 			}
 		}
-		close(jobs)
-		wg.Wait()
-		if panicked != nil {
-			return nil, panicked
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("sweep: canceled after draining in-flight cells, partial results discarded: %w", err)
+		progressPlanned += len(lead) + len(rest)
+		for _, part := range [][]job{lead, rest} {
+			var batch []job
+			for _, j := range part {
+				// Until lead has run, slot 0 is the zero Measurement.
+				if m := slots[j.cell][0]; m.SeedFree {
+					slots[j.cell][j.rep] = m
+					report(j)
+				} else {
+					batch = append(batch, j)
+				}
+			}
+			ran += len(batch)
+			jobs := make(chan job)
+			var (
+				wg       sync.WaitGroup
+				panicked error
+				panicMu  sync.Mutex
+			)
+			for w := 0; w < par; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for j := range jobs {
+						if ctx.Err() != nil {
+							continue // drain the queue without running
+						}
+						func() {
+							defer func() {
+								if r := recover(); r != nil {
+									panicMu.Lock()
+									if panicked == nil {
+										panicked = fmt.Errorf("sweep: cell %d rep %d panicked: %v", j.cell, j.rep, r)
+									}
+									panicMu.Unlock()
+								}
+							}()
+							c := e.Cells[j.cell]
+							seed := CellSeed(base, e.ID, c.Series, c.X, j.rep)
+							var tl *tracelog.Log
+							if o.Trace {
+								tl = tracelog.New(0)
+							}
+							slots[j.cell][j.rep] = c.Run(bench.RunSpec{Seed: seed, Mod: mod, Trace: tl})
+						}()
+						report(j)
+					}
+				}()
+			}
+		feed:
+			for _, j := range batch {
+				select {
+				case jobs <- j:
+				case <-ctx.Done():
+					break feed
+				}
+			}
+			close(jobs)
+			wg.Wait()
+			if panicked != nil {
+				return nil, panicked
+			}
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("sweep: canceled after draining in-flight cells, partial results discarded: %w", err)
+			}
 		}
 		var still []int
 		for _, ci := range active {
@@ -486,6 +517,7 @@ func RunCtx(ctx context.Context, e bench.Experiment, o Options) (*Result, error)
 		Overrides:   Overrides{Faults: o.Faults},
 		WallClock:   time.Since(start),
 		Par:         par,
+		Ran:         ran,
 	}
 	for ci, c := range e.Cells {
 		samples := make([]float64, len(slots[ci]))
