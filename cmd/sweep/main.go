@@ -22,6 +22,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -33,92 +34,101 @@ import (
 	"splapi/internal/sweep"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// eprint reports an error on stderr under the command's name without
-// doubling the prefix when the error already carries the package's own
-// "sweep:" one.
-func eprint(err error) {
+// eprint reports an error on w under the command's name without doubling
+// the prefix when the error already carries the package's own "sweep:"
+// one.
+func eprint(w io.Writer, err error) {
 	msg := err.Error()
 	if !strings.HasPrefix(msg, "sweep:") {
 		msg = "sweep: " + msg
 	}
-	fmt.Fprintln(os.Stderr, msg)
+	fmt.Fprintln(w, msg)
 }
 
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp      = flag.String("exp", "", "experiment id to sweep, or 'all'")
-		seeds    = flag.Int("seeds", 1, "repetitions per cell (distinct derived seeds); the batch size under -seeds-max")
-		seedsMax = flag.Int("seeds-max", 0, "sequential stopping: cap repetitions per cell, running batches of -seeds until -rel-ci converges")
-		relCI    = flag.Float64("rel-ci", 0, "sequential stopping target: relative median-CI half-width in percent")
-		par      = flag.Int("par", 0, "worker-pool size (0 = GOMAXPROCS)")
-		baseSeed = flag.Int64("baseseed", 1, "base seed perturbing every derived seed")
-		out      = flag.String("o", "", "output file (default BENCH_<exp>.json)")
-		faultsFl = cliconf.Faults(flag.CommandLine)
-		list     = flag.Bool("list", false, "list available experiments and exit")
-		compare  = flag.Bool("compare", false, "compare two result files: sweep -compare old.json new.json")
-		traced   = flag.Bool("trace", false, "attach (and discard) an event log to every cell run; results must be identical to an untraced sweep")
-		tol      = flag.Float64("tol", 0, "comparison tolerance in percent of the old median")
-		missing  = flag.Bool("allow-missing", false, "comparison: tolerate points present in old but absent in new (coverage loss fails the gate otherwise)")
-		verbose  = flag.Bool("v", false, "verbose comparison output (include unmoved points)")
+		exp      = fs.String("exp", "", "experiment id to sweep, or 'all'")
+		seeds    = fs.Int("seeds", 1, "repetitions per cell (distinct derived seeds); the batch size under -seeds-max")
+		seedsMax = fs.Int("seeds-max", 0, "sequential stopping: cap repetitions per cell, running batches of -seeds until -rel-ci converges")
+		relCI    = fs.Float64("rel-ci", 0, "sequential stopping target: relative median-CI half-width in percent")
+		par      = fs.Int("par", 0, "worker-pool size (0 = GOMAXPROCS)")
+		baseSeed = fs.Int64("baseseed", 1, "base seed perturbing every derived seed")
+		out      = fs.String("o", "", "output file (default BENCH_<exp>.json)")
+		faultsFl = cliconf.Faults(fs)
+		list     = fs.Bool("list", false, "list available experiments and exit")
+		compare  = fs.Bool("compare", false, "compare two result files: sweep -compare old.json new.json")
+		traced   = fs.Bool("trace", false, "attach (and discard) an event log to every cell run; results must be identical to an untraced sweep")
+		tol      = fs.Float64("tol", 0, "comparison tolerance in percent of the old median")
+		missing  = fs.Bool("allow-missing", false, "comparison: tolerate points present in old but absent in new (coverage loss fails the gate otherwise)")
+		verbose  = fs.Bool("v", false, "verbose comparison output (include unmoved points)")
 	)
-	pf := prof.Flags(flag.CommandLine)
-	flag.Parse()
+	pf := prof.Flags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	stop, err := pf.Start()
 	if err != nil {
-		eprint(err)
+		eprint(stderr, err)
 		return 2
 	}
 	defer stop()
 
 	if *list {
 		for _, e := range bench.Experiments() {
-			fmt.Printf("%-18s %3d cells  [%s]  %s\n", e.ID, len(e.Cells), e.Unit, e.Title)
+			fmt.Fprintf(stdout, "%-18s %3d cells  [%s]  %s\n", e.ID, len(e.Cells), e.Unit, e.Title)
 		}
 		return 0
 	}
 
 	if *compare {
-		args := flag.Args()
-		if len(args) > 2 {
+		files := fs.Args()
+		if len(files) > 2 {
 			// Flag parsing stops at the first positional operand, so
 			// "-compare old.json new.json -tol 1" leaves -tol unparsed;
 			// pick up any flags trailing the two file operands here.
-			flag.CommandLine.Parse(args[2:])
-			args = args[:2]
+			if err := fs.Parse(files[2:]); err != nil {
+				return 2
+			}
+			files = files[:2]
 		}
-		if len(args) != 2 {
-			fmt.Fprintln(os.Stderr, "sweep: -compare needs exactly two result files")
+		if len(files) != 2 {
+			fmt.Fprintln(stderr, "sweep: -compare needs exactly two result files")
 			return 2
 		}
-		oldRes, err := sweep.Load(args[0])
+		oldRes, err := sweep.Load(files[0])
 		if err != nil {
-			eprint(err)
+			eprint(stderr, err)
 			return 2
 		}
-		newRes, err := sweep.Load(args[1])
+		newRes, err := sweep.Load(files[1])
 		if err != nil {
-			eprint(err)
+			eprint(stderr, err)
 			return 2
 		}
 		deltas, err := sweep.Compare(oldRes, newRes, sweep.CompareOpts{TolPct: *tol, AllowMissing: *missing})
 		if err != nil {
-			eprint(err)
+			eprint(stderr, err)
 			return 2
 		}
-		sweep.PrintDeltas(os.Stdout, deltas, *verbose)
+		sweep.PrintDeltas(stdout, deltas, *verbose)
 		regs := sweep.Regressions(deltas)
 		if len(regs) > 0 {
-			fmt.Printf("%d regression(s) (significant movement or lost coverage, +%g%% tolerance)\n", len(regs), *tol)
+			fmt.Fprintf(stdout, "%d regression(s) (significant movement or lost coverage, +%g%% tolerance)\n", len(regs), *tol)
 			return 1
 		}
-		fmt.Printf("no regressions (%d points compared, tolerance %g%%)\n", len(deltas), *tol)
+		fmt.Fprintf(stdout, "no regressions (%d points compared, tolerance %g%%)\n", len(deltas), *tol)
 		return 0
 	}
 
 	if *exp == "" {
-		flag.Usage()
+		fs.Usage()
 		return 2
 	}
 	var exps []bench.Experiment
@@ -127,8 +137,8 @@ func run() int {
 	} else {
 		e, err := bench.FindExperiment(*exp)
 		if err != nil {
-			eprint(err)
-			fmt.Fprintln(os.Stderr, "sweep: use -list to see available experiments")
+			eprint(stderr, err)
+			fmt.Fprintln(stderr, "sweep: use -list to see available experiments")
 			return 2
 		}
 		exps = []bench.Experiment{e}
@@ -139,7 +149,7 @@ func run() int {
 		Faults: faultsFl.Spec(), GitDescribe: cliconf.GitDescribe(), Trace: *traced,
 	}
 	if _, err := opts.Validate(); err != nil {
-		eprint(err)
+		eprint(stderr, err)
 		return 2
 	}
 
@@ -152,22 +162,22 @@ func run() int {
 	for _, e := range exps {
 		res, err := sweep.RunCtx(ctx, e, opts)
 		if err != nil {
-			eprint(err)
+			eprint(stderr, err)
 			if errors.Is(err, context.Canceled) {
 				return 130
 			}
 			return 1
 		}
-		res.Print(os.Stdout)
+		res.Print(stdout)
 		path := *out
 		if path == "" || *exp == "all" {
 			path = "BENCH_" + e.ID + ".json"
 		}
 		if err := sweep.Save(path, res); err != nil {
-			eprint(err)
+			eprint(stderr, err)
 			return 1
 		}
-		fmt.Printf("  wrote %s\n\n", path)
+		fmt.Fprintf(stdout, "  wrote %s\n\n", path)
 	}
 	return 0
 }

@@ -1,7 +1,7 @@
 // Package campaign is the core of the simulation-as-a-service layer: a
-// typed description of one unit of requestable work (a sweep, chaos, or
-// trace campaign), its validation, its canonical content-addressed digest,
-// and a runner that executes it to a deterministic byte artifact.
+// typed description of one sweep campaign, its validation, its canonical
+// content-addressed digest, and a runner that executes it through
+// internal/sweep to a deterministic sweep/v2 artifact.
 //
 // The digest is what makes the service's cache *exact* rather than
 // heuristic: every field that can move a result — experiment, seed plan,
@@ -15,7 +15,6 @@
 package campaign
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -24,38 +23,28 @@ import (
 	"strings"
 
 	"splapi/internal/bench"
-	"splapi/internal/chaos"
 	"splapi/internal/faults"
-	"splapi/internal/machine"
 	"splapi/internal/sweep"
-	"splapi/internal/tracelog"
 )
 
-// Kind names one campaign type.
+// Kind names the campaign type. Sweep is the only one; the field stays on
+// the wire so a request states what it asks for.
 type Kind string
 
-const (
-	// Sweep runs a full experiment matrix through internal/sweep and
-	// yields a sweep/v2 JSON artifact.
-	Sweep Kind = "sweep"
-	// Chaos runs the fault-injection acceptance matrix through
-	// internal/chaos and yields a chaos/v1 JSON artifact.
-	Chaos Kind = "chaos"
-	// Trace runs one experiment cell with an event log attached and
-	// yields a Chrome trace-event (tracelog/v1) JSON artifact.
-	Trace Kind = "trace"
-)
+// Sweep runs a full experiment matrix through internal/sweep and yields a
+// sweep/v2 JSON artifact.
+const Sweep Kind = "sweep"
 
-// Request describes one campaign. The zero value of every optional field
-// means its default; Canonicalize resolves the defaults so that two
-// spellings of the same work digest identically.
+// Request describes one campaign (see sweep.Options for the knobs). The
+// zero value of every optional field means its default; Canonicalize
+// resolves the defaults so that two spellings of the same work digest
+// identically.
 type Request struct {
 	Kind Kind `json:"kind"`
 
-	// Experiment names a registry experiment (sweep and trace kinds).
+	// Experiment names a registry experiment.
 	Experiment string `json:"experiment,omitempty"`
 
-	// Sweep-shaped knobs (sweep kind; see sweep.Options).
 	Seeds    int     `json:"seeds,omitempty"`
 	SeedsMax int     `json:"seedsMax,omitempty"`
 	RelCIPct float64 `json:"relCIPct,omitempty"`
@@ -64,18 +53,6 @@ type Request struct {
 	// computed over the *parsed* plan, so equivalent spellings share a
 	// cache entry.
 	Faults string `json:"faults,omitempty"`
-
-	// Chaos-shaped knobs (chaos kind).
-	Plans      []string `json:"plans,omitempty"`
-	Workloads  []string `json:"workloads,omitempty"`
-	ChaosSeeds []int64  `json:"chaosSeeds,omitempty"`
-
-	// Trace-shaped knobs (trace kind): Series/X select one cell of the
-	// experiment (empty series means the experiment's first cell), Seed
-	// is the run's seed.
-	Series string `json:"series,omitempty"`
-	X      int    `json:"x,omitempty"`
-	Seed   int64  `json:"seed,omitempty"`
 }
 
 // keySchema tags the digest payload layout; bump it whenever the payload
@@ -83,135 +60,51 @@ type Request struct {
 const keySchema = "spsimd-key/v1"
 
 // keyPayload is the canonical digest input: the normalized request with
-// every fault-plan spec replaced by its parsed Plan (JSON round-trip
+// its fault-plan spec replaced by the parsed Plan (JSON round-trip
 // canonical form) plus the code version. Field order is fixed by the
 // struct, so json.Marshal of this value is a canonical encoding.
 type keyPayload struct {
-	Schema     string        `json:"schema"`
-	Code       string        `json:"code"`
-	Kind       Kind          `json:"kind"`
-	Experiment string        `json:"experiment,omitempty"`
-	Seeds      int           `json:"seeds,omitempty"`
-	SeedsMax   int           `json:"seedsMax,omitempty"`
-	RelCIPct   float64       `json:"relCIPct,omitempty"`
-	BaseSeed   int64         `json:"baseSeed,omitempty"`
-	Plan       *faults.Plan  `json:"plan,omitempty"`
-	Plans      []faults.Plan `json:"plans,omitempty"`
-	Workloads  []string      `json:"workloads,omitempty"`
-	ChaosSeeds []int64       `json:"chaosSeeds,omitempty"`
-	Series     string        `json:"series,omitempty"`
-	X          int           `json:"x,omitempty"`
-	Seed       int64         `json:"seed,omitempty"`
+	Schema     string       `json:"schema"`
+	Code       string       `json:"code"`
+	Kind       Kind         `json:"kind"`
+	Experiment string       `json:"experiment,omitempty"`
+	Seeds      int          `json:"seeds,omitempty"`
+	SeedsMax   int          `json:"seedsMax,omitempty"`
+	RelCIPct   float64      `json:"relCIPct,omitempty"`
+	BaseSeed   int64        `json:"baseSeed,omitempty"`
+	Plan       *faults.Plan `json:"plan,omitempty"`
 }
 
 // Canonicalize validates the request and resolves every default to its
 // explicit value, so that spellings of the same work ("seeds omitted" vs
-// "seeds: 1", a workload list omitted vs written out) normalize to one
-// representative. Digest must only be computed over a canonicalized request.
+// "seeds: 1") normalize to one representative. Digest must only be
+// computed over a canonicalized request.
 func Canonicalize(req Request) (Request, error) {
-	switch req.Kind {
-	case Sweep:
-		if req.Experiment == "" {
-			return req, fmt.Errorf("campaign: sweep request needs an experiment (see /v1/experiments)")
-		}
-		e, err := bench.FindExperiment(req.Experiment)
-		if err != nil {
-			return req, err
-		}
-		req.Experiment = e.ID
-		if _, err := (sweep.Options{Seeds: req.Seeds, SeedsMax: req.SeedsMax, RelCIPct: req.RelCIPct}).Validate(); err != nil {
-			return req, err
-		}
-		if _, err := faults.Parse(req.Faults); err != nil {
-			return req, err
-		}
-		req.Faults = strings.TrimSpace(req.Faults)
-		if req.Seeds <= 0 {
-			req.Seeds = 1
-		}
-		if req.BaseSeed == 0 {
-			req.BaseSeed = 1
-		}
-		if len(req.Plans) != 0 || len(req.Workloads) != 0 || len(req.ChaosSeeds) != 0 {
-			return req, fmt.Errorf("campaign: sweep request must not carry chaos fields (plans, workloads, chaosSeeds)")
-		}
-		if req.Series != "" || req.X != 0 || req.Seed != 0 {
-			return req, fmt.Errorf("campaign: sweep request must not carry trace fields (series, x, seed)")
-		}
-	case Chaos:
-		if req.Experiment != "" || req.Seeds != 0 || req.SeedsMax != 0 || req.RelCIPct != 0 ||
-			req.BaseSeed != 0 || req.Faults != "" || req.Series != "" || req.X != 0 || req.Seed != 0 {
-			return req, fmt.Errorf("campaign: chaos request carries only plans, workloads, and chaosSeeds")
-		}
-		if len(req.Plans) == 0 {
-			req.Plans = faults.PresetNames()
-		}
-		for _, spec := range req.Plans {
-			p, err := faults.Parse(spec)
-			if err != nil {
-				return req, err
-			}
-			if p.Empty() {
-				return req, fmt.Errorf("campaign: chaos plan %q is empty — the harness gates faulted runs against clean ones", spec)
-			}
-		}
-		if len(req.Workloads) == 0 {
-			for _, w := range chaos.Workloads() {
-				req.Workloads = append(req.Workloads, w.Name)
-			}
-		}
-		for _, name := range req.Workloads {
-			if _, err := chaos.WorkloadByName(name); err != nil {
-				return req, err
-			}
-		}
-		if len(req.ChaosSeeds) == 0 {
-			req.ChaosSeeds = []int64{1, 2}
-		}
-	case Trace:
-		if req.Experiment == "" {
-			return req, fmt.Errorf("campaign: trace request needs an experiment (see /v1/experiments)")
-		}
-		if req.Seeds != 0 || req.SeedsMax != 0 || req.RelCIPct != 0 || req.BaseSeed != 0 ||
-			len(req.Plans) != 0 || len(req.Workloads) != 0 || len(req.ChaosSeeds) != 0 {
-			return req, fmt.Errorf("campaign: trace request carries only experiment, series, x, seed, and faults")
-		}
-		if _, err := faults.Parse(req.Faults); err != nil {
-			return req, err
-		}
-		req.Faults = strings.TrimSpace(req.Faults)
-		cell, err := findCell(req.Experiment, req.Series, req.X)
-		if err != nil {
-			return req, err
-		}
-		req.Series, req.X = cell.Series, cell.X
-		if req.Seed == 0 {
-			req.Seed = 1
-		}
-	case "":
-		return req, fmt.Errorf("campaign: request needs a kind (sweep, chaos, or trace)")
-	default:
-		return req, fmt.Errorf("campaign: unknown kind %q (want sweep, chaos, or trace)", req.Kind)
+	if req.Kind != Sweep {
+		return req, fmt.Errorf("campaign: unknown kind %q (the only campaign kind is %q)", req.Kind, Sweep)
+	}
+	if req.Experiment == "" {
+		return req, fmt.Errorf("campaign: sweep request needs an experiment (see /v1/experiments)")
+	}
+	e, err := bench.FindExperiment(req.Experiment)
+	if err != nil {
+		return req, err
+	}
+	req.Experiment = e.ID
+	if _, err := (sweep.Options{Seeds: req.Seeds, SeedsMax: req.SeedsMax, RelCIPct: req.RelCIPct}).Validate(); err != nil {
+		return req, err
+	}
+	if _, err := faults.Parse(req.Faults); err != nil {
+		return req, err
+	}
+	req.Faults = strings.TrimSpace(req.Faults)
+	if req.Seeds <= 0 {
+		req.Seeds = 1
+	}
+	if req.BaseSeed == 0 {
+		req.BaseSeed = 1
 	}
 	return req, nil
-}
-
-// findCell resolves (series, x) to one cell of the experiment. An empty
-// series selects the experiment's first cell (ignoring x).
-func findCell(experiment, series string, x int) (bench.Cell, error) {
-	e, err := bench.FindExperiment(experiment)
-	if err != nil {
-		return bench.Cell{}, err
-	}
-	if series == "" {
-		return e.Cells[0], nil
-	}
-	for _, c := range e.Cells {
-		if c.Series == series && c.X == x {
-			return c, nil
-		}
-	}
-	return bench.Cell{}, fmt.Errorf("campaign: experiment %q has no cell (series %q, x %d)", experiment, series, x)
 }
 
 // Digest returns the canonical content address of a request under one
@@ -233,18 +126,13 @@ func Digest(req Request, code string) (string, error) {
 		SeedsMax:   req.SeedsMax,
 		RelCIPct:   req.RelCIPct,
 		BaseSeed:   req.BaseSeed,
-		Workloads:  req.Workloads,
-		ChaosSeeds: req.ChaosSeeds,
-		Series:     req.Series,
-		X:          req.X,
-		Seed:       req.Seed,
 	}
-	// Fault-plan specs digest as their parsed plans: the JSON round-trip
+	// The fault-plan spec digests as its parsed plan: the JSON round-trip
 	// is the canonical form (omitted selectors default to -1 on the way
 	// in, field order is fixed by the struct on the way out), so two
 	// spellings of one plan — a preset name, an @file with explicit -1s,
 	// an equivalent inline uniform spec — share a digest.
-	if req.Kind != Chaos && req.Faults != "" {
+	if req.Faults != "" {
 		p, err := faults.Parse(req.Faults)
 		if err != nil {
 			return "", err
@@ -253,33 +141,12 @@ func Digest(req Request, code string) (string, error) {
 			pay.Plan = &p
 		}
 	}
-	for _, spec := range req.Plans {
-		p, err := faults.Parse(spec)
-		if err != nil {
-			return "", err
-		}
-		pay.Plans = append(pay.Plans, p)
-	}
 	b, err := json.Marshal(pay)
 	if err != nil {
 		return "", err
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil
-}
-
-// ProgressEvent is one host-side progress report from a running campaign.
-type ProgressEvent struct {
-	// Cell progress (sweep campaigns): repetition Rep of cell Cell done,
-	// Done of Planned repetitions complete.
-	Cell    int    `json:"cell,omitempty"`
-	Series  string `json:"series,omitempty"`
-	X       int    `json:"x,omitempty"`
-	Rep     int    `json:"rep,omitempty"`
-	Done    int    `json:"done,omitempty"`
-	Planned int    `json:"planned,omitempty"`
-	// Msg carries free-form progress lines (chaos campaigns).
-	Msg string `json:"msg,omitempty"`
 }
 
 // Runner executes canonicalized requests into deterministic byte
@@ -295,84 +162,27 @@ type Runner struct {
 	Par int
 }
 
-// Run executes one canonicalized request and returns the artifact bytes:
-// sweep/v2 JSON (sweep), chaos/v1 JSON (chaos), or tracelog/v1 Chrome
-// trace JSON (trace). The bytes are a pure function of (request, Git) —
-// the property the exact cache rests on. Cancellation drains in-flight
-// work and returns the context error; a canceled campaign never yields
-// partial bytes.
-func (r *Runner) Run(ctx context.Context, req Request, progress func(ProgressEvent)) ([]byte, error) {
-	switch req.Kind {
-	case Sweep:
-		e, err := bench.FindExperiment(req.Experiment)
-		if err != nil {
-			return nil, err
-		}
-		opts := sweep.Options{
-			Seeds: req.Seeds, SeedsMax: req.SeedsMax, RelCIPct: req.RelCIPct,
-			BaseSeed: req.BaseSeed, Faults: req.Faults,
-			GitDescribe: r.Git,
-			Par:         r.Par,
-		}
-		if progress != nil {
-			opts.Progress = func(p sweep.Progress) {
-				progress(ProgressEvent{Cell: p.Cell, Series: p.Series, X: p.X, Rep: p.Rep, Done: p.Done, Planned: p.Planned})
-			}
-		}
-		res, err := sweep.RunCtx(ctx, e, opts)
-		if err != nil {
-			return nil, err
-		}
-		return sweep.Encode(res)
-	case Chaos:
-		o := chaos.Options{
-			Plans: req.Plans, Seeds: req.ChaosSeeds, Git: r.Git,
-		}
-		for _, name := range req.Workloads {
-			w, err := chaos.WorkloadByName(name)
-			if err != nil {
-				return nil, err
-			}
-			o.Workloads = append(o.Workloads, w)
-		}
-		if progress != nil {
-			o.Verbose = func(format string, args ...any) {
-				progress(ProgressEvent{Msg: fmt.Sprintf(format, args...)})
-			}
-		}
-		res, err := chaos.RunCtx(ctx, o)
-		if err != nil {
-			return nil, err
-		}
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		return append(data, '\n'), nil
-	case Trace:
-		cell, err := findCell(req.Experiment, req.Series, req.X)
-		if err != nil {
-			return nil, err
-		}
-		plan, err := faults.Parse(req.Faults)
-		if err != nil {
-			return nil, err
-		}
-		spec := bench.RunSpec{Seed: req.Seed, Trace: tracelog.New(0)}
-		if !plan.Empty() {
-			spec.Mod = func(p *machine.Params) { p.Faults = plan }
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		cell.Run(spec)
-		var buf bytes.Buffer
-		if err := tracelog.WriteChrome(&buf, spec.Trace); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+// Run executes one canonicalized request and returns its sweep/v2 JSON
+// artifact, reporting each completed repetition to progress (which may be
+// nil). The bytes are a pure function of (request, Git) — the property the
+// exact cache rests on. Cancellation drains in-flight work and returns
+// the context error; a canceled campaign never yields partial bytes.
+func (r *Runner) Run(ctx context.Context, req Request, progress func(sweep.Progress)) ([]byte, error) {
+	e, err := bench.FindExperiment(req.Experiment)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("campaign: unknown kind %q", req.Kind)
+	res, err := sweep.RunCtx(ctx, e, sweep.Options{
+		Seeds: req.Seeds, SeedsMax: req.SeedsMax, RelCIPct: req.RelCIPct,
+		BaseSeed: req.BaseSeed, Faults: req.Faults,
+		GitDescribe: r.Git,
+		Par:         r.Par,
+		Progress:    progress,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return sweep.Encode(res)
 }
 
 // ExperimentInfo is the registry listing entry the service exposes.

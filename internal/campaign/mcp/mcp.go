@@ -1,9 +1,10 @@
 // Package mcp exposes the campaign service as a Model Context Protocol
 // server over stdio: line-delimited JSON-RPC 2.0, the transport agentic
 // clients speak. Four tools cover the service surface — list the
-// experiment registry, submit a campaign (blocking until its artifact
-// exists), fetch a cached artifact by digest or job id, and compare two
-// cached sweep artifacts with the repository's statistical gate.
+// experiment registry, submit a sweep campaign (blocking until its
+// artifact exists), fetch a cached artifact by digest or job id, and
+// compare two cached sweep artifacts with the repository's statistical
+// gate.
 //
 // The server is deliberately synchronous: one request, one response, in
 // order. Campaigns are seconds-to-minutes of simulation, and the exact
@@ -112,28 +113,24 @@ func (s *Server) tools() []toolDef {
 		},
 		{
 			Name: "submit_campaign",
-			Description: "Run a simulation campaign and wait for its artifact. kind is sweep " +
-				"(full experiment matrix, sweep/v2 JSON), chaos (fault-injection acceptance matrix), " +
-				"or trace (one cell's Chrome trace). Identical requests are served from the exact " +
-				"result cache. Returns the job id, content digest, and whether it was a cache hit; " +
-				"fetch the artifact bytes with fetch_result.",
+			Description: "Run a sweep campaign (a full experiment matrix) and wait for its sweep/v2 " +
+				"artifact. Identical requests are served from the exact result cache. Returns the job " +
+				"id, content digest, and whether it was a cache hit; fetch the artifact bytes with " +
+				"fetch_result.",
 			InputSchema: obj(map[string]any{
-				"kind":       str("campaign kind: sweep, chaos, or trace"),
-				"experiment": str("experiment id (sweep and trace; see list_experiments)"),
-				"seeds":      num("repetitions per cell (sweep; default 1)"),
-				"seedsMax":   num("sequential-stopping cap on repetitions (sweep)"),
-				"relCIPct":   num("sequential-stopping CI target in percent (sweep)"),
-				"baseSeed":   num("base seed perturbing every derived seed (sweep; default 1)"),
-				"faults":     str("fault-plan spec: preset name, uniform:drop=..., or @file.json (sweep and trace)"),
-				"series":     str("cell series (trace; empty = first cell)"),
-				"x":          num("cell x value (trace)"),
-				"seed":       num("run seed (trace; default 1)"),
-			}, "kind"),
+				"kind":       str("campaign kind: sweep (the only kind)"),
+				"experiment": str("experiment id (see list_experiments)"),
+				"seeds":      num("repetitions per cell (default 1)"),
+				"seedsMax":   num("sequential-stopping cap on repetitions"),
+				"relCIPct":   num("sequential-stopping CI target in percent"),
+				"baseSeed":   num("base seed perturbing every derived seed (default 1)"),
+				"faults":     str("fault-plan spec: preset name, uniform:drop=..., or @file.json"),
+			}, "kind", "experiment"),
 		},
 		{
 			Name: "fetch_result",
-			Description: "Fetch a completed campaign artifact: sweep/v2 JSON, chaos/v1 JSON, or a " +
-				"tracelog/v1 Chrome trace. Address it by content digest (preferred) or job id.",
+			Description: "Fetch a completed campaign's sweep/v2 JSON artifact. Address it by content " +
+				"digest (preferred) or job id.",
 			InputSchema: obj(map[string]any{
 				"digest": str("content digest returned by submit_campaign"),
 				"job":    str("job id returned by submit_campaign"),

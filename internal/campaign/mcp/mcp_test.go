@@ -50,9 +50,9 @@ func toolText(t *testing.T, resp map[string]json.RawMessage) string {
 }
 
 // One session end to end over the stdio transport: handshake, tool
-// discovery, a trace campaign submitted twice (second a cache hit), the
-// artifact fetched by digest and by job id, and a self-comparison of a
-// sweep artifact through the regression gate.
+// discovery, a sweep campaign submitted twice (second a cache hit), a
+// second sweep, the artifacts fetched by digest and by job id, and a
+// self-comparison of a sweep artifact through the regression gate.
 func TestServeSession(t *testing.T) {
 	svc, err := server.NewService(server.Config{Git: "mcp-test", CacheDir: t.TempDir(), Jobs: 1})
 	if err != nil {
@@ -61,16 +61,16 @@ func TestServeSession(t *testing.T) {
 	defer svc.Drain(context.Background())
 	srv := New(svc, "mcp-test")
 
-	trace := `{"kind":"trace","experiment":"fig10"}`
+	ring := `{"kind":"sweep","experiment":"ring","seeds":1}`
 	input := strings.Join([]string{
 		rpc(1, "initialize", `{"protocolVersion":"2024-11-05","capabilities":{}}`),
 		`{"jsonrpc":"2.0","method":"notifications/initialized"}`,
 		rpc(2, "tools/list", ""),
 		call(3, "list_experiments", `{}`),
-		call(4, "submit_campaign", trace),
-		call(5, "submit_campaign", trace),
+		call(4, "submit_campaign", ring),
+		call(5, "submit_campaign", ring),
 		rpc(6, "nonsense/method", ""),
-		call(7, "submit_campaign", `{"kind":"sweep","experiment":"ring","seeds":1}`),
+		call(7, "submit_campaign", `{"kind":"sweep","experiment":"ring","seeds":1,"baseSeed":2}`),
 	}, "\n") + "\n"
 
 	var out bytes.Buffer
@@ -168,9 +168,9 @@ func TestServeSession(t *testing.T) {
 			t.Fatalf("response %d is not JSON: %q", i, line)
 		}
 	}
-	traceBody := toolText(t, resps[0])
-	if !strings.Contains(traceBody, "traceEvents") {
-		t.Fatalf("trace artifact does not look like a Chrome trace: %.80q", traceBody)
+	ringBody := toolText(t, resps[0])
+	if !strings.Contains(ringBody, `"experiment": "ring"`) {
+		t.Fatalf("artifact fetched by digest is not the ring sweep: %.80q", ringBody)
 	}
 	sweepBody := toolText(t, resps[1])
 	if !strings.Contains(sweepBody, `"sweep/v2"`) {
@@ -191,5 +191,57 @@ func TestServeSession(t *testing.T) {
 	}
 	if !res.IsError {
 		t.Fatal("fetch_result without a selector did not report a tool error")
+	}
+}
+
+// submit_campaign refuses what the HTTP endpoint refuses, as tool errors
+// naming the problem: a kind other than sweep, and a field the request
+// type does not have (the arguments decode with DisallowUnknownFields).
+func TestSubmitCampaignRejects(t *testing.T) {
+	svc, err := server.NewService(server.Config{Git: "mcp-test", CacheDir: t.TempDir(), Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Drain(context.Background())
+	srv := New(svc, "mcp-test")
+
+	cases := []struct{ args, mention string }{
+		{`{"kind":"chaos"}`, `the only campaign kind is "sweep"`},
+		{`{"kind":"trace","experiment":"fig10"}`, `the only campaign kind is "sweep"`},
+		{`{"kind":"sweep","experiment":"fig10","plans":["burst-loss"]}`, `"plans"`},
+		{`{"kind":"sweep","experiment":"fig10","series":"RAW LAPI"}`, `"series"`},
+		{`{"kind":"sweep","experiment":"fig10","seed":2}`, `"seed"`},
+	}
+	var input []string
+	for i, tc := range cases {
+		input = append(input, call(i+1, "submit_campaign", tc.args))
+	}
+	var out bytes.Buffer
+	if err := srv.Serve(context.Background(), strings.NewReader(strings.Join(input, "\n")+"\n"), &out); err != nil {
+		t.Fatalf("Serve = %v", err)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != len(cases) {
+		t.Fatalf("got %d response lines, want %d:\n%s", len(lines), len(cases), out.String())
+	}
+	for i, tc := range cases {
+		var resp struct {
+			Result struct {
+				Content []struct {
+					Text string `json:"text"`
+				} `json:"content"`
+				IsError bool `json:"isError"`
+			} `json:"result"`
+		}
+		if err := json.Unmarshal([]byte(lines[i]), &resp); err != nil {
+			t.Fatalf("response %d is not JSON: %q", i, lines[i])
+		}
+		if !resp.Result.IsError || len(resp.Result.Content) != 1 {
+			t.Errorf("%s: not a tool error: %s", tc.args, lines[i])
+			continue
+		}
+		if msg := resp.Result.Content[0].Text; !strings.Contains(msg, tc.mention) {
+			t.Errorf("%s: error %q does not mention %s", tc.args, msg, tc.mention)
+		}
 	}
 }

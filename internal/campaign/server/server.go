@@ -1,8 +1,8 @@
 // Package server composes the campaign layers into the spsimd service: a
-// Service that routes requests through the content-addressed cache and
-// the job queue, and an HTTP handler exposing submission, job lifecycle,
-// progress streaming (NDJSON), cached-result lookup, and a
-// plaintext metrics endpoint.
+// Service that routes sweep requests through the content-addressed cache
+// and the job queue, and an HTTP handler exposing submission, job
+// lifecycle, progress streaming (NDJSON frames of sweep.Progress),
+// cached-result lookup, and a plaintext metrics endpoint.
 //
 // The flow per submission is: canonicalize → digest → cache probe. A hit
 // becomes an already-done job carrying the cached bytes; a miss goes to
@@ -23,6 +23,7 @@ import (
 	"splapi/internal/campaign"
 	"splapi/internal/campaign/cache"
 	"splapi/internal/campaign/queue"
+	"splapi/internal/sweep"
 )
 
 // Config sizes a Service. Everything here is host policy: none of it is
@@ -68,7 +69,7 @@ func NewService(cfg Config) (*Service, error) {
 // deterministic rerun costs nothing but time.
 func (s *Service) execute(ctx context.Context, j *queue.Job) ([]byte, error) {
 	req := j.Payload.(campaign.Request)
-	body, err := s.runner.Run(ctx, req, func(ev campaign.ProgressEvent) { j.Publish(ev) })
+	body, err := s.runner.Run(ctx, req, func(p sweep.Progress) { j.Publish(p) })
 	if err != nil {
 		return nil, err
 	}

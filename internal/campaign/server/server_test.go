@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"splapi/internal/bench"
 	"splapi/internal/campaign"
 	"splapi/internal/campaign/queue"
 	"splapi/internal/sweep"
@@ -215,36 +216,50 @@ func TestGracefulDrainAndRestart(t *testing.T) {
 	}
 }
 
+// Contradictory or retired requests are refused before anything runs: a
+// request the registry or the stopping rule cannot honour, or a kind other
+// than sweep, is 422 and names the problem; a field the request type does
+// not have (a typo, or a knob only a retired kind read) is 400 and names
+// the field — it must not digest as the default configuration.
 func TestSubmitRejectsContradictions(t *testing.T) {
 	svc := newTestService(t, t.TempDir())
 	defer svc.Drain(context.Background())
 	ts := httptest.NewServer(Handler(svc))
 	defer ts.Close()
 
-	for name, body := range map[string]string{
-		"contradictory seeds": `{"kind":"sweep","experiment":"fig10","seeds":16,"seedsMax":4,"relCIPct":2}`,
-		"unknown experiment":  `{"kind":"sweep","experiment":"nope"}`,
-		"unknown kind":        `{"kind":"mystery"}`,
+	for _, tc := range []struct {
+		name, body string
+		status     int
+		mention    string // substring the decoded error must carry
+	}{
+		{"contradictory seeds", `{"kind":"sweep","experiment":"fig10","seeds":16,"seedsMax":4,"relCIPct":2}`, http.StatusUnprocessableEntity, "seeds"},
+		{"unknown experiment", `{"kind":"sweep","experiment":"nope"}`, http.StatusUnprocessableEntity, "nope"},
+		{"unknown kind", `{"kind":"mystery"}`, http.StatusUnprocessableEntity, `the only campaign kind is "sweep"`},
+		{"chaos kind", `{"kind":"chaos"}`, http.StatusUnprocessableEntity, `the only campaign kind is "sweep"`},
+		{"trace kind", `{"kind":"trace","experiment":"fig10"}`, http.StatusUnprocessableEntity, `the only campaign kind is "sweep"`},
+		{"typoed field", `{"kind":"sweep","experiment":"fig10","sedes":4}`, http.StatusBadRequest, `"sedes"`},
+		{"chaos plans field", `{"kind":"sweep","experiment":"fig10","plans":["burst-loss"]}`, http.StatusBadRequest, `"plans"`},
+		{"trace series field", `{"kind":"sweep","experiment":"fig10","series":"RAW LAPI"}`, http.StatusBadRequest, `"series"`},
+		{"trace seed field", `{"kind":"sweep","experiment":"fig10","seed":2}`, http.StatusBadRequest, `"seed"`},
 	} {
-		resp, err := ts.Client().Post(ts.URL+"/v1/campaigns?wait=1", "application/json", strings.NewReader(body))
+		resp, err := ts.Client().Post(ts.URL+"/v1/campaigns?wait=1", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusUnprocessableEntity {
-			t.Errorf("%s: status = %d, want 422", name, resp.StatusCode)
+		var reply struct {
+			Error string `json:"error"`
 		}
-	}
-	// Unknown fields are a client error, not silently ignored — a typoed
-	// knob must not digest as the default configuration.
-	resp, err := ts.Client().Post(ts.URL+"/v1/campaigns", "application/json",
-		strings.NewReader(`{"kind":"sweep","experiment":"fig10","sedes":4}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field: status = %d, want 400", resp.StatusCode)
+		err = json.NewDecoder(resp.Body).Decode(&reply)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: reply is not an error object: %v", tc.name, err)
+		}
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status = %d, want %d (%s)", tc.name, resp.StatusCode, tc.status, reply.Error)
+		}
+		if !strings.Contains(reply.Error, tc.mention) {
+			t.Errorf("%s: error %q does not mention %s", tc.name, reply.Error, tc.mention)
+		}
 	}
 }
 
@@ -328,9 +343,15 @@ func TestEventStream(t *testing.T) {
 	}
 	lines := strings.Split(strings.TrimSpace(string(stream)), "\n")
 	var states []string
+	var last sweep.Progress
 	progress := 0
 	for i, line := range lines {
-		var ev queue.Event
+		var ev struct {
+			Seq      int             `json:"seq"`
+			Kind     string          `json:"kind"`
+			State    string          `json:"state"`
+			Progress json.RawMessage `json:"progress"`
+		}
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
 			t.Fatalf("line %d is not an event: %q", i, line)
 		}
@@ -339,18 +360,39 @@ func TestEventStream(t *testing.T) {
 		}
 		switch ev.Kind {
 		case "state":
-			states = append(states, string(ev.State))
+			states = append(states, ev.State)
 		case "progress":
 			progress++
+			// Cell 0 and repetition 0 are values, not absences: every
+			// frame carries every counter.
+			var keys map[string]json.RawMessage
+			if err := json.Unmarshal(ev.Progress, &keys); err != nil {
+				t.Fatalf("progress frame %d: %v", i, err)
+			}
+			for _, key := range []string{"cell", "rep", "done", "planned"} {
+				if _, ok := keys[key]; !ok {
+					t.Fatalf("progress frame %d has no %q key: %s", i, key, line)
+				}
+			}
+			if err := json.Unmarshal(ev.Progress, &last); err != nil {
+				t.Fatalf("progress frame %d: %v", i, err)
+			}
 		}
 	}
 	if want := fmt.Sprint([]string{"queued", "running", "done"}); fmt.Sprint(states) != want {
 		t.Fatalf("state events = %v, want %s", states, want)
 	}
-	if progress == 0 {
-		t.Fatal("no progress frames in the event stream")
+	e, err := bench.FindExperiment("ring")
+	if err != nil {
+		t.Fatal(err)
 	}
-
+	want := len(e.Cells) // × 1 seed
+	if progress != want {
+		t.Fatalf("%d progress frames, want cells × seeds = %d", progress, want)
+	}
+	if last.Done != want || last.Planned != want {
+		t.Fatalf("last progress frame %+v, want done = planned = %d", last, want)
+	}
 }
 
 // Two concurrent submissions of one digest share a single job while a
@@ -371,7 +413,7 @@ func TestSubmitCoalescesInFlight(t *testing.T) {
 	if j1 != j2 {
 		t.Fatal("identical in-flight submissions produced distinct jobs")
 	}
-	other, err := svc.Submit(campaign.Request{Kind: campaign.Trace, Experiment: "fig10"})
+	other, err := svc.Submit(campaign.Request{Kind: campaign.Sweep, Experiment: "ring", Seeds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,14 +37,18 @@ func Save(path string, r *Result) error {
 	return os.WriteFile(path, b, 0o644)
 }
 
-// Load reads a result file written by Save.
+// Load reads a result file written by Save. A field Result does not have
+// is an error, so a file carrying knobs this version no longer models is
+// refused rather than compared as if it had run without them.
 func Load(path string) (*Result, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var r Result
-	if err := json.Unmarshal(b, &r); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&r); err != nil {
 		return nil, fmt.Errorf("sweep: %s: %w", path, err)
 	}
 	if r.Schema != SchemaV2 {

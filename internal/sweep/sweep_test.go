@@ -2,8 +2,10 @@ package sweep
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"splapi/internal/bench"
@@ -168,6 +170,23 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Variance, r.Variance) {
 		t.Fatalf("variance decomposition changed across round trip:\n%+v\nvs\n%+v", r.Variance, got.Variance)
+	}
+
+	// An artifact carrying an override this version no longer models (the
+	// retired uniform drop/dup probabilities) is refused, not read as clean.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := strings.Replace(string(data), `"overrides": {}`, `"overrides": {"dropProb": 0.01}`, 1)
+	if stale == string(data) {
+		t.Fatal("saved artifact has no empty overrides block to rewrite")
+	}
+	if err := os.WriteFile(path, []byte(stale), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "dropProb") {
+		t.Fatalf("Load(stale overrides) = %v, want an unknown-field error naming dropProb", err)
 	}
 }
 
