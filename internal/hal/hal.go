@@ -62,8 +62,9 @@ type HAL struct {
 	ad   *adapter.Adapter
 	node int
 
-	protos   map[byte]Handler
-	sendBufs *sim.Resource
+	protos         map[byte]Handler
+	sendBufs       *sim.Resource
+	releaseSendBuf func() // sendBufs.Release, bound once rather than per packet
 	// cpu serializes all protocol processing on this node: per-packet
 	// dispatch, memory copies, matching, handler execution. Without it,
 	// costs charged by different processes would overlap in virtual time
@@ -100,6 +101,7 @@ func New(eng *sim.Engine, par *machine.Params, ad *adapter.Adapter) *HAL {
 		sendBufs: sim.NewResource(par.SendBuffers),
 		cpu:      sim.NewResource(1),
 	}
+	h.releaseSendBuf = h.sendBufs.Release
 	ad.SetInterruptCallback(func() {
 		h.intrPending = true
 		h.intrCond.Broadcast()
@@ -172,7 +174,7 @@ func (h *HAL) Send(p *sim.Proc, dst int, payload []byte) {
 	h.stats.PacketsSent++
 	h.stats.BytesSent += uint64(len(payload))
 	// The pinned buffer frees when the send DMA has drained it.
-	h.eng.At(freeAt, h.sendBufs.Release)
+	h.eng.At(freeAt, h.releaseSendBuf)
 }
 
 // KickProgress wakes processes blocked in ProgressWait; protocol layers call
@@ -186,9 +188,7 @@ func (h *HAL) ChargeCPU(p *sim.Proc, d sim.Time) {
 	if d <= 0 {
 		return
 	}
-	h.cpu.Acquire(p)
-	p.Sleep(d)
-	h.cpu.Release()
+	h.cpu.Use(p, d)
 }
 
 // Poll drains the adapter FIFO, dispatching every pending packet to its

@@ -56,10 +56,14 @@ type flow struct {
 	ackOwed   bool
 	ackTimer  sim.Timer
 	sinceAck  int
+	// The timer callbacks, bound once rather than per packet.
+	onRtx, onAckDelay func()
 }
 
 func newFlow(l *LAPI, peer int) *flow {
-	return &flow{l: l, peer: peer, processed: make(map[uint64]bool)}
+	f := &flow{l: l, peer: peer, processed: make(map[uint64]bool)}
+	f.onRtx, f.onAckDelay = f.rtxExpired, f.ackDelayExpired
+	return f
 }
 
 // windowPkts is the maximum number of unacknowledged packets in flight.
@@ -120,20 +124,22 @@ func (f *flow) armRtx() {
 		return
 	}
 	f.rtxArmed = true
-	f.rtxTimer = f.l.eng.After(f.curRTO(), func() {
-		f.rtxArmed = false
-		if len(f.unacked) == 0 {
-			return
-		}
-		f.l.stats.Timeouts++
-		f.l.tr.Emit(f.l.eng.Now(), tracelog.LLAPI, tracelog.KFlowTimeout, f.l.node, f.peer, 0, len(f.unacked), int64(f.curRTO()))
-		next := f.curRTO() * 2
-		if max := f.l.par.RetransmitMax; max > 0 && next > max {
-			next = max
-		}
-		f.rto = next
-		f.l.requestResend(f.peer)
-	})
+	f.rtxTimer = f.l.eng.After(f.curRTO(), f.onRtx)
+}
+
+func (f *flow) rtxExpired() {
+	f.rtxArmed = false
+	if len(f.unacked) == 0 {
+		return
+	}
+	f.l.stats.Timeouts++
+	f.l.tr.Emit(f.l.eng.Now(), tracelog.LLAPI, tracelog.KFlowTimeout, f.l.node, f.peer, 0, len(f.unacked), int64(f.curRTO()))
+	next := f.curRTO() * 2
+	if max := f.l.par.RetransmitMax; max > 0 && next > max {
+		next = max
+	}
+	f.rto = next
+	f.l.requestResend(f.peer)
 }
 
 // retransmit resends every unacked packet (go-back-N) with a fresh
@@ -225,10 +231,11 @@ func (f *flow) scheduleAck() {
 		return
 	}
 	f.ackOwed = true
-	f.ackTimer = f.l.eng.After(f.l.par.AckDelay, func() {
-		if !f.ackOwed {
-			return
-		}
+	f.ackTimer = f.l.eng.After(f.l.par.AckDelay, f.onAckDelay)
+}
+
+func (f *flow) ackDelayExpired() {
+	if f.ackOwed {
 		f.l.requestAck(f.peer)
-	})
+	}
 }

@@ -71,15 +71,17 @@ type sendPipe struct {
 	ackCond  sim.Cond
 	rtxTimer sim.Timer
 	rtxArmed bool
+	onRtx    func() // the retransmission timer's callback, bound once
 }
 
 type recvPipe struct {
-	src      int
-	expected uint64            // next in-order offset
-	stash    map[uint64][]byte // out-of-order segments by offset (pooled)
-	stashed  int               // bytes stashed
-	ackTimer sim.Timer
-	ackOwed  bool
+	src        int
+	expected   uint64            // next in-order offset
+	stash      map[uint64][]byte // out-of-order segments by offset (pooled)
+	stashed    int               // bytes stashed
+	ackTimer   sim.Timer
+	ackOwed    bool
+	onAckDelay func() // the delayed-ack timer's callback, bound once
 }
 
 // Pipes is one task's pipes endpoint, holding a send pipe and a receive
@@ -118,8 +120,9 @@ func New(eng *sim.Engine, par *machine.Params, h *hal.HAL, n int) *Pipes {
 		resendFlags: make([]bool, n),
 	}
 	for i := 0; i < n; i++ {
-		pp.send[i] = &sendPipe{dst: i}
-		pp.recv[i] = &recvPipe{src: i, stash: make(map[uint64][]byte)}
+		sp, rp := &sendPipe{dst: i}, &recvPipe{src: i, stash: make(map[uint64][]byte)}
+		sp.onRtx, rp.onAckDelay = func() { pp.rtxExpired(sp) }, func() { pp.ackDelayExpired(rp) }
+		pp.send[i], pp.recv[i] = sp, rp
 	}
 	h.RegisterProto(hal.ProtoPipes, pp.onPacket)
 	eng.Spawn(fmt.Sprintf("pipes-svc-%d", pp.node), pp.serviceLoop)
@@ -243,14 +246,16 @@ func (pp *Pipes) scheduleAck(src int) {
 		return
 	}
 	rp.ackOwed = true
-	rp.ackTimer = pp.eng.After(pp.par.AckDelay, func() {
-		if !rp.ackOwed {
-			return
-		}
-		// Timers cannot block; let the service process send it.
-		pp.svcAck = append(pp.svcAck, src)
-		pp.svcCond.Broadcast()
-	})
+	rp.ackTimer = pp.eng.After(pp.par.AckDelay, rp.onAckDelay)
+}
+
+func (pp *Pipes) ackDelayExpired(rp *recvPipe) {
+	if !rp.ackOwed {
+		return
+	}
+	// Timers cannot block; let the service process send it.
+	pp.svcAck = append(pp.svcAck, rp.src)
+	pp.svcCond.Broadcast()
 }
 
 // armRtx (re)arms the retransmission timer for sp.
@@ -259,15 +264,17 @@ func (pp *Pipes) armRtx(sp *sendPipe) {
 		return
 	}
 	sp.rtxArmed = true
-	sp.rtxTimer = pp.eng.After(pp.par.RetransmitTimeout, func() {
-		sp.rtxArmed = false
-		if len(sp.unacked) == 0 {
-			return
-		}
-		pp.stats.Timeouts++
-		pp.resendFlags[sp.dst] = true
-		pp.svcCond.Broadcast()
-	})
+	sp.rtxTimer = pp.eng.After(pp.par.RetransmitTimeout, sp.onRtx)
+}
+
+func (pp *Pipes) rtxExpired(sp *sendPipe) {
+	sp.rtxArmed = false
+	if len(sp.unacked) == 0 {
+		return
+	}
+	pp.stats.Timeouts++
+	pp.resendFlags[sp.dst] = true
+	pp.svcCond.Broadcast()
 }
 
 // serviceLoop is the per-node service process: it performs the blocking work

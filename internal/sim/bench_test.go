@@ -5,7 +5,7 @@ import "testing"
 // The kernel microbenchmarks measure the wall-clock cost of the engine's
 // hot paths in isolation: the schedule+dispatch cycle (events/sec), the
 // timer arm/cancel cycle, and the three prices a process wake-up can have
-// (elided, in place, one goroutine switch). Virtual-time results are
+// (elided, in place, one coroutine switch). Virtual-time results are
 // irrelevant here; only host-side
 // throughput and allocs/op matter. cmd/benchmark reports the same kernels
 // as its sim.*_ns per-layer metrics.
@@ -50,7 +50,7 @@ func BenchmarkTimerStop(b *testing.B) {
 
 // BenchmarkSleep measures Proc.Sleep's fast path: with nothing else pending
 // the wake-up is the next pop, so the clock advances with no heap operation
-// and no goroutine switch.
+// and no coroutine switch.
 func BenchmarkSleep(b *testing.B) {
 	e := NewEngine(1)
 	b.ReportAllocs()
@@ -65,7 +65,7 @@ func BenchmarkSleep(b *testing.B) {
 
 // BenchmarkSleepInterleaved has two processes whose wake-ups alternate, so
 // no sleep can be elided and every wake-up is a real token handoff: one
-// timer event plus one goroutine switch, straight from the process that
+// timer event plus one coroutine switch, straight from the process that
 // parked to the one that wakes.
 func BenchmarkSleepInterleaved(b *testing.B) {
 	e := NewEngine(1)
@@ -85,7 +85,7 @@ func BenchmarkSleepInterleaved(b *testing.B) {
 
 // BenchmarkCallbackWake parks a process on a Cond that an At callback
 // signals — the shape of a receive completed by a packet delivery. "self"
-// is a lone process: the callback runs on its own goroutine and its resume
+// is a lone process: the callback runs on its own coroutine and its resume
 // returns in place, no switch. In "peer" two processes wake each other
 // through callbacks, so each wake-up also hands the token over.
 func BenchmarkCallbackWake(b *testing.B) {

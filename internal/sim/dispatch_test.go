@@ -93,7 +93,7 @@ func TestCancelledTopDoesNotBlockFastPath(t *testing.T) {
 	e.Spawn("p", func(p *Proc) {
 		tm := e.After(1, func() { t.Error("stopped timer fired") })
 		tm.Stop()
-		before := e.handoffs
+		before := e.switches
 		p.Sleep(5)
 		if p.Now() != 5 {
 			t.Errorf("woke at %v, want 5", p.Now())
@@ -104,8 +104,8 @@ func TestCancelledTopDoesNotBlockFastPath(t *testing.T) {
 		if n := len(e.free); n == 0 || e.free[n-1] != tm.ev {
 			t.Error("Sleep went through the heap although only a cancelled event was pending")
 		}
-		if e.handoffs != before {
-			t.Errorf("Sleep cost %d token handoffs, want 0", e.handoffs-before)
+		if e.switches != before {
+			t.Errorf("Sleep cost %d coroutine switches, want 0", e.switches-before)
 		}
 	})
 	if n := e.Run(0); n != 2 {
@@ -161,28 +161,28 @@ func TestRunEventCountPinned(t *testing.T) {
 }
 
 // TestOwnTimeoutWakesWithoutHandoff: a lone process parked in WaitTimeout
-// runs its timeout callback on its own goroutine and returns straight from
+// runs its timeout callback on its own coroutine and returns straight from
 // its own resume event; the token never changes hands.
 func TestOwnTimeoutWakesWithoutHandoff(t *testing.T) {
 	e := NewEngine(1)
 	var c Cond
 	e.Spawn("p", func(p *Proc) {
-		before := e.handoffs
+		before := e.switches
 		if c.WaitTimeout(p, 100) {
 			t.Error("WaitTimeout reported a signal, want timeout")
 		}
 		if p.Now() != 100 {
 			t.Errorf("woke at %v, want 100", p.Now())
 		}
-		if e.handoffs != before {
-			t.Errorf("timeout wake cost %d token handoffs, want 0", e.handoffs-before)
+		if e.switches != before {
+			t.Errorf("timeout wake cost %d coroutine switches, want 0", e.switches-before)
 		}
 	})
 	e.Run(0)
 }
 
 // TestInterleavedSleepsCostOneHandoffEach: two processes whose wake-ups
-// alternate pass the token directly to each other, one goroutine switch per
+// alternate pass the token directly to each other, one coroutine switch per
 // wake-up rather than two through a middle-man.
 func TestInterleavedSleepsCostOneHandoffEach(t *testing.T) {
 	const laps = 100
@@ -199,14 +199,92 @@ func TestInterleavedSleepsCostOneHandoffEach(t *testing.T) {
 	e.Run(0)
 	// 2 starts, 2×laps sleeps, 2 exits; the lone survivor's last sleep is
 	// free. Allow the handful of edge effects, not a second switch per wake.
-	if e.handoffs < 2*laps-2 || e.handoffs > 2*laps+6 {
-		t.Errorf("%d token handoffs for %d interleaved wake-ups, want one each", e.handoffs, 2*laps)
+	if e.switches < 2*laps-2 || e.switches > 2*laps+6 {
+		t.Errorf("%d coroutine switches for %d interleaved wake-ups, want one each", e.switches, 2*laps)
 	}
+}
+
+// TestCondPingPongCostsOneSwitchPerWake: two processes waking each other
+// through Conds pass the token by one coroutine switch per wake-up. The
+// pinger entered the ponger, so the ponger yields straight back to it, and
+// the pinger's next wake of the ponger enters it again.
+func TestCondPingPongCostsOneSwitchPerWake(t *testing.T) {
+	const laps = 100
+	e := NewEngine(1)
+	var ping, pong Cond
+	var switches uint64
+	e.Spawn("pinger", func(p *Proc) {
+		p.Yield() // the ponger starts and parks
+		before := e.switches
+		for i := 0; i < laps; i++ {
+			pong.Signal()
+			ping.Wait(p)
+		}
+		switches = e.switches - before
+	})
+	e.Spawn("ponger", func(p *Proc) {
+		for {
+			pong.Wait(p)
+			ping.Signal()
+		}
+	})
+	e.Run(0)
+	if switches != 2*laps {
+		t.Errorf("%d coroutine switches for %d wake-ups, want one each", switches, 2*laps)
+	}
+}
+
+// TestRoundRobinClimbsTheChain: with three processes taking turns, the
+// first enters the second, the second the third, and the third's wake of
+// the first climbs the two links back to it: four switches a round of three
+// wake-ups.
+func TestRoundRobinClimbsTheChain(t *testing.T) {
+	const laps = 100
+	e := NewEngine(1)
+	for i := 0; i < 3; i++ {
+		first := Time(1 + i)
+		e.Spawn("p", func(p *Proc) {
+			p.Sleep(first)
+			for l := 0; l < laps; l++ {
+				p.Sleep(3)
+			}
+		})
+	}
+	e.Run(0)
+	// Plus the starts and exits at either end.
+	if e.switches < 4*laps || e.switches > 4*laps+12 {
+		t.Errorf("%d coroutine switches for %d rounds of three wake-ups, want four a round", e.switches, laps)
+	}
+}
+
+// TestKillWhileParkedLeavesNoGoroutines: processes parked when Run ends —
+// on a Cond, on a Resource, in a Sleep past the horizon, entered by Run's
+// goroutine or by another process — are killed, and their coroutines end.
+func TestKillWhileParkedLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		e := NewEngine(int64(i))
+		var blamed any
+		parkForever(e, 4, &blamed)
+		r := NewResource(1)
+		for j := 0; j < 3; j++ {
+			e.Spawn("queued", func(p *Proc) { r.Acquire(p) })
+		}
+		e.Spawn("sleeper", func(p *Proc) { p.Sleep(100) })
+		e.Run(50)
+		if blamed != nil {
+			t.Fatalf("a parked process was unwound with %v, want a plain kill", blamed)
+		}
+		if e.LiveProcs() != 0 || e.BlockedProcs() != 0 {
+			t.Fatalf("after the run: live=%d parked=%d", e.LiveProcs(), e.BlockedProcs())
+		}
+	}
+	waitGoroutines(t, base)
 }
 
 // waitGoroutines waits for the goroutine count to fall back to base: a
 // killed process has handed the token back before Run returns, but its
-// goroutine may still be a few instructions from exiting.
+// coroutine's goroutine may still be a few instructions from exiting.
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
 	for spins := 0; runtime.NumGoroutine() > base; spins++ {

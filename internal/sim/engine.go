@@ -2,13 +2,13 @@
 // simulation kernel with a virtual nanosecond clock.
 //
 // The kernel executes exactly one logical thread of control at a time: either
-// the event loop or a single simulated process. Control is passed between
-// goroutines with a single "token", so simulated code never races with other
-// simulated code even though each process is a real goroutine. This makes
-// the whole simulation deterministic: given the same seed and the same
-// program, every virtual timestamp is identical on every run.
+// the event loop or a single simulated process. Each process is a coroutine
+// (iter.Pull) and control passes between them with a single "token", moved
+// by a coroutine switch, so simulated code never races with other simulated
+// code. This makes the whole simulation deterministic: given the same seed
+// and the same program, every virtual timestamp is identical on every run.
 //
-// The event loop has no goroutine of its own: it runs on whichever goroutine
+// The event loop has no goroutine of its own: it runs on whichever coroutine
 // holds the token — Run's caller, or a process that parked and has nothing
 // better to do than dispatch events until its own wake-up pops (see
 // Engine.dispatch and DESIGN.md "Token-passing dispatch").
@@ -16,7 +16,7 @@
 // Processes are spawned with Engine.Spawn and block using the primitives in
 // this package (Proc.Sleep, Cond.Wait, Resource.Acquire, Queue.Get, ...).
 // Callback events scheduled with Engine.At run in engine context — on an
-// arbitrary goroutine of the simulation — and must not block.
+// arbitrary coroutine of the simulation — and must not block.
 //
 // The event queue and the scheduling paths are engineered for wall-clock
 // throughput (see DESIGN.md "Kernel performance"): a specialized 4-ary
@@ -109,11 +109,11 @@ func eventLess(a, b *event) bool {
 type Engine struct {
 	now      Time
 	seq      uint64
-	executed uint64        // events run so far, over all Runs (Sleep's fast path counts too)
-	handoffs uint64        // token transfers between goroutines, for tests
-	events   []*event      // 4-ary min-heap ordered by eventLess
-	free     []*event      // recycled event slots
-	ctl      chan struct{} // token returned to Run's goroutine by a proc
+	executed uint64   // events run so far, over all Runs (Sleep's fast path counts too)
+	switches uint64   // coroutine switches, for tests
+	events   []*event // 4-ary min-heap ordered by eventLess
+	free     []*event // recycled event slots
+	hand     *Proc    // named by a proc yielding to the proc that entered it: the one due
 	seed     int64
 	rng      *rand.Rand         // built from seed by the first Rand call; nil until then
 	procs    map[*Proc]struct{} // live (spawned, not finished) processes
@@ -123,7 +123,7 @@ type Engine struct {
 	stopped  bool // Stop was called; Run drains no further events
 	// winEnd is the exclusive time bound of the current Run (horizon+1).
 	winEnd Time
-	// procPanic carries a panic out of a process goroutine — the process's
+	// procPanic carries a panic out of a process coroutine — the process's
 	// own, or that of a callback it was dispatching — so Run can re-raise
 	// it on the caller's goroutine (where tests can recover it).
 	procPanic any
@@ -138,7 +138,6 @@ type Engine struct {
 // seed is read nowhere but Rand.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		ctl:   make(chan struct{}),
 		seed:  seed,
 		procs: make(map[*Proc]struct{}),
 	}
@@ -302,7 +301,7 @@ func (e *Engine) Stop() { e.stopped = true }
 // Stop is called. horizon <= 0 means no horizon. It returns the number of
 // events executed. Before returning — normally, or by re-raising a panic
 // from simulated code — it force-kills any still-parked processes so their
-// goroutines exit (their pending work is abandoned).
+// coroutines end (their pending work is abandoned).
 func (e *Engine) Run(horizon Time) int {
 	if e.running {
 		panic("sim: Engine.Run re-entered")
@@ -324,9 +323,9 @@ func (e *Engine) Run(horizon Time) int {
 }
 
 // shutdown ends a Run: parked processes are killed, and a panic carried out
-// of a process goroutine is re-raised on this one. Run defers it, so a
-// callback that panics on Run's own goroutine passes through it as well and
-// leaves no goroutine and no running flag behind.
+// of a process coroutine is re-raised on Run's goroutine. Run defers it, so
+// a callback that panics on Run's own goroutine passes through it as well
+// and leaves no coroutine and no running flag behind.
 func (e *Engine) shutdown() {
 	e.running = false
 	e.killAll()
@@ -380,30 +379,38 @@ func (e *Engine) next() *event {
 	return nil
 }
 
-// dispatch is the event loop. It runs on whichever goroutine holds the
-// token: Run's (self == nil), or that of a process parked in yield, which
-// dispatches events instead of waiting for a middle-man to do it.
-//
-// Callbacks run in place. A resume event for self returns straight into the
-// process — no goroutine switch at all. A start or resume event for another
-// process hands the token to it directly, one switch; a process that has
-// handed the token on waits on its resume channel and returns once its own
-// resume (or kill) is delivered by whoever holds the token then. Run's
-// goroutine instead waits on ctl and re-enters the loop: the token comes
-// back to it when a process exits or when a process finds the loop over.
-// Every condition that ends the loop is engine state (see next), so Run's
-// goroutine re-evaluates it and returns.
+// dispatch is the event loop, run by whoever holds the token: Run's
+// goroutine (self == nil) or a process parked in yield. Callbacks run in
+// place; self's own resume returns into it. Any other due process is entered
+// by a coroutine switch — unless it is running, waiting in enter up the
+// chain of processes that entered one another down to self. Then the token
+// climbs back to it, one switch a link, the due process named in hand. So
+// waking the process that entered you costs one switch. A process that ends,
+// or finds the loop over (see next), returns the token to its enterer too; a
+// yielded process returns once its resume or kill enters it, from anywhere.
 func (e *Engine) dispatch(self *Proc) {
+	p := e.due(self)
+	for p != self {
+		if p == nil || p.running {
+			e.hand = p
+			e.switches++
+			self.running = false
+			self.suspend(struct{}{})
+			return
+		}
+		e.enter(p)
+		if p, e.hand = e.hand, nil; p == nil {
+			p = e.due(self)
+		}
+	}
+}
+
+// due runs events until a process falls due and returns it (nil: loop over).
+func (e *Engine) due(self *Proc) *Proc {
 	for {
 		ev := e.next()
 		if ev == nil {
-			if self == nil {
-				return
-			}
-			e.handoffs++
-			// The loop is over: the token goes back to Run's goroutine.
-			e.ctl <- struct{}{}
-			break
+			return nil
 		}
 		e.now = ev.t
 		// Recycle the slot before dispatch: the callback commonly schedules
@@ -419,38 +426,31 @@ func (e *Engine) dispatch(self *Proc) {
 			} else {
 				e.callGuarded(fn)
 			}
-			continue
 		case p.done:
-			continue // a resume left behind by a killed process
-		case p == self:
+			// a resume left behind by a killed process
+		case kind == evStart:
+			p.start()
+			return p
+		default:
 			e.unparked(p)
-			return
+			return p
 		}
-		// The token leaves this goroutine, which touches no engine state
-		// from the transfer until the token is handed back to it.
-		e.handoffs++
-		if kind == evStart {
-			//simlint:allow baregoroutine Spawn's one legal goroutine; it starts holding the token and this goroutine parks below until the token returns
-			go p.run()
-		} else {
-			e.unparked(p)
-			// Direct handoff to the process whose resume popped.
-			p.resume <- struct{}{}
-		}
-		if self != nil {
-			break
-		}
-		<-e.ctl
 	}
-	<-self.resume
 }
 
-// callGuarded runs a callback on a process's goroutine. The process only
-// lends its goroutine to the loop, so a panic in the callback is not its
-// own: it must not unwind the process's stack (running its deferred calls
-// and exit hooks as if it had failed, or being swallowed by a recover
-// there). The value is kept in procPanic instead, which ends the loop and
-// surfaces from Run like a callback panic on Run's own goroutine.
+// enter switches into p until it parks or ends.
+func (e *Engine) enter(p *Proc) {
+	p.running = true
+	e.switches++
+	p.next()
+}
+
+// callGuarded runs a callback on a process's coroutine. The process only
+// lends its stack to the loop, so a panic in the callback is not its own:
+// it must not unwind the process's stack (running its deferred calls and
+// exit hooks as if it had failed, or being swallowed by a recover there).
+// The value is kept in procPanic instead, which ends the loop and surfaces
+// from Run like a callback panic on Run's own goroutine.
 func (e *Engine) callGuarded(fn func()) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -466,10 +466,10 @@ func (e *Engine) unparked(p *Proc) {
 	e.parked--
 }
 
-// killAll resumes every parked process with the killed flag set so its
-// goroutine unwinds (see Proc.yield), then waits for it to exit. Kill order
-// is ascending proc id; unwinding code may park again, so the scan repeats
-// until no process is parked.
+// killAll enters every parked process with the killed flag set so its
+// coroutine unwinds (see Proc.yield) and ends. Kill order is ascending proc
+// id; unwinding code may park again, so the scan repeats until no process
+// is parked.
 func (e *Engine) killAll() {
 	var order []*Proc
 	for e.parked > 0 {
@@ -489,9 +489,7 @@ func (e *Engine) killAll() {
 			}
 			e.unparked(p)
 			p.killed = true
-			// The killed process unwinds and returns the token on ctl.
-			p.resume <- struct{}{}
-			<-e.ctl
+			e.enter(p)
 		}
 	}
 }
@@ -509,31 +507,36 @@ func (e *Engine) BlockedProcs() int { return e.parked }
 type procKilled struct{}
 
 // Proc is a simulated process. Exactly one Proc (or the engine) runs at a
-// time. All methods must be called from the process's own goroutine.
+// time. All methods must be called from the process itself.
 type Proc struct {
-	eng    *Engine
-	name   string
-	id     int
-	fn     func(p *Proc)
-	resume chan struct{}
-	parked bool // inside yield, waiting for a resume event or a kill
-	killed bool
-	done   bool
+	eng     *Engine
+	name    string
+	id      int
+	fn      func(p *Proc)
+	next    func() (struct{}, bool) // switches into the coroutine (see start)
+	suspend func(struct{}) bool     // switches out of it, back to its enterer
+	running bool                    // not suspended: running, or inside enter
+	parked  bool                    // inside yield, waiting for a resume event or a kill
+	killed  bool
+	done    bool
+	// w queues it on one Cond or Resource at a time without allocating; a
+	// killed process's stale entry is harmless, as killAll ends the Run.
+	w      waiter
 	onExit []func()
 }
 
 // Spawn creates a process named name running fn, starting at the current
 // virtual time (after already-scheduled same-time events).
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, id: e.procSeq, fn: fn, resume: make(chan struct{})}
+	p := &Proc{eng: e, name: name, id: e.procSeq, fn: fn}
 	e.procSeq++
 	e.procs[p] = struct{}{}
 	e.schedule(e.now, evStart, nil, p)
 	return p
 }
 
-// run is the process goroutine. It is started by the start event holding
-// the token, and hands the token back to Run's goroutine when it ends.
+// run is the body of the process coroutine, which its start event creates.
+// When it ends, the coroutine switches back to whoever entered it last.
 func (p *Proc) run() {
 	e := p.eng
 	defer func() {
@@ -549,9 +552,7 @@ func (p *Proc) run() {
 		for i := len(p.onExit) - 1; i >= 0; i-- {
 			p.onExit[i]()
 		}
-		e.handoffs++
-		// A finished process returns the token to Run's goroutine.
-		e.ctl <- struct{}{}
+		e.switches++
 	}()
 	p.fn(p)
 }
@@ -559,13 +560,10 @@ func (p *Proc) run() {
 // Name returns the process name.
 func (p *Proc) Name() string { return p.name }
 
-// Engine returns the engine this process belongs to.
-func (p *Proc) Engine() *Engine { return p.eng }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// OnExit registers fn to run (in the process goroutine) when the process
+// OnExit registers fn to run (in the process coroutine) when the process
 // finishes or is killed. LIFO order.
 func (p *Proc) OnExit(fn func()) { p.onExit = append(p.onExit, fn) }
 

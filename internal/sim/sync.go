@@ -11,6 +11,14 @@ type waiter struct {
 	timedOut bool
 }
 
+// popWaiter removes the head of *q, shifting the rest down so the capacity
+// is kept (reslicing off the front would wear it away, one park at a time).
+func popWaiter(q *[]*waiter) *waiter {
+	w := (*q)[0]
+	*q = (*q)[:copy(*q, (*q)[1:])]
+	return w
+}
+
 // wake resumes the waiter's process at the current time, exactly once.
 func (w *waiter) wake(timedOut bool) {
 	if w.woken {
@@ -34,8 +42,8 @@ func (c *Cond) Waiters() int { return len(c.waiters) }
 
 // Wait parks p until Signal or Broadcast wakes it.
 func (c *Cond) Wait(p *Proc) {
-	w := &waiter{p: p}
-	c.waiters = append(c.waiters, w)
+	p.w = waiter{p: p}
+	c.waiters = append(c.waiters, &p.w)
 	p.yield()
 }
 
@@ -62,8 +70,7 @@ func (c *Cond) WaitTimeout(p *Proc, d Time) bool {
 // process was woken.
 func (c *Cond) Signal() bool {
 	for len(c.waiters) > 0 {
-		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
+		w := popWaiter(&c.waiters)
 		if !w.woken {
 			w.wake(false)
 			return true
@@ -72,10 +79,11 @@ func (c *Cond) Signal() bool {
 	return false
 }
 
-// Broadcast wakes every parked process.
+// Broadcast wakes every parked process. The list keeps its array: wake only
+// schedules, so nothing joins the list while it is walked.
 func (c *Cond) Broadcast() {
 	ws := c.waiters
-	c.waiters = nil
+	c.waiters = ws[:0]
 	for _, w := range ws {
 		w.wake(false)
 	}
@@ -106,8 +114,8 @@ func (r *Resource) Acquire(p *Proc) {
 		r.inUse++
 		return
 	}
-	w := &waiter{p: p}
-	r.queue = append(r.queue, w)
+	p.w = waiter{p: p}
+	r.queue = append(r.queue, &p.w)
 	p.yield()
 	// The releaser incremented inUse on our behalf.
 }
@@ -119,8 +127,7 @@ func (r *Resource) Release() {
 	}
 	r.inUse--
 	for len(r.queue) > 0 {
-		w := r.queue[0]
-		r.queue = r.queue[1:]
+		w := popWaiter(&r.queue)
 		if w.woken {
 			continue
 		}

@@ -7,10 +7,12 @@ import "go/ast"
 // Proc or the engine runs at a time); a bare goroutine runs concurrently
 // with simulated code, races with it, and injects host-scheduler
 // nondeterminism into virtual time. Processes must be created with
-// sim.Engine.Spawn, which owns the only legal `go` statement.
+// sim.Engine.Spawn. A coroutine is a goroutine too, so iter.Pull and
+// iter.Pull2 are flagged as well, except in package sim, whose process
+// coroutines are the only goroutines the simulation creates.
 var Baregoroutine = &Analyzer{
 	Name:      "baregoroutine",
-	Doc:       "forbid bare `go` statements in simulation packages; use sim.Engine.Spawn",
+	Doc:       "forbid bare `go` statements and iter.Pull coroutines in simulation packages; use sim.Engine.Spawn",
 	AppliesTo: InSimDomain,
 	Run:       baregoroutineRun,
 }
@@ -24,5 +26,10 @@ func baregoroutineRun(pass *Pass) {
 			}
 			return true
 		})
+	}
+	for id, obj := range pass.Unit.Info.Uses {
+		if obj.Pkg() != nil && obj.Pkg().Path() == "iter" && (obj.Name() == "Pull" || obj.Name() == "Pull2") && lastPathElem(pass.Unit.Path) != "sim" {
+			pass.Reportf(id.Pos(), "iter.%s in a simulation package: a coroutine is a goroutine the Proc scheduler does not own; use sim.Engine.Spawn", obj.Name())
+		}
 	}
 }
