@@ -47,8 +47,9 @@ type Adapter struct {
 	egressFree  sim.Time
 	recvDMAFree sim.Time
 
-	fifo    []*switchnet.Packet
+	fifo    sim.FIFO[*switchnet.Packet]
 	arrival sim.Cond
+	land    func(*switchnet.Packet) // a.landed, bound once
 
 	intrEnabled bool
 	intrCB      func()
@@ -63,7 +64,7 @@ type Adapter struct {
 	// receive-DMA occupancy and stall faults above, and they still
 	// traversed the fabric (route spray, CRC stamping, fault plans), so
 	// chaos scripts apply to them unchanged. The handler runs in engine
-	// context and takes ownership of the packet's pooled payload.
+	// context and takes ownership of the packet: it must Release it.
 	bypass map[byte]func(*switchnet.Packet)
 
 	stats Stats
@@ -73,12 +74,16 @@ type Adapter struct {
 // New creates the adapter for node and attaches it to the fabric's port.
 func New(eng *sim.Engine, par *machine.Params, fab *switchnet.Fabric, node int) *Adapter {
 	a := &Adapter{eng: eng, par: par, fab: fab, inj: fab.Injector(), node: node, intrPrimed: true}
+	a.land = a.landed
 	fab.AttachPort(node, a.fromFabric)
 	return a
 }
 
 // Node returns the node id this adapter serves.
 func (a *Adapter) Node() int { return a.node }
+
+// Fabric returns the switch fabric the adapter is attached to.
+func (a *Adapter) Fabric() *switchnet.Fabric { return a.fab }
 
 // Stats returns a copy of the cumulative counters.
 func (a *Adapter) Stats() Stats { return a.stats }
@@ -129,37 +134,39 @@ func (a *Adapter) fromFabric(pkt *switchnet.Packet) {
 		a.tr.Emit(now, tracelog.LAdapter, tracelog.KStall, a.node, pkt.Src, tracelog.PacketID(pkt.Src, pkt.Dst, pkt.Seq()), pkt.Wire, int64(end-now))
 		start = end
 	}
-	if a.recvDMAFree > start {
-		start = a.recvDMAFree
-	}
+	start = max(start, a.recvDMAFree)
 	done := start + a.par.RecvDMASetup + a.par.DMATime(pkt.Wire)
 	a.recvDMAFree = done
 	a.tr.Emit(now, tracelog.LAdapter, tracelog.KRxDMA, a.node, pkt.Src, tracelog.PacketID(pkt.Src, pkt.Dst, pkt.Seq()), pkt.Wire, int64(done-start))
 
-	a.eng.At(done, func() {
-		if len(pkt.Payload) > 0 {
-			if h := a.bypass[pkt.Payload[0]]; h != nil {
-				a.stats.Bypassed++
-				h(pkt)
-				return
-			}
-		}
-		if len(a.fifo) >= a.par.RecvFIFOPackets {
-			a.stats.FIFODrops++
-			a.tr.Emit(a.eng.Now(), tracelog.LAdapter, tracelog.KFIFODrop, a.node, pkt.Src, tracelog.PacketID(pkt.Src, pkt.Dst, pkt.Seq()), pkt.Wire, 0)
-			// The packet dies here; its pooled snapshot goes back to the
-			// engine (the delivery-path counterpart is HAL dispatch).
-			a.eng.Pool().Put(pkt.Payload)
+	pkt.At(a.eng, done, a.land)
+}
+
+// landed ends the receive DMA: the packet goes to its bypass handler, or
+// into the receive FIFO, or dies on a full FIFO.
+func (a *Adapter) landed(pkt *switchnet.Packet) {
+	if len(pkt.Payload) > 0 {
+		if h := a.bypass[pkt.Payload[0]]; h != nil {
+			a.stats.Bypassed++
+			h(pkt)
 			return
 		}
-		a.fifo = append(a.fifo, pkt)
-		a.stats.Received++
-		a.arrival.Broadcast()
-		if a.enqueueCB != nil {
-			a.enqueueCB()
-		}
-		a.maybeInterrupt()
-	})
+	}
+	if a.fifo.Len() >= a.par.RecvFIFOPackets {
+		a.stats.FIFODrops++
+		a.tr.Emit(a.eng.Now(), tracelog.LAdapter, tracelog.KFIFODrop, a.node, pkt.Src, tracelog.PacketID(pkt.Src, pkt.Dst, pkt.Seq()), pkt.Wire, 0)
+		// The packet dies here, with its pooled snapshot (the
+		// delivery-path counterpart is HAL Poll).
+		a.fab.Release(pkt)
+		return
+	}
+	a.fifo.Push(pkt)
+	a.stats.Received++
+	a.arrival.Broadcast()
+	if a.enqueueCB != nil {
+		a.enqueueCB()
+	}
+	a.maybeInterrupt()
 }
 
 func (a *Adapter) maybeInterrupt() {
@@ -189,8 +196,8 @@ func (a *Adapter) SetEnqueueCallback(fn func()) { a.enqueueCB = fn }
 // SetBypass registers a direct-delivery handler for one protocol byte:
 // arriving packets whose payload starts with proto are handed to fn after
 // the receive DMA completes, skipping the FIFO and raising no interrupt.
-// fn owns the packet's pooled payload snapshot and must return it to the
-// engine pool. Registering the same proto twice is a wiring bug.
+// fn owns the packet, record and pooled payload, and must Release it to the
+// fabric. Registering the same proto twice is a wiring bug.
 func (a *Adapter) SetBypass(proto byte, fn func(*switchnet.Packet)) {
 	if a.bypass == nil {
 		a.bypass = make(map[byte]func(*switchnet.Packet))
@@ -206,7 +213,7 @@ func (a *Adapter) EnableInterrupts(on bool) {
 	a.intrEnabled = on
 	if on {
 		a.intrPrimed = true
-		if len(a.fifo) > 0 {
+		if a.fifo.Len() > 0 {
 			a.maybeInterrupt()
 		}
 	}
@@ -216,31 +223,29 @@ func (a *Adapter) EnableInterrupts(on bool) {
 func (a *Adapter) InterruptsEnabled() bool { return a.intrEnabled }
 
 // Pending returns the number of packets waiting in the receive FIFO.
-func (a *Adapter) Pending() int { return len(a.fifo) }
+func (a *Adapter) Pending() int { return a.fifo.Len() }
 
 // Dequeue removes the oldest received packet, if any.
 func (a *Adapter) Dequeue() (*switchnet.Packet, bool) {
-	if len(a.fifo) == 0 {
+	if a.fifo.Len() == 0 {
 		return nil, false
 	}
-	pkt := a.fifo[0]
-	a.fifo = a.fifo[1:]
-	return pkt, true
+	return a.fifo.Pop(), true
 }
 
 // WaitArrival parks p until a packet is in the FIFO, or until timeout
 // (timeout <= 0 waits indefinitely). Reports whether a packet is pending.
 func (a *Adapter) WaitArrival(p *sim.Proc, timeout sim.Time) bool {
-	for len(a.fifo) == 0 {
+	for a.fifo.Len() == 0 {
 		if timeout <= 0 {
 			a.arrival.Wait(p)
 			continue
 		}
 		deadline := p.Now() + timeout
 		if !a.arrival.WaitTimeout(p, timeout) {
-			return len(a.fifo) > 0
+			return a.fifo.Len() > 0
 		}
-		if len(a.fifo) > 0 {
+		if a.fifo.Len() > 0 {
 			return true
 		}
 		timeout = deadline - p.Now()

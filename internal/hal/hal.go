@@ -60,6 +60,7 @@ type HAL struct {
 	eng  *sim.Engine
 	par  *machine.Params
 	ad   *adapter.Adapter
+	fab  *switchnet.Fabric
 	node int
 
 	protos         map[byte]Handler
@@ -96,6 +97,7 @@ func New(eng *sim.Engine, par *machine.Params, ad *adapter.Adapter) *HAL {
 		eng:      eng,
 		par:      par,
 		ad:       ad,
+		fab:      ad.Fabric(),
 		node:     ad.Node(),
 		protos:   make(map[byte]Handler),
 		sendBufs: sim.NewResource(par.SendBuffers),
@@ -168,9 +170,8 @@ func (h *HAL) Send(p *sim.Proc, dst int, payload []byte) {
 	h.tr.Emit(p.Now(), tracelog.LHAL, tracelog.KHALSend, h.node, dst, 0, len(payload), int64(h.par.PacketDispatch))
 	// The caller keeps ownership of payload: adapter.Send synchronously
 	// hands the packet to fabric.Send, which snapshots the bytes at the
-	// injection boundary (PR 1) before this call returns.
-	//simlint:allow payloadretain fabric.Send snapshots the payload synchronously before this call returns
-	freeAt := h.ad.Send(&switchnet.Packet{Src: h.node, Dst: dst, Payload: payload})
+	// injection boundary before this call returns.
+	freeAt := h.ad.Send(h.fab.NewPacket(h.node, dst, payload))
 	h.stats.PacketsSent++
 	h.stats.BytesSent += uint64(len(payload))
 	// The pinned buffer frees when the send DMA has drained it.
@@ -207,11 +208,14 @@ func (h *HAL) Poll(p *sim.Proc) int {
 			// reliability layers above recover by retransmission.
 			h.stats.CorruptDrops++
 			h.tr.Emit(p.Now(), tracelog.LHAL, tracelog.KCrcDrop, h.node, pkt.Src, tracelog.PacketID(pkt.Src, pkt.Dst, pkt.Seq()), len(pkt.Payload), 0)
-			h.eng.Pool().Put(pkt.Payload)
+			h.fab.Release(pkt)
 			continue
 		}
+		// The record dies here; its pooled payload lives on into dispatch.
+		src, payload := pkt.Src, pkt.Payload
+		h.fab.Free(pkt)
 		n++
-		h.dispatch(p, pkt.Src, pkt.Payload)
+		h.dispatch(p, src, payload)
 	}
 	if n > 0 {
 		h.stats.Polls++

@@ -226,3 +226,33 @@ func TestChargeCPUZeroIsFree(t *testing.T) {
 		t.Fatalf("zero/negative charges advanced time to %v", end)
 	}
 }
+
+// TestPacketPathZeroAlloc pins the steady-state packet path at zero
+// allocations: once the engine, the pool and the fabric's record free list
+// are warm, one HAL.Send → fabric → adapter FIFO → HAL.Poll → handler round
+// reuses a packet record, its bound stage callback, a pooled snapshot and
+// the FIFO's array. Measured from inside a process, like the kernel's
+// park→wake gate.
+func TestPacketPathZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under the race detector")
+	}
+	e, par, hs, _ := rig(t, nil)
+	got, want := 0, 0
+	hs[1].RegisterProto(ProtoPipes, func(p *sim.Proc, src int, pkt []byte) { got++ })
+	payload := make([]byte, par.PacketPayload)
+	payload[0] = ProtoPipes
+	arrived := func() bool { return got == want }
+	allocs := -1.0
+	e.Spawn("pair", func(p *sim.Proc) {
+		allocs = testing.AllocsPerRun(200, func() {
+			want++
+			hs[0].Send(p, 1, payload)
+			hs[1].ProgressWait(p, arrived)
+		})
+	})
+	e.Run(0)
+	if allocs != 0 {
+		t.Errorf("Send→Poll round allocates %.1f objects/op, want 0", allocs)
+	}
+}

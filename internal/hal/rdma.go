@@ -107,6 +107,7 @@ type rdmaOp struct {
 	done    func()
 	timeout sim.Time // current backoff value
 	timer   sim.Timer
+	onRetry func() // the retry timer's callback, bound once
 }
 
 // rdmaEngine is one node's RDMA state. It is created lazily by HAL.Rdma()
@@ -281,6 +282,7 @@ func (r *RdmaEngine) RdmaRead(peer int, remoteKey, localKey uint32, n int, start
 		chunks: chunks, got: make([]bool, chunks),
 		done: done, timeout: e.h.par.RdmaRetryTimeout,
 	}
+	op.onRetry = func() { e.retry(op) }
 	e.ops[op.id] = op
 	e.stats.Reads++
 	e.launch(op, start)
@@ -316,37 +318,35 @@ func (e *rdmaEngine) launch(op *rdmaOp, start sim.Time) {
 func (e *rdmaEngine) start(op *rdmaOp) {
 	e.active[op.peer] = append(e.active[op.peer], op)
 	e.sendReadReq(op, 0)
-	e.armTimer(op)
+	op.timer = e.h.eng.After(op.timeout, op.onRetry)
 }
 
-// armTimer schedules the operation's retry timer with doubling backoff,
-// mirroring LAPI's adaptive retransmission.
-func (e *rdmaEngine) armTimer(op *rdmaOp) {
+// retry is the operation's retry timer: re-request what is missing and
+// re-arm with doubling backoff, mirroring LAPI's adaptive retransmission.
+func (e *rdmaEngine) retry(op *rdmaOp) {
 	h := e.h
-	op.timer = h.eng.After(op.timeout, func() {
-		if e.ops[op.id] != op {
-			return
-		}
-		e.stats.Retries++
-		h.tr.Emit(h.eng.Now(), tracelog.LHAL, tracelog.KRdmaRetry, h.node, op.peer, tracelog.RdmaOpID(h.node, op.id), op.n, int64(op.timeout))
-		// Re-request from the first missing chunk; chunks that did
-		// arrive are absorbed by the bitmap.
-		first := 0
-		for first < op.chunks && op.got[first] {
-			first++
-		}
-		e.sendReadReq(op, first)
-		op.timeout *= 2
-		if max := h.par.RetransmitMax; max > 0 && op.timeout > max {
-			op.timeout = max
-		}
-		if base := h.par.RdmaRetryTimeout; op.timeout < base {
-			// The global backoff cap can sit below the initial timeout,
-			// which is the floor.
-			op.timeout = base
-		}
-		e.armTimer(op)
-	})
+	if e.ops[op.id] != op {
+		return
+	}
+	e.stats.Retries++
+	h.tr.Emit(h.eng.Now(), tracelog.LHAL, tracelog.KRdmaRetry, h.node, op.peer, tracelog.RdmaOpID(h.node, op.id), op.n, int64(op.timeout))
+	// Re-request from the first missing chunk; chunks that did arrive are
+	// absorbed by the bitmap.
+	first := 0
+	for first < op.chunks && op.got[first] {
+		first++
+	}
+	e.sendReadReq(op, first)
+	op.timeout *= 2
+	if max := h.par.RetransmitMax; max > 0 && op.timeout > max {
+		op.timeout = max
+	}
+	if base := h.par.RdmaRetryTimeout; op.timeout < base {
+		// The global backoff cap can sit below the initial timeout, which
+		// is the floor.
+		op.timeout = base
+	}
+	op.timer = h.eng.After(op.timeout, op.onRetry)
 }
 
 // buildHdr fills one RDMA packet header into b.
@@ -365,7 +365,7 @@ func buildHdr(b []byte, opByte byte, opID, rkey uint32, chunk, n int) {
 func (e *rdmaEngine) sendCtl(dst int, opByte byte, opID, rkey uint32, chunk, n int) {
 	buf := e.h.eng.Pool().Get(rdmaHdr)
 	buildHdr(buf, opByte, opID, rkey, chunk, n)
-	e.h.ad.Send(&switchnet.Packet{Src: e.h.node, Dst: dst, Payload: buf})
+	e.h.ad.Send(e.h.fab.NewPacket(e.h.node, dst, buf))
 	// fabric.Send snapshotted the bytes synchronously; the scratch returns
 	// to the pool.
 	e.h.eng.Pool().Put(buf)
@@ -384,21 +384,18 @@ func (e *rdmaEngine) streamChunks(dst int, opByte byte, opID, rkey uint32, src [
 	chunks := rdmaChunks(n, per)
 	for c := fromChunk; c < chunks; c++ {
 		off := c * per
-		end := off + per
-		if end > n {
-			end = n
-		}
+		end := min(off+per, n)
 		buf := e.h.eng.Pool().Get(rdmaHdr + (end - off))
 		buildHdr(buf, opByte, opID, rkey, c, n)
 		copy(buf[rdmaHdr:], src[off:end])
-		e.h.ad.Send(&switchnet.Packet{Src: e.h.node, Dst: dst, Payload: buf})
+		e.h.ad.Send(e.h.fab.NewPacket(e.h.node, dst, buf))
 		e.h.eng.Pool().Put(buf)
 	}
 }
 
 // onPacket is the adapter bypass handler: every ProtoRDMA packet lands
 // here straight off the receive DMA, in engine context, FIFO untouched.
-// It owns the packet's pooled payload.
+// It owns the packet, record and pooled payload, and releases both.
 func (e *rdmaEngine) onPacket(pkt *switchnet.Packet) {
 	h := e.h
 	payload := pkt.Payload
@@ -409,7 +406,7 @@ func (e *rdmaEngine) onPacket(pkt *switchnet.Packet) {
 		e.stats.CrcDrops++
 		h.stats.CorruptDrops++
 		h.tr.Emit(h.eng.Now(), tracelog.LHAL, tracelog.KRdmaCrcDrop, h.node, pkt.Src, tracelog.PacketID(pkt.Src, pkt.Dst, pkt.Seq()), len(payload), 0)
-		h.eng.Pool().Put(payload)
+		h.fab.Release(pkt)
 		return
 	}
 	if len(payload) < rdmaHdr {
@@ -428,7 +425,7 @@ func (e *rdmaEngine) onPacket(pkt *switchnet.Packet) {
 	default:
 		panic(fmt.Sprintf("hal: node %d: bad RDMA op %d", h.node, opByte))
 	}
-	h.eng.Pool().Put(payload)
+	h.fab.Release(pkt)
 }
 
 // serveRead answers a pull request: stream the requested region back to
@@ -490,7 +487,7 @@ func (e *rdmaEngine) readData(src int, opID uint32, chunk, n int, data []byte) {
 	for _, a := range e.active[src] {
 		a.timer.Stop()
 		a.timeout = h.par.RdmaRetryTimeout
-		e.armTimer(a)
+		a.timer = h.eng.After(a.timeout, a.onRetry)
 	}
 }
 

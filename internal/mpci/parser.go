@@ -37,8 +37,10 @@ type frameParser struct {
 	// can stall on the pipe window), and blocking re-enters the
 	// dispatcher. Re-entrant stream bytes queue in pending and are
 	// consumed when the in-progress frame finishes, preserving order.
+	// pending and spare swap roles per burst, so neither is reallocated.
 	busy    bool
 	pending []byte
+	spare   []byte
 }
 
 func (fp *frameParser) hdrLen() int {
@@ -67,8 +69,7 @@ func (fp *frameParser) feed(p *sim.Proc, data []byte) {
 		if len(fp.pending) == 0 {
 			break
 		}
-		data = fp.pending
-		fp.pending = nil
+		data, fp.pending, fp.spare = fp.pending, fp.spare[:0], fp.pending
 	}
 	fp.busy = false
 }

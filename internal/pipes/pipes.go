@@ -64,10 +64,14 @@ type Stats struct {
 type Deliver func(p *sim.Proc, src int, data []byte)
 
 type sendPipe struct {
-	dst      int
-	next     uint64 // next stream offset to assign
-	acked    uint64 // cumulative acked offset
-	unacked  []byte // bytes in [acked, next)
+	dst     int
+	next    uint64 // next stream offset to assign
+	acked   uint64 // cumulative acked offset
+	unacked []byte // bytes in [acked, next), a window of base
+	base    []byte // the start of unacked's array
+	// walkers counts retransmits walking unacked across a blocking send;
+	// while one does, push must not move the bytes under it.
+	walkers  int
 	ackCond  sim.Cond
 	rtxTimer sim.Timer
 	rtxArmed bool
@@ -99,7 +103,7 @@ type Pipes struct {
 
 	// Work queues for the service process (timers cannot block).
 	resendFlags []bool
-	svcAck      []int
+	svcAck      sim.FIFO[int]
 	svcCond     sim.Cond
 
 	stats Stats
@@ -168,21 +172,28 @@ func (pp *Pipes) Write(p *sim.Proc, dst int, data []byte) {
 			pp.tr.Emit(p.Now(), tracelog.LPipes, tracelog.KPipeStall, pp.node, dst, 0, len(sp.unacked), int64(sp.next))
 			pp.progressWindow(p, sp)
 		}
-		room := pp.par.PipeWindowBytes - len(sp.unacked)
-		chunk := pp.chunkSize()
-		if chunk > room {
-			chunk = room
-		}
-		if chunk > len(data) {
-			chunk = len(data)
-		}
+		chunk := min(pp.chunkSize(), pp.par.PipeWindowBytes-len(sp.unacked), len(data))
 		seg := data[:chunk]
 		data = data[chunk:]
 		off := sp.next
 		sp.next += uint64(chunk)
-		sp.unacked = append(sp.unacked, seg...)
+		sp.push(seg)
 		pp.sendData(p, dst, off, seg)
 		pp.armRtx(sp)
+	}
+}
+
+// push appends seg to the window. Acks trim unacked from the front, so once
+// it reaches the end of its array the bytes move back to the array's front
+// rather than into a new array, except while a retransmit walks them.
+func (sp *sendPipe) push(seg []byte) {
+	if n := len(sp.unacked) + len(seg); n > cap(sp.unacked) && n <= cap(sp.base) && sp.walkers == 0 {
+		sp.unacked = sp.base[:copy(sp.base[:len(sp.unacked)], sp.unacked)]
+	}
+	c := cap(sp.unacked)
+	sp.unacked = append(sp.unacked, seg...)
+	if cap(sp.unacked) != c {
+		sp.base = sp.unacked[:0] // append moved the window to a new array
 	}
 }
 
@@ -254,7 +265,7 @@ func (pp *Pipes) ackDelayExpired(rp *recvPipe) {
 		return
 	}
 	// Timers cannot block; let the service process send it.
-	pp.svcAck = append(pp.svcAck, rp.src)
+	pp.svcAck.Push(rp.src)
 	pp.svcCond.Broadcast()
 }
 
@@ -295,10 +306,8 @@ func (pp *Pipes) serviceLoop(p *sim.Proc) {
 			pp.resendFlags[i] = false
 			pp.retransmit(p, i)
 		}
-		for len(pp.svcAck) > 0 {
-			src := pp.svcAck[0]
-			pp.svcAck = pp.svcAck[1:]
-			if pp.recv[src].ackOwed {
+		for pp.svcAck.Len() > 0 {
+			if src := pp.svcAck.Pop(); pp.recv[src].ackOwed {
 				pp.sendAck(p, src)
 			}
 		}
@@ -312,7 +321,7 @@ func (pp *Pipes) pendingService() bool {
 			return true
 		}
 	}
-	return len(pp.svcAck) > 0
+	return pp.svcAck.Len() > 0
 }
 
 // retransmit resends all unacked bytes toward dst (go-back-N).
@@ -325,15 +334,14 @@ func (pp *Pipes) retransmit(p *sim.Proc, dst int) {
 	pp.tr.Emit(p.Now(), tracelog.LPipes, tracelog.KPipeRtx, pp.node, dst, 0, len(sp.unacked), int64(sp.acked))
 	off := sp.acked
 	rest := sp.unacked
+	sp.walkers++
 	for len(rest) > 0 {
-		chunk := pp.chunkSize()
-		if chunk > len(rest) {
-			chunk = len(rest)
-		}
+		chunk := min(pp.chunkSize(), len(rest))
 		pp.sendData(p, dst, off, rest[:chunk])
 		off += uint64(chunk)
 		rest = rest[chunk:]
 	}
+	sp.walkers--
 	pp.armRtx(sp)
 }
 

@@ -301,3 +301,73 @@ func TestPiggybackAckCorrectUnderLoss(t *testing.T) {
 		t.Fatal("unacked data after drain")
 	}
 }
+
+// A go-back-N retransmit walks the unacked window across blocking sends.
+// A writer woken meanwhile by an ack pushes new bytes behind the window,
+// and push must not move the window's bytes to the front of their array
+// under the walk: the retransmitted copies would carry the wrong bytes.
+func TestRetransmitWalkSurvivesCompaction(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		r := newRig(t, 2, seed, func(p *machine.Params) {
+			p.Faults = faults.Uniform(0.05, 0)
+			p.PipeWindowBytes = 8 * 1024
+			p.RetransmitTimeout = 100 * sim.Microsecond
+		})
+		msg := pattern(200000, byte(seed))
+		sp := r.pp[0].send[1]
+		duringWalk := 0
+		r.eng.Spawn("writer", func(p *sim.Proc) {
+			for rest := msg; len(rest) > 0; {
+				n := min(len(rest), 700)
+				if sp.walkers > 0 {
+					duringWalk++
+				}
+				r.pp[0].Write(p, 1, rest[:n])
+				rest = rest[n:]
+			}
+			r.pp[0].DrainAcks(p, 1)
+		})
+		r.eng.Spawn("receiver", func(p *sim.Proc) {
+			r.pp[1].h.ProgressWait(p, func() bool { return len(r.got[1]) >= len(msg) })
+		})
+		r.eng.Run(60 * sim.Second)
+		if !bytes.Equal(r.got[1], msg) {
+			t.Fatalf("seed %d: delivered stream differs from the written one (%d of %d bytes delivered)", seed, len(r.got[1]), len(msg))
+		}
+		if duringWalk == 0 {
+			t.Fatalf("seed %d: no write started while a retransmit walked the window", seed)
+		}
+	}
+}
+
+// TestStreamZeroAlloc pins a warmed pipe pair at zero allocations per
+// 64 KiB message: the send window reuses its array, and every packet below
+// it reuses a record and a pooled buffer (hal.TestPacketPathZeroAlloc).
+func TestStreamZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under the race detector")
+	}
+	r := newRig(t, 2, 1, nil)
+	recvd, want := 0, 0
+	r.pp[1].SetDeliver(func(p *sim.Proc, src int, data []byte) { recvd += len(data) })
+	msg := pattern(64*1024, 1)
+	delivered := func() bool { return recvd == want }
+	send := func(p *sim.Proc) {
+		want += len(msg)
+		r.pp[0].Write(p, 1, msg)
+		r.pp[0].DrainAcks(p, 1)
+		r.pp[0].h.ProgressWait(p, delivered)
+	}
+	allocs := -1.0
+	r.eng.Spawn("writer", func(p *sim.Proc) {
+		send(p) // the warm-up message
+		allocs = testing.AllocsPerRun(10, func() { send(p) })
+	})
+	r.eng.Spawn("receiver", func(p *sim.Proc) {
+		r.pp[1].h.ProgressWait(p, func() bool { return false })
+	})
+	r.eng.Run(0)
+	if allocs != 0 {
+		t.Errorf("a 64 KiB message through a warmed pipe pair allocates %.1f objects, want 0", allocs)
+	}
+}

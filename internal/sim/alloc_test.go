@@ -118,3 +118,36 @@ func TestParkWakeZeroAlloc(t *testing.T) {
 			r.Acquire(p)
 		})
 }
+
+// TestQueueZeroAllocAndBounded pins Queue's FIFO: steady Put/Get allocates
+// nothing, and a queue that never drains keeps its array bounded by its
+// occupancy instead of sliding along an ever longer one.
+func TestQueueZeroAllocAndBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under the race detector")
+	}
+	const occupancy = 5
+	e := NewEngine(1)
+	q := NewQueue(0)
+	var item any = &struct{}{}
+	allocs := -1.0
+	e.Spawn("putget", func(p *Proc) {
+		for i := 0; i < occupancy; i++ {
+			q.Put(p, item)
+		}
+		allocs = testing.AllocsPerRun(1000, func() {
+			q.Put(p, item)
+			q.Get(p)
+		})
+	})
+	e.Run(0)
+	if allocs != 0 {
+		t.Errorf("steady Put/Get allocates %.1f objects/op, want 0", allocs)
+	}
+	if q.Len() != occupancy {
+		t.Fatalf("Len = %d, want %d", q.Len(), occupancy)
+	}
+	if n := len(q.items.items); n > 2*occupancy+1 {
+		t.Errorf("a queue holding %d items spans %d slots, want at most %d", occupancy, n, 2*occupancy+1)
+	}
+}

@@ -146,11 +146,40 @@ func (r *Resource) Use(p *Proc, d Time) {
 	r.Release()
 }
 
+// FIFO is a first-in, first-out list that keeps its array. Pop advances a
+// head index (reslicing off the front would leave append no room, so it
+// would move the items to a new array every few pushes); the items move
+// back to the front, stale slots cleared, once the head passes half of
+// them, so a list that never drains stays bounded by its occupancy. The
+// zero value is an empty list.
+type FIFO[T any] struct {
+	items []T
+	head  int
+}
+
+// Len returns the number of items in the list.
+func (q *FIFO[T]) Len() int { return len(q.items) - q.head }
+
+// Push appends x.
+func (q *FIFO[T]) Push(x T) { q.items = append(q.items, x) }
+
+// Pop removes and returns the oldest item. The list must not be empty.
+func (q *FIFO[T]) Pop() T {
+	x := q.items[q.head]
+	q.head++
+	if q.head > len(q.items)/2 {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	return x
+}
+
 // Queue is an unbounded-or-bounded FIFO of items with blocking Get and,
 // when bounded, blocking Put. Cap <= 0 means unbounded.
 type Queue struct {
 	Cap      int
-	items    []any
+	items    FIFO[any]
 	notEmpty Cond
 	notFull  Cond
 }
@@ -159,34 +188,33 @@ type Queue struct {
 func NewQueue(capacity int) *Queue { return &Queue{Cap: capacity} }
 
 // Len returns the number of queued items.
-func (q *Queue) Len() int { return len(q.items) }
+func (q *Queue) Len() int { return q.items.Len() }
 
 // Put appends an item, blocking while the queue is full (bounded only).
 func (q *Queue) Put(p *Proc, item any) {
-	for q.Cap > 0 && len(q.items) >= q.Cap {
+	for q.Cap > 0 && q.items.Len() >= q.Cap {
 		q.notFull.Wait(p)
 	}
-	q.items = append(q.items, item)
+	q.items.Push(item)
 	q.notEmpty.Signal()
 }
 
 // TryPut appends an item without blocking; reports success.
 func (q *Queue) TryPut(item any) bool {
-	if q.Cap > 0 && len(q.items) >= q.Cap {
+	if q.Cap > 0 && q.items.Len() >= q.Cap {
 		return false
 	}
-	q.items = append(q.items, item)
+	q.items.Push(item)
 	q.notEmpty.Signal()
 	return true
 }
 
 // Get removes and returns the oldest item, blocking while empty.
 func (q *Queue) Get(p *Proc) any {
-	for len(q.items) == 0 {
+	for q.items.Len() == 0 {
 		q.notEmpty.Wait(p)
 	}
-	item := q.items[0]
-	q.items = q.items[1:]
+	item := q.items.Pop()
 	q.notFull.Signal()
 	return item
 }

@@ -49,11 +49,27 @@ type Packet struct {
 	// seq is the per-ordered-pair injection sequence number, used for
 	// reorder stats.
 	seq uint64
+	// then is the stage At scheduled; fire, the callback the engine runs
+	// for it, is made on the first At and kept for the record's whole life.
+	then func(*Packet)
+	fire func()
+	free bool // on the fabric's free list (Free)
 }
 
 // Seq exposes the injection sequence number for observability (0 before
 // the packet enters the fabric).
 func (pk *Packet) Seq() uint64 { return pk.seq }
+
+// At schedules fn(pk) at virtual time t. A record has one stage pending at
+// a time (fabric transit, then receive DMA), so every stage of every life
+// of the record reuses one callback instead of allocating a closure.
+func (pk *Packet) At(eng *sim.Engine, t sim.Time, fn func(*Packet)) {
+	if pk.fire == nil {
+		pk.fire = func() { pk.then(pk) }
+	}
+	pk.then = fn
+	eng.At(t, pk.fire)
+}
 
 func (pk *Packet) String() string {
 	return fmt.Sprintf("pkt{%d->%d route=%d wire=%dB}", pk.Src, pk.Dst, pk.Route, pk.Wire)
@@ -106,6 +122,8 @@ type Fabric struct {
 	pairs   []pair
 	stats   Stats
 	deliver []func(*Packet)
+	free    []*Packet     // dead packet records (NewPacket, Free)
+	arrive  func(*Packet) // f.arrived, bound once
 }
 
 // New creates a fabric with n ports using the given cost model. The fault
@@ -123,6 +141,7 @@ func New(eng *sim.Engine, par *machine.Params, n int) *Fabric {
 		pairs:   make([]pair, n*n),
 		deliver: make([]func(*Packet), n),
 	}
+	f.arrive = f.arrived
 	r := par.RoutesPerPair
 	freeAt := make([]sim.Time, n*n*r)
 	for i := range f.pairs {
@@ -148,6 +167,44 @@ func (f *Fabric) AttachPort(node int, deliver func(*Packet)) {
 		panic(fmt.Sprintf("switchnet: port %d attached twice", node))
 	}
 	f.deliver[node] = deliver
+}
+
+// NewPacket returns a record for a packet from src to dst, recycled from
+// the free list when one is there. Send snapshots payload, so the caller
+// keeps its bytes. Whoever sees the packet die returns the record: Free
+// when its payload lives on, Release when the payload dies with it.
+func (f *Fabric) NewPacket(src, dst int, payload []byte) *Packet {
+	var pk *Packet
+	if n := len(f.free); n > 0 {
+		pk = f.free[n-1]
+		f.free = f.free[:n-1]
+		*pk = Packet{fire: pk.fire}
+	} else {
+		pk = new(Packet)
+	}
+	//simlint:allow payloadretain the record carries payload only into Send, which snapshots it at injection
+	pk.Src, pk.Dst, pk.Payload = src, dst, payload
+	return pk
+}
+
+// Free returns a dead packet record to the free list. It clears Payload and
+// the pending stage, so a stale holder reads no bytes and a stage firing
+// after Free panics; freeing a record twice panics.
+func (f *Fabric) Free(pk *Packet) {
+	if pk.free {
+		panic(fmt.Sprintf("switchnet: %v freed twice", pk))
+	}
+	pk.free, pk.Payload, pk.then = true, nil, nil
+	f.free = append(f.free, pk)
+}
+
+// Release is the death of a packet whose pooled payload dies with it (a
+// drop anywhere on the path, or a consumed bypass packet): the payload goes
+// back to the engine pool and the record to the free list.
+func (f *Fabric) Release(pk *Packet) {
+	//simlint:allow bufpoolown ownership transfer: the in-flight packet owns the snapshot Send took, and where it dies is its delivery point
+	f.eng.Pool().Put(pk.Payload)
+	f.Free(pk)
 }
 
 // Send transports pkt from its source to its destination. ready is the time
@@ -185,7 +242,7 @@ func (f *Fabric) Send(pkt *Packet, ready sim.Time) {
 	if f.inj.Drop(now, pkt.Src, pkt.Dst) {
 		f.stats.Dropped++
 		f.tr.Emit(now, tracelog.LFabric, tracelog.KDrop, pkt.Src, pkt.Dst, tracelog.PacketID(pkt.Src, pkt.Dst, pkt.seq), pkt.Wire, 0)
-		f.eng.Pool().Put(pkt.Payload)
+		f.Release(pkt)
 		return
 	}
 
@@ -212,7 +269,8 @@ func (f *Fabric) Send(pkt *Packet, ready sim.Time) {
 		f.tr.Emit(now, tracelog.LFabric, tracelog.KDup, pkt.Src, pkt.Dst, tracelog.PacketID(pkt.Src, pkt.Dst, pkt.seq), pkt.Wire, 0)
 		// The duplicate carries its own copy of the snapshot so the two
 		// deliveries never alias each other's bytes.
-		dup = &Packet{Src: pkt.Src, Dst: pkt.Dst, Payload: f.eng.Pool().Snapshot(pkt.Payload), Wire: pkt.Wire, CRC: pkt.CRC, Checked: pkt.Checked, seq: pkt.seq}
+		dup = f.NewPacket(pkt.Src, pkt.Dst, f.eng.Pool().Snapshot(pkt.Payload))
+		dup.Wire, dup.CRC, dup.Checked, dup.seq = pkt.Wire, pkt.CRC, pkt.Checked, pkt.seq
 	}
 
 	f.transit(pkt, ready)
@@ -226,9 +284,7 @@ func (f *Fabric) Send(pkt *Packet, ready sim.Time) {
 
 func (f *Fabric) transit(pkt *Packet, ready sim.Time) {
 	now := f.eng.Now()
-	if ready < now {
-		ready = now
-	}
+	ready = max(ready, now)
 	ps := &f.pairs[pkt.Src*f.n+pkt.Dst]
 	r := ps.nextRoute
 	if f.inj.MasksRoutes() {
@@ -246,8 +302,7 @@ func (f *Fabric) transit(pkt *Packet, ready sim.Time) {
 			f.stats.Dropped++
 			f.stats.NoRouteDrops++
 			f.tr.Emit(now, tracelog.LFabric, tracelog.KNoRoute, pkt.Src, pkt.Dst, tracelog.PacketID(pkt.Src, pkt.Dst, pkt.seq), pkt.Wire, int64(len(ps.freeAt)))
-			//simlint:allow bufpoolown ownership transfer: the in-flight packet owns the snapshot Send took, and a no-route drop is its delivery point
-			f.eng.Pool().Put(pkt.Payload)
+			f.Release(pkt)
 			return
 		}
 	}
@@ -260,16 +315,19 @@ func (f *Fabric) transit(pkt *Packet, ready sim.Time) {
 	arrival := start + ser + f.par.SwitchBaseLatency + sim.Time(r)*f.par.RouteSkew
 	f.tr.Emit(f.eng.Now(), tracelog.LFabric, tracelog.KWire, pkt.Src, pkt.Dst, tracelog.PacketID(pkt.Src, pkt.Dst, pkt.seq), pkt.Wire, int64(arrival-start))
 
-	f.eng.At(arrival, func() {
-		f.stats.Delivered++
-		f.tr.Emit(f.eng.Now(), tracelog.LFabric, tracelog.KDeliver, pkt.Dst, pkt.Src, tracelog.PacketID(pkt.Src, pkt.Dst, pkt.seq), pkt.Wire, 0)
-		if last := &f.pairs[pkt.Src*f.n+pkt.Dst].last; pkt.seq < *last {
-			f.stats.Reordered++
-		} else {
-			*last = pkt.seq
-		}
-		if cb := f.deliver[pkt.Dst]; cb != nil {
-			cb(pkt)
-		}
-	})
+	pkt.At(f.eng, arrival, f.arrive)
+}
+
+// arrived ends a transit: the packet reaches its destination port.
+func (f *Fabric) arrived(pkt *Packet) {
+	f.stats.Delivered++
+	f.tr.Emit(f.eng.Now(), tracelog.LFabric, tracelog.KDeliver, pkt.Dst, pkt.Src, tracelog.PacketID(pkt.Src, pkt.Dst, pkt.seq), pkt.Wire, 0)
+	if last := &f.pairs[pkt.Src*f.n+pkt.Dst].last; pkt.seq < *last {
+		f.stats.Reordered++
+	} else {
+		*last = pkt.seq
+	}
+	if cb := f.deliver[pkt.Dst]; cb != nil {
+		cb(pkt)
+	}
 }
