@@ -6,15 +6,14 @@
 //	sweep -exp fig10 -seeds 16 -par 8 -o BENCH_fig10.json
 //	sweep -exp all -seeds 8                  # every experiment, BENCH_<id>.json each
 //	sweep -exp fig12 -seeds 8 -faults burst-loss      # scripted fault plan
-//	sweep -exp fig12 -seeds 4 -seeds-max 32 -rel-ci 2 -faults burst-loss
-//	                                         # sequential stopping: batches of 4
-//	                                         # until the median CI is within 2%
 //	sweep -list                              # available experiments
 //	sweep -compare old.json new.json -tol 1  # flag significant >1% movements
 //
-// Results are bit-identical for any -par value: per-cell seeds are derived
-// from the cell identity, never from scheduling, and wall-clock cost is
-// reported on stdout rather than persisted.
+// Every cell runs exactly -seeds repetitions (a cell that proves seed-free
+// runs once and is recorded at every seed). Results are bit-identical for
+// any -par value: per-cell seeds are derived from the cell identity, never
+// from scheduling, and wall-clock cost is reported on stdout rather than
+// persisted.
 package main
 
 import (
@@ -52,16 +51,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		exp      = fs.String("exp", "", "experiment id to sweep, or 'all'")
-		seeds    = fs.Int("seeds", 1, "repetitions per cell (distinct derived seeds); the batch size under -seeds-max")
-		seedsMax = fs.Int("seeds-max", 0, "sequential stopping: cap repetitions per cell, running batches of -seeds until -rel-ci converges")
-		relCI    = fs.Float64("rel-ci", 0, "sequential stopping target: relative median-CI half-width in percent")
+		seeds    = fs.Int("seeds", 1, "repetitions per cell (distinct derived seeds)")
 		par      = fs.Int("par", 0, "worker-pool size (0 = GOMAXPROCS)")
 		baseSeed = fs.Int64("baseseed", 1, "base seed perturbing every derived seed")
 		out      = fs.String("o", "", "output file (default BENCH_<exp>.json)")
 		faultsFl = cliconf.Faults(fs)
 		list     = fs.Bool("list", false, "list available experiments and exit")
 		compare  = fs.Bool("compare", false, "compare two result files: sweep -compare old.json new.json")
-		traced   = fs.Bool("trace", false, "attach (and discard) an event log to every cell run; results must be identical to an untraced sweep")
 		tol      = fs.Float64("tol", 0, "comparison tolerance in percent of the old median")
 		missing  = fs.Bool("allow-missing", false, "comparison: tolerate points present in old but absent in new (coverage loss fails the gate otherwise)")
 		verbose  = fs.Bool("v", false, "verbose comparison output (include unmoved points)")
@@ -144,9 +140,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		exps = []bench.Experiment{e}
 	}
 	opts := sweep.Options{
-		Seeds: *seeds, SeedsMax: *seedsMax, RelCIPct: *relCI,
-		Par: *par, BaseSeed: *baseSeed,
-		Faults: faultsFl.Spec(), GitDescribe: cliconf.GitDescribe(), Trace: *traced,
+		Seeds: *seeds, Par: *par, BaseSeed: *baseSeed,
+		Faults: faultsFl.Spec(), GitDescribe: cliconf.GitDescribe(),
 	}
 	if _, err := opts.Validate(); err != nil {
 		eprint(stderr, err)

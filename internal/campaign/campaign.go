@@ -45,10 +45,8 @@ type Request struct {
 	// Experiment names a registry experiment.
 	Experiment string `json:"experiment,omitempty"`
 
-	Seeds    int     `json:"seeds,omitempty"`
-	SeedsMax int     `json:"seedsMax,omitempty"`
-	RelCIPct float64 `json:"relCIPct,omitempty"`
-	BaseSeed int64   `json:"baseSeed,omitempty"`
+	Seeds    int   `json:"seeds,omitempty"`
+	BaseSeed int64 `json:"baseSeed,omitempty"`
 	// Faults is a fault-plan spec (faults.Parse grammar). The digest is
 	// computed over the *parsed* plan, so equivalent spellings share a
 	// cache entry.
@@ -69,8 +67,6 @@ type keyPayload struct {
 	Kind       Kind         `json:"kind"`
 	Experiment string       `json:"experiment,omitempty"`
 	Seeds      int          `json:"seeds,omitempty"`
-	SeedsMax   int          `json:"seedsMax,omitempty"`
-	RelCIPct   float64      `json:"relCIPct,omitempty"`
 	BaseSeed   int64        `json:"baseSeed,omitempty"`
 	Plan       *faults.Plan `json:"plan,omitempty"`
 }
@@ -91,7 +87,7 @@ func Canonicalize(req Request) (Request, error) {
 		return req, err
 	}
 	req.Experiment = e.ID
-	if _, err := (sweep.Options{Seeds: req.Seeds, SeedsMax: req.SeedsMax, RelCIPct: req.RelCIPct}).Validate(); err != nil {
+	if _, err := (sweep.Options{Seeds: req.Seeds}).Validate(); err != nil {
 		return req, err
 	}
 	if _, err := faults.Parse(req.Faults); err != nil {
@@ -123,8 +119,6 @@ func Digest(req Request, code string) (string, error) {
 		Kind:       req.Kind,
 		Experiment: req.Experiment,
 		Seeds:      req.Seeds,
-		SeedsMax:   req.SeedsMax,
-		RelCIPct:   req.RelCIPct,
 		BaseSeed:   req.BaseSeed,
 	}
 	// The fault-plan spec digests as its parsed plan: the JSON round-trip
@@ -173,8 +167,7 @@ func (r *Runner) Run(ctx context.Context, req Request, progress func(sweep.Progr
 		return nil, err
 	}
 	res, err := sweep.RunCtx(ctx, e, sweep.Options{
-		Seeds: req.Seeds, SeedsMax: req.SeedsMax, RelCIPct: req.RelCIPct,
-		BaseSeed: req.BaseSeed, Faults: req.Faults,
+		Seeds: req.Seeds, BaseSeed: req.BaseSeed, Faults: req.Faults,
 		GitDescribe: r.Git,
 		Par:         r.Par,
 		Progress:    progress,

@@ -97,9 +97,6 @@ func TestDigestPerturbationSensitivity(t *testing.T) {
 	r.Seeds = 5
 	perturb["seeds"] = r
 	r = base
-	r.SeedsMax, r.RelCIPct = 8, 2
-	perturb["stopping rule"] = r
-	r = base
 	r.BaseSeed = 2
 	perturb["base seed"] = r
 	r = base
@@ -173,8 +170,7 @@ func TestCanonicalizeRejectsContradictions(t *testing.T) {
 		{Kind: "trace", Experiment: "fig10"},
 		{Kind: Sweep},
 		{Kind: Sweep, Experiment: "no-such-exp"},
-		{Kind: Sweep, Experiment: "fig10", Seeds: 16, SeedsMax: 4, RelCIPct: 2},
-		{Kind: Sweep, Experiment: "fig10", SeedsMax: 32},
+		{Kind: Sweep, Experiment: "fig10", Seeds: -1},
 		{Kind: Sweep, Experiment: "fig10", Faults: "no-such-plan"},
 	}
 	for _, req := range bad {

@@ -121,8 +121,6 @@ func (s *Server) tools() []toolDef {
 				"kind":       str("campaign kind: sweep (the only kind)"),
 				"experiment": str("experiment id (see list_experiments)"),
 				"seeds":      num("repetitions per cell (default 1)"),
-				"seedsMax":   num("sequential-stopping cap on repetitions"),
-				"relCIPct":   num("sequential-stopping CI target in percent"),
 				"baseSeed":   num("base seed perturbing every derived seed (default 1)"),
 				"faults":     str("fault-plan spec: preset name, uniform:drop=..., or @file.json"),
 			}, "kind", "experiment"),

@@ -196,7 +196,8 @@ func TestServeSession(t *testing.T) {
 
 // submit_campaign refuses what the HTTP endpoint refuses, as tool errors
 // naming the problem: a kind other than sweep, and a field the request
-// type does not have (the arguments decode with DisallowUnknownFields).
+// type does not have (the arguments decode with DisallowUnknownFields),
+// retired stopping knobs included.
 func TestSubmitCampaignRejects(t *testing.T) {
 	svc, err := server.NewService(server.Config{Git: "mcp-test", CacheDir: t.TempDir(), Jobs: 1})
 	if err != nil {
@@ -211,6 +212,8 @@ func TestSubmitCampaignRejects(t *testing.T) {
 		{`{"kind":"sweep","experiment":"fig10","plans":["burst-loss"]}`, `"plans"`},
 		{`{"kind":"sweep","experiment":"fig10","series":"RAW LAPI"}`, `"series"`},
 		{`{"kind":"sweep","experiment":"fig10","seed":2}`, `"seed"`},
+		{`{"kind":"sweep","experiment":"fig10","seedsMax":8}`, `"seedsMax"`},
+		{`{"kind":"sweep","experiment":"fig10","relCIPct":2}`, `"relCIPct"`},
 	}
 	var input []string
 	for i, tc := range cases {

@@ -217,10 +217,10 @@ func TestGracefulDrainAndRestart(t *testing.T) {
 }
 
 // Contradictory or retired requests are refused before anything runs: a
-// request the registry or the stopping rule cannot honour, or a kind other
-// than sweep, is 422 and names the problem; a field the request type does
-// not have (a typo, or a knob only a retired kind read) is 400 and names
-// the field — it must not digest as the default configuration.
+// request the registry or the sweep validator cannot honour, or a kind
+// other than sweep, is 422 and names the problem; a field the request type
+// does not have (a typo, or a retired knob) is 400 and names the field — it
+// must not digest as the default configuration.
 func TestSubmitRejectsContradictions(t *testing.T) {
 	svc := newTestService(t, t.TempDir())
 	defer svc.Drain(context.Background())
@@ -232,7 +232,8 @@ func TestSubmitRejectsContradictions(t *testing.T) {
 		status     int
 		mention    string // substring the decoded error must carry
 	}{
-		{"contradictory seeds", `{"kind":"sweep","experiment":"fig10","seeds":16,"seedsMax":4,"relCIPct":2}`, http.StatusUnprocessableEntity, "seeds"},
+		{"negative seeds", `{"kind":"sweep","experiment":"fig10","seeds":-1}`, http.StatusUnprocessableEntity, "seeds"},
+		{"retired stopping cap", `{"kind":"sweep","experiment":"fig10","seeds":16,"seedsMax":4,"relCIPct":2}`, http.StatusBadRequest, `"seedsMax"`},
 		{"unknown experiment", `{"kind":"sweep","experiment":"nope"}`, http.StatusUnprocessableEntity, "nope"},
 		{"unknown kind", `{"kind":"mystery"}`, http.StatusUnprocessableEntity, `the only campaign kind is "sweep"`},
 		{"chaos kind", `{"kind":"chaos"}`, http.StatusUnprocessableEntity, `the only campaign kind is "sweep"`},
@@ -424,5 +425,95 @@ func TestSubmitCoalescesInFlight(t *testing.T) {
 	<-other.Done()
 	if j1.State() != queue.Done || other.State() != queue.Done {
 		t.Fatalf("states: %s, %s", j1.State(), other.State())
+	}
+}
+
+// do issues one request against the handler and returns status and body.
+func do(t *testing.T, ts *httptest.Server, method, path string) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, ts.URL+path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// The job-lifecycle and registry endpoints over one settled campaign: the
+// job is listed, its status reads done, its result is the digest-addressed
+// artifact byte for byte, cancelling it after the fact leaves it done, an
+// unknown id is 404 on every job route, and the registry lists every
+// experiment.
+func TestJobAndRegistryEndpoints(t *testing.T) {
+	svc := newTestService(t, t.TempDir())
+	defer svc.Drain(context.Background())
+	ts := httptest.NewServer(Handler(svc))
+	defer ts.Close()
+
+	resp, artifact := submit(t, ts, campaign.Request{Kind: campaign.Sweep, Experiment: "ring", Seeds: 1})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit: %d: %s", resp.StatusCode, artifact)
+	}
+	digest := resp.Header.Get("X-Spsimd-Digest")
+
+	status, body := do(t, ts, "GET", "/v1/campaigns")
+	var listed []jobView
+	if err := json.Unmarshal(body, &listed); status != http.StatusOK || err != nil {
+		t.Fatalf("list: %d, %v: %s", status, err, body)
+	}
+	if len(listed) != 1 || listed[0].Digest != digest || listed[0].Request.Experiment != "ring" {
+		t.Fatalf("list = %+v, want the one ring job at %s", listed, digest)
+	}
+	id := listed[0].ID
+
+	var view jobView
+	status, body = do(t, ts, "GET", "/v1/jobs/"+id)
+	if err := json.Unmarshal(body, &view); status != http.StatusOK || err != nil || view.State != queue.Done {
+		t.Fatalf("job status: %d, %v: %s", status, err, body)
+	}
+
+	status, byJob := do(t, ts, "GET", "/v1/jobs/"+id+"/result")
+	_, byDigest := do(t, ts, "GET", "/v1/results/"+digest)
+	if status != http.StatusOK || !bytes.Equal(byJob, byDigest) || !bytes.Equal(byJob, artifact) {
+		t.Fatalf("job result (%d, %d bytes) is not the digest-addressed artifact (%d bytes)", status, len(byJob), len(byDigest))
+	}
+
+	status, body = do(t, ts, "POST", "/v1/jobs/"+id+"/cancel")
+	if err := json.Unmarshal(body, &view); status != http.StatusOK || err != nil || view.State != queue.Done {
+		t.Fatalf("cancel of a settled job: %d, %v: %s", status, err, body)
+	}
+
+	for _, route := range []struct{ method, path string }{
+		{"GET", "/v1/jobs/nope"},
+		{"GET", "/v1/jobs/nope/result"},
+		{"POST", "/v1/jobs/nope/cancel"},
+	} {
+		if status, body := do(t, ts, route.method, route.path); status != http.StatusNotFound || !strings.Contains(string(body), "nope") {
+			t.Errorf("%s %s = %d: %s, want 404 naming the id", route.method, route.path, status, body)
+		}
+	}
+
+	status, body = do(t, ts, "GET", "/v1/experiments")
+	var exps []campaign.ExperimentInfo
+	if err := json.Unmarshal(body, &exps); status != http.StatusOK || err != nil {
+		t.Fatalf("experiments: %d, %v: %s", status, err, body)
+	}
+	var ids, want []string
+	for _, e := range exps {
+		ids = append(ids, e.ID)
+	}
+	for _, e := range bench.Experiments() {
+		want = append(want, e.ID)
+	}
+	if fmt.Sprint(ids) != fmt.Sprint(want) {
+		t.Fatalf("experiments = %v, want the registry %v", ids, want)
 	}
 }

@@ -23,40 +23,6 @@ import (
 	"splapi/internal/trace"
 )
 
-// Counters is the reliability-counter fingerprint of one run, compared
-// bit-for-bit by the determinism gate.
-type Counters struct {
-	Injected     uint64 `json:"injected"`
-	Delivered    uint64 `json:"delivered"`
-	Dropped      uint64 `json:"dropped"`
-	Duplicated   uint64 `json:"duplicated"`
-	Corrupted    uint64 `json:"corrupted,omitempty"`
-	Retransmits  uint64 `json:"retransmits"`
-	Timeouts     uint64 `json:"timeouts,omitempty"`
-	CorruptDrops uint64 `json:"corruptDrops,omitempty"`
-	RouteMasked  uint64 `json:"routeMasked,omitempty"`
-	NoRouteDrops uint64 `json:"noRouteDrops,omitempty"`
-	StallDelays  uint64 `json:"stallDelays,omitempty"`
-	FIFODrops    uint64 `json:"fifoDrops,omitempty"`
-}
-
-func countersOf(r *trace.Report) Counters {
-	return Counters{
-		Injected:     r.Fabric.Injected,
-		Delivered:    r.Fabric.Delivered,
-		Dropped:      r.Fabric.Dropped,
-		Duplicated:   r.Fabric.Duplicated,
-		Corrupted:    r.Fabric.Corrupted,
-		Retransmits:  r.TotalRetransmits(),
-		Timeouts:     r.TotalTimeouts(),
-		CorruptDrops: r.TotalCorruptDrops(),
-		RouteMasked:  r.Fabric.RouteMasked,
-		NoRouteDrops: r.Fabric.NoRouteDrops,
-		StallDelays:  r.TotalStallDelays(),
-		FIFODrops:    r.TotalFIFODrops(),
-	}
-}
-
 // Outcome is everything one workload run produces.
 type Outcome struct {
 	VTime sim.Time // final virtual time (run goes to quiescence)
@@ -67,8 +33,10 @@ type Outcome struct {
 	// Ok is the workload's own verification: every rank finished and every
 	// received payload matched its expected pattern. A protocol deadlock
 	// shows up here — the engine quiesces with ranks still incomplete.
-	Ok       bool
-	Counters Counters
+	Ok bool
+	// Counters is the run's counter fingerprint, compared bit for bit by
+	// the determinism gate.
+	Counters trace.Counters
 }
 
 // Workload is one verifying MPI program the harness can run under a plan.
@@ -161,7 +129,7 @@ func runPingPong(par machine.Params, seed int64) Outcome {
 	for _, d := range done {
 		okAll = okAll && d
 	}
-	return Outcome{VTime: c.Now(), Digest: foldDigests(digests), Ok: okAll, Counters: countersOf(trace.Collect(c))}
+	return Outcome{VTime: c.Now(), Digest: foldDigests(digests), Ok: okAll, Counters: trace.Collect(c).Counters()}
 }
 
 // runRing is a 4-node Sendrecv ring on the native stack: every iteration
@@ -196,7 +164,7 @@ func runRing(par machine.Params, seed int64) Outcome {
 	for _, d := range done {
 		okAll = okAll && d
 	}
-	return Outcome{VTime: c.Now(), Digest: foldDigests(digests), Ok: okAll, Counters: countersOf(trace.Collect(c))}
+	return Outcome{VTime: c.Now(), Digest: foldDigests(digests), Ok: okAll, Counters: trace.Collect(c).Counters()}
 }
 
 // runNASCG runs the CG kernel on MPI-LAPI Enhanced; the distributed

@@ -6,6 +6,7 @@ import (
 
 	"splapi/internal/faults"
 	"splapi/internal/machine"
+	"splapi/internal/trace"
 )
 
 // RunResult is one (workload, seed) verdict under one plan — the
@@ -20,8 +21,8 @@ type RunResult struct {
 	Inflation    float64 `json:"inflation"`
 	// Digest is the faulted run's payload digest (hex); it must equal the
 	// clean run's.
-	Digest   string   `json:"digest"`
-	Counters Counters `json:"counters"`
+	Digest   string         `json:"digest"`
+	Counters trace.Counters `json:"counters"`
 	// Failures lists every gate the run failed; empty means pass.
 	Failures []string `json:"failures,omitempty"`
 }

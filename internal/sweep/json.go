@@ -9,8 +9,8 @@ import (
 
 // SchemaV2 tags result files written by this version: median-based CIs
 // with a recorded construction method, raw per-repetition samples, a
-// declared regression direction, sequential-stopping provenance, and the
-// per-series variance decomposition. Load rejects everything else,
+// declared regression direction, and the per-series variance
+// decomposition. Load rejects everything else,
 // schema-less pre-v2 files included.
 const SchemaV2 = "sweep/v2"
 

@@ -13,10 +13,6 @@ import (
 // pool size).
 func (r *Result) Print(w io.Writer) {
 	fmt.Fprintf(w, "%s  [%s, %d seed(s), base %d]\n", r.Title, r.Unit, r.Seeds, r.BaseSeed)
-	if r.SeedsMax > 0 {
-		fmt.Fprintf(w, "  sequential stopping: batches of %d up to %d seeds, target rel CI %.3g%%\n",
-			r.Seeds, r.SeedsMax, r.RelCIPct)
-	}
 	if r.Overrides.Faults != "" {
 		fmt.Fprintf(w, "  fault injection: %s\n", r.Overrides.Faults)
 	}

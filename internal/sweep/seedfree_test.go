@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"splapi/internal/bench"
+	"splapi/internal/tracelog"
 )
 
 // wrapped wraps every cell of e to count the repetitions it runs in runs
@@ -77,7 +78,7 @@ func TestSeedFreeCellRunsOnce(t *testing.T) {
 
 // TestSeedFreeSweepEqualsForcedFullRun: on a real experiment the artifact
 // of the seed-free sweep is byte for byte the one of a sweep that runs
-// every seed — serially, on a pool, and under sequential stopping.
+// every seed — serially and on a pool.
 func TestSeedFreeSweepEqualsForcedFullRun(t *testing.T) {
 	e, err := bench.FindExperiment("ablate-eager")
 	if err != nil {
@@ -86,7 +87,6 @@ func TestSeedFreeSweepEqualsForcedFullRun(t *testing.T) {
 	for _, o := range []Options{
 		{Seeds: 4, Par: 1},
 		{Seeds: 4, Par: 4},
-		{Seeds: 2, SeedsMax: 6, RelCIPct: 1, Par: 4},
 	} {
 		var runs, forced atomic.Int64
 		got := encode(t, wrapped(e, &runs, false), o)
@@ -150,8 +150,8 @@ func TestSeedFreeProgressCountsEveryRecordedRepetition(t *testing.T) {
 }
 
 // TestCommittedArtifactsRegenerate holds every committed BENCH_*.json field
-// for field: each is re-swept at its recorded seeds, base seed, stopping
-// rule and fault plan, and its points and variance must come back equal.
+// for field: each is re-swept at its recorded seeds, base seed and fault
+// plan, and its points and variance must come back equal.
 func TestCommittedArtifactsRegenerate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sixteen-seed sweeps of every experiment; too slow under the race detector")
@@ -172,10 +172,7 @@ func TestCommittedArtifactsRegenerate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Run(e, Options{
-			Seeds: want.Seeds, SeedsMax: want.SeedsMax, RelCIPct: want.RelCIPct,
-			BaseSeed: want.BaseSeed, Faults: want.Overrides.Faults,
-		})
+		got, err := Run(e, Options{Seeds: want.Seeds, BaseSeed: want.BaseSeed, Faults: want.Overrides.Faults})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,6 +181,34 @@ func TestCommittedArtifactsRegenerate(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.Variance, want.Variance) {
 			t.Errorf("%s: variance does not regenerate", f)
+		}
+	}
+}
+
+// TestTracingIsObservational: an event log attached to a run must not move
+// it. Every cell of every registry experiment runs at its repetition-0 seed
+// with and without a log, and the two measurements must agree on value,
+// virtual time, seed-freedom and run counters.
+func TestTracingIsObservational(t *testing.T) {
+	if raceEnabled {
+		t.Skip("every cell of every experiment, twice; too slow under the race detector")
+	}
+	for _, e := range bench.Experiments() {
+		for _, c := range e.Cells {
+			seed := CellSeed(1, e.ID, c.Series, c.X, 0)
+			tl := tracelog.New(0)
+			plain := c.Run(bench.RunSpec{Seed: seed})
+			traced := c.Run(bench.RunSpec{Seed: seed, Trace: tl})
+			if tl.Len() == 0 {
+				t.Fatalf("%s %s/%d: the event log saw nothing; the comparison would be vacuous", e.ID, c.Series, c.X)
+			}
+			if plain.Value != traced.Value || plain.VirtualTime != traced.VirtualTime || plain.SeedFree != traced.SeedFree {
+				t.Errorf("%s %s/%d: traced run (%v, %d ns, seed-free %v) differs from untraced (%v, %d ns, seed-free %v)",
+					e.ID, c.Series, c.X, traced.Value, traced.VirtualTime, traced.SeedFree, plain.Value, plain.VirtualTime, plain.SeedFree)
+			}
+			if pc, tc := plain.Trace.Counters(), traced.Trace.Counters(); pc != tc {
+				t.Errorf("%s %s/%d: traced counters %+v differ from untraced %+v", e.ID, c.Series, c.X, tc, pc)
+			}
 		}
 	}
 }

@@ -20,19 +20,17 @@
 //     that run at every seed without running the others, and the artifact
 //     is the one running them would have written.
 //
-// The methodology (repetitions, median + spread rather than single-run
-// numbers, median confidence intervals and nonparametric old-vs-new
-// comparison rather than normal-theory mean CIs, sequential seed stopping
-// so campaigns only spend repetitions where the variance demands them, a
-// reproducible harness) follows "MPI Benchmarking Revisited: Experimental
-// Design and Reproducibility" (Hunold & Carpen-Amarie).
+// The methodology (a fixed, reproducible repetition count per cell, median +
+// spread rather than single-run numbers, median confidence intervals and
+// nonparametric old-vs-new comparison rather than normal-theory mean CIs)
+// follows "MPI Benchmarking Revisited: Experimental Design and
+// Reproducibility" (Hunold & Carpen-Amarie).
 package sweep
 
 import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -41,28 +39,13 @@ import (
 	"splapi/internal/faults"
 	"splapi/internal/machine"
 	"splapi/internal/trace"
-	"splapi/internal/tracelog"
 )
 
 // Options configures a sweep run.
 type Options struct {
 	// Seeds is the number of repetitions per cell (default 1). Repetition
 	// r of a cell runs with a seed derived from (experiment, series, x, r).
-	// With sequential stopping enabled it is the first (and per-round)
-	// batch size: the minimum seeds every cell runs.
 	Seeds int
-	// SeedsMax, together with RelCIPct, enables sequential stopping: each
-	// cell runs batches of Seeds repetitions until the relative half-width
-	// of its median CI falls to RelCIPct percent or SeedsMax repetitions
-	// have run. Cells converge independently, so a 1024-node campaign
-	// stops burning seeds on low-variance cells while noisy cells keep
-	// sampling. Zero (the default) disables stopping: every cell runs
-	// exactly Seeds repetitions.
-	SeedsMax int
-	// RelCIPct is the sequential-stopping target: convergence means
-	// (CI95Hi-CI95Lo)/2 <= RelCIPct/100 * |median| (for a zero median,
-	// a zero-width interval). Must be set iff SeedsMax is.
-	RelCIPct float64
 	// Par is the worker-pool size; <= 0 means GOMAXPROCS.
 	Par int
 	// BaseSeed perturbs every derived seed, giving a fresh family of
@@ -77,10 +60,6 @@ type Options struct {
 	// GitDescribe is recorded in the result for provenance (the CLI fills
 	// it from `git describe`).
 	GitDescribe string
-	// Trace attaches a fresh event log to every cell run. The logs are
-	// discarded — the option exists to prove (in determinism checks) that
-	// tracing cannot move a virtual-time result.
-	Trace bool
 	// Progress, when non-nil, receives one host-side event per completed
 	// repetition. Events arrive from worker goroutines serialized by an
 	// internal mutex, but their order reflects scheduling, not cell order
@@ -90,9 +69,8 @@ type Options struct {
 }
 
 // Progress is one host-side progress event: repetition Rep of cell Cell
-// finished, Done of the Planned repetitions currently scheduled are
-// complete. Planned grows when sequential stopping schedules another
-// batch, so Done/Planned is a live fraction, not a final one.
+// finished, and Done of the Planned (cells × seeds) repetitions are
+// recorded.
 type Progress struct {
 	Cell    int    `json:"cell"`
 	Series  string `json:"series"`
@@ -103,80 +81,21 @@ type Progress struct {
 }
 
 // Validate is the one statement of what a sweep request may say, shared by
-// the sweep CLI, the campaign service and RunCtx: negative knobs, a
-// seeds-max below seeds, and a stopping cap without a target (or a target
-// without a cap) are rejected rather than reinterpreted — a request the
-// harness silently rewrote would be a cache key that lies about its run.
-// It also resolves the worker-pool size: Par, or GOMAXPROCS when Par is 0.
+// the sweep CLI, the campaign service and RunCtx: negative knobs are
+// rejected rather than reinterpreted — a request the harness silently
+// rewrote would be a cache key that lies about its run. It also resolves
+// the worker-pool size: Par, or GOMAXPROCS when Par is 0.
 func (o Options) Validate() (workers int, err error) {
 	switch {
 	case o.Seeds < 0:
 		return 0, fmt.Errorf("sweep: seeds must be >= 0, got %d", o.Seeds)
-	case o.SeedsMax < 0:
-		return 0, fmt.Errorf("sweep: seeds-max must be >= 0, got %d", o.SeedsMax)
-	case o.RelCIPct < 0:
-		return 0, fmt.Errorf("sweep: rel-ci must be >= 0, got %g", o.RelCIPct)
 	case o.Par < 0:
 		return 0, fmt.Errorf("sweep: par must be >= 0, got %d", o.Par)
-	case o.SeedsMax != 0 && o.SeedsMax < max(o.Seeds, 1):
-		return 0, fmt.Errorf("sweep: contradictory stopping rule: seeds-max (%d) is below seeds (%d)", o.SeedsMax, max(o.Seeds, 1))
-	case o.SeedsMax != 0 && o.RelCIPct == 0:
-		return 0, fmt.Errorf("sweep: seeds-max needs a rel-ci convergence target (sequential stopping has no stop condition without one)")
-	case o.RelCIPct != 0 && o.SeedsMax == 0:
-		return 0, fmt.Errorf("sweep: rel-ci needs a seeds-max repetition cap (sequential stopping could sample forever without one)")
 	}
 	if o.Par == 0 {
 		return runtime.GOMAXPROCS(0), nil
 	}
 	return o.Par, nil
-}
-
-// TraceCounters is the compact per-point protocol/fabric counter summary,
-// taken from the repetition-0 run (deterministic). It lets a result file
-// explain its own timings: a latency regression with a retransmit spike
-// reads very differently from one without.
-type TraceCounters struct {
-	PacketsSent uint64 `json:"packetsSent"`
-	Retransmits uint64 `json:"retransmits"`
-	Injected    uint64 `json:"injected"`
-	Delivered   uint64 `json:"delivered"`
-	Dropped     uint64 `json:"dropped"`
-	Duplicated  uint64 `json:"duplicated"`
-	Reordered   uint64 `json:"reordered"`
-	BytesWire   uint64 `json:"bytesWire"`
-	// Reliability counters (all zero on a clean fabric; omitted from the
-	// JSON then, so fault-free artifacts are byte-identical to ones
-	// written before these fields existed).
-	Timeouts     uint64 `json:"timeouts,omitempty"`
-	Corrupted    uint64 `json:"corrupted,omitempty"`
-	CorruptDrops uint64 `json:"corruptDrops,omitempty"`
-	RouteMasked  uint64 `json:"routeMasked,omitempty"`
-	NoRouteDrops uint64 `json:"noRouteDrops,omitempty"`
-	StallDelays  uint64 `json:"stallDelays,omitempty"`
-	FIFODrops    uint64 `json:"fifoDrops,omitempty"`
-}
-
-func countersOf(r *trace.Report) TraceCounters {
-	if r == nil {
-		return TraceCounters{}
-	}
-	return TraceCounters{
-		PacketsSent:  r.TotalPacketsSent(),
-		Retransmits:  r.TotalRetransmits(),
-		Injected:     r.Fabric.Injected,
-		Delivered:    r.Fabric.Delivered,
-		Dropped:      r.Fabric.Dropped,
-		Duplicated:   r.Fabric.Duplicated,
-		Reordered:    r.Fabric.Reordered,
-		BytesWire:    r.Fabric.BytesWire,
-		Timeouts:     r.TotalTimeouts(),
-		Corrupted:    r.Fabric.Corrupted,
-		CorruptDrops: r.TotalCorruptDrops(),
-		RouteMasked:  r.Fabric.RouteMasked,
-		NoRouteDrops: r.Fabric.NoRouteDrops,
-		StallDelays:  r.TotalStallDelays(),
-		FIFODrops:    r.TotalFIFODrops(),
-	}
 }
 
 // PointResult is the aggregate of all repetitions of one cell.
@@ -192,8 +111,9 @@ type PointResult struct {
 	Samples []float64 `json:"samples,omitempty"`
 	// VirtualTimeNs is the summed virtual time of all repetitions: the
 	// simulated cost of producing this point.
-	VirtualTimeNs int64         `json:"virtualTimeNs"`
-	Trace         TraceCounters `json:"trace"`
+	VirtualTimeNs int64 `json:"virtualTimeNs"`
+	// Trace is the run-counter record of repetition 0 (deterministic).
+	Trace trace.Counters `json:"trace"`
 }
 
 // SeriesVariance is the per-series variance decomposition of a result:
@@ -237,19 +157,13 @@ type Result struct {
 	// Direction is the declared regression direction of the metric
 	// (bench.LowerIsBetter / bench.HigherIsBetter), so the gate never
 	// infers it from unit spelling.
-	Direction   string `json:"direction,omitempty"`
-	GitDescribe string `json:"gitDescribe"`
-	Seeds       int    `json:"seeds"`
-	// SeedsMax / RelCIPct record the sequential-stopping rule the sweep
-	// ran under (zero: disabled, every point has exactly Seeds
-	// repetitions). Per-point stats.n says how many seeds each cell
-	// actually consumed.
-	SeedsMax  int              `json:"seedsMax,omitempty"`
-	RelCIPct  float64          `json:"relCIPct,omitempty"`
-	BaseSeed  int64            `json:"baseSeed"`
-	Overrides Overrides        `json:"overrides"`
-	Variance  []SeriesVariance `json:"variance,omitempty"`
-	Points    []PointResult    `json:"points"`
+	Direction   string           `json:"direction,omitempty"`
+	GitDescribe string           `json:"gitDescribe"`
+	Seeds       int              `json:"seeds"`
+	BaseSeed    int64            `json:"baseSeed"`
+	Overrides   Overrides        `json:"overrides"`
+	Variance    []SeriesVariance `json:"variance,omitempty"`
+	Points      []PointResult    `json:"points"`
 
 	// WallClock is the host time the sweep took; Par is the pool size
 	// used; Ran counts the repetitions executed, which is fewer than the
@@ -267,17 +181,6 @@ func CellSeed(base int64, experiment, series string, x, rep int) int64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%s|%d|%d|%d", experiment, series, x, rep, base)
 	return int64(h.Sum64() >> 1) // keep it positive for readability
-}
-
-// converged reports whether a cell's accumulated statistics meet the
-// sequential-stopping target: the median CI's relative half-width is at or
-// under relCIPct percent (for a zero median, a zero-width interval).
-func converged(s bench.Summary, relCIPct float64) bool {
-	half := (s.CI95Hi - s.CI95Lo) / 2
-	if s.Median == 0 {
-		return half == 0
-	}
-	return half <= relCIPct/100*math.Abs(s.Median)
 }
 
 // varianceDecomp computes the per-series seed-axis vs parameter-axis
@@ -323,10 +226,7 @@ func varianceDecomp(points []PointResult) []SeriesVariance {
 }
 
 // Run sweeps every cell of the experiment across the seed list on a worker
-// pool and aggregates the repetitions. With SeedsMax/RelCIPct set, cells
-// run in batches of Seeds repetitions and stop independently once their
-// median CI converges; the repetition seeds depend only on the repetition
-// index, so stopping never changes the values a cell would have produced.
+// pool and aggregates the repetitions: exactly Seeds per cell.
 func Run(e bench.Experiment, o Options) (*Result, error) {
 	return RunCtx(context.Background(), e, o)
 }
@@ -343,11 +243,6 @@ func RunCtx(ctx context.Context, e bench.Experiment, o Options) (*Result, error)
 		return nil, err
 	}
 	seeds := max(o.Seeds, 1)
-	maxSeeds := seeds
-	sequential := o.SeedsMax != 0
-	if sequential {
-		maxSeeds = o.SeedsMax
-	}
 	base := o.BaseSeed
 	if base == 0 {
 		base = 1
@@ -374,22 +269,26 @@ func RunCtx(ctx context.Context, e bench.Experiment, o Options) (*Result, error)
 
 	// One slot per (cell, repetition): workers write only their own slot,
 	// and aggregation reads the slots in deterministic cell order, so the
-	// result is independent of scheduling. Batches grow the slot rows for
-	// the cells that have not converged yet; which repetitions run is a
-	// pure function of the accumulated values, never of worker timing.
-	slots := make([][]bench.Measurement, len(e.Cells))
-	stats := make([]bench.Summary, len(e.Cells))
-	active := make([]int, len(e.Cells))
-	for i := range active {
-		active[i] = i
-	}
-	// Host-side progress accounting: done/planned counters shared by the
-	// workers, serialized by progressMu. Purely observational.
+	// result is independent of scheduling. Repetition 0 of every cell runs
+	// first, the rest after it. A cell whose repetition 0 proved seed-free
+	// would measure the same under every seed, so its other slots are
+	// recorded as copies of slot 0 instead of being run: the artifact is
+	// the one a full run writes, and only slot 0's Trace is ever read.
 	type job struct{ cell, rep int }
+	slots := make([][]bench.Measurement, len(e.Cells))
+	var lead, rest []job
+	for ci := range e.Cells {
+		slots[ci] = make([]bench.Measurement, seeds)
+		lead = append(lead, job{ci, 0})
+		for r := 1; r < seeds; r++ {
+			rest = append(rest, job{ci, r})
+		}
+	}
+	// Host-side progress accounting, serialized by progressMu. Purely
+	// observational.
 	var (
-		progressMu      sync.Mutex
-		progressDone    int
-		progressPlanned int
+		progressMu   sync.Mutex
+		progressDone int
 	)
 	report := func(j job) {
 		if o.Progress == nil {
@@ -398,109 +297,71 @@ func RunCtx(ctx context.Context, e bench.Experiment, o Options) (*Result, error)
 		c := e.Cells[j.cell]
 		progressMu.Lock()
 		progressDone++
-		o.Progress(Progress{Cell: j.cell, Series: c.Series, X: c.X, Rep: j.rep, Done: progressDone, Planned: progressPlanned})
+		o.Progress(Progress{Cell: j.cell, Series: c.Series, X: c.X, Rep: j.rep, Done: progressDone, Planned: len(e.Cells) * seeds})
 		progressMu.Unlock()
 	}
 	ran := 0 // repetitions executed; the rest of those recorded are copies
 	start := time.Now()
-	for len(active) > 0 {
-		// Repetition 0 of every cell runs first, the rest of the batch after
-		// it. A cell whose repetition 0 proved seed-free would measure the
-		// same under every seed, so its other slots are recorded as copies
-		// of slot 0 instead of being run: the artifact is the one a full run
-		// writes, and only slot 0's Trace is ever read.
-		var lead, rest []job
-		for _, ci := range active {
-			done := len(slots[ci])
-			add := min(seeds, maxSeeds-done)
-			slots[ci] = append(slots[ci], make([]bench.Measurement, add)...)
-			for r := done; r < done+add; r++ {
-				if r == 0 {
-					lead = append(lead, job{ci, r})
-				} else {
-					rest = append(rest, job{ci, r})
-				}
+	for _, part := range [][]job{lead, rest} {
+		var batch []job
+		for _, j := range part {
+			// Until lead has run, slot 0 is the zero Measurement.
+			if m := slots[j.cell][0]; m.SeedFree {
+				slots[j.cell][j.rep] = m
+				report(j)
+			} else {
+				batch = append(batch, j)
 			}
 		}
-		progressPlanned += len(lead) + len(rest)
-		for _, part := range [][]job{lead, rest} {
-			var batch []job
-			for _, j := range part {
-				// Until lead has run, slot 0 is the zero Measurement.
-				if m := slots[j.cell][0]; m.SeedFree {
-					slots[j.cell][j.rep] = m
-					report(j)
-				} else {
-					batch = append(batch, j)
-				}
-			}
-			ran += len(batch)
-			jobs := make(chan job)
-			var (
-				wg       sync.WaitGroup
-				panicked error
-				panicMu  sync.Mutex
-			)
-			for w := 0; w < par; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for j := range jobs {
-						if ctx.Err() != nil {
-							continue // drain the queue without running
-						}
-						func() {
-							defer func() {
-								if r := recover(); r != nil {
-									panicMu.Lock()
-									if panicked == nil {
-										panicked = fmt.Errorf("sweep: cell %d rep %d panicked: %v", j.cell, j.rep, r)
-									}
-									panicMu.Unlock()
-								}
-							}()
-							c := e.Cells[j.cell]
-							seed := CellSeed(base, e.ID, c.Series, c.X, j.rep)
-							var tl *tracelog.Log
-							if o.Trace {
-								tl = tracelog.New(0)
-							}
-							slots[j.cell][j.rep] = c.Run(bench.RunSpec{Seed: seed, Mod: mod, Trace: tl})
-						}()
-						report(j)
+		ran += len(batch)
+		jobs := make(chan job)
+		var (
+			wg       sync.WaitGroup
+			panicked error
+			panicMu  sync.Mutex
+		)
+		for w := 0; w < par; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := range jobs {
+					if ctx.Err() != nil {
+						continue // drain the queue without running
 					}
-				}()
-			}
-		feed:
-			for _, j := range batch {
-				select {
-				case jobs <- j:
-				case <-ctx.Done():
-					break feed
+					func() {
+						defer func() {
+							if r := recover(); r != nil {
+								panicMu.Lock()
+								if panicked == nil {
+									panicked = fmt.Errorf("sweep: cell %d rep %d panicked: %v", j.cell, j.rep, r)
+								}
+								panicMu.Unlock()
+							}
+						}()
+						c := e.Cells[j.cell]
+						seed := CellSeed(base, e.ID, c.Series, c.X, j.rep)
+						slots[j.cell][j.rep] = c.Run(bench.RunSpec{Seed: seed, Mod: mod})
+					}()
+					report(j)
 				}
-			}
-			close(jobs)
-			wg.Wait()
-			if panicked != nil {
-				return nil, panicked
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("sweep: canceled after draining in-flight cells, partial results discarded: %w", err)
+			}()
+		}
+	feed:
+		for _, j := range batch {
+			select {
+			case jobs <- j:
+			case <-ctx.Done():
+				break feed
 			}
 		}
-		var still []int
-		for _, ci := range active {
-			values := make([]float64, len(slots[ci]))
-			for r, m := range slots[ci] {
-				values[r] = m.Value
-			}
-			stats[ci] = bench.Summarize(values)
-			if len(slots[ci]) >= maxSeeds || (sequential && converged(stats[ci], o.RelCIPct)) {
-				continue
-			}
-			still = append(still, ci)
+		close(jobs)
+		wg.Wait()
+		if panicked != nil {
+			return nil, panicked
 		}
-		active = still
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("sweep: canceled after draining in-flight cells, partial results discarded: %w", err)
+		}
 	}
 
 	res := &Result{
@@ -511,8 +372,6 @@ func RunCtx(ctx context.Context, e bench.Experiment, o Options) (*Result, error)
 		Direction:   string(e.Direction),
 		GitDescribe: o.GitDescribe,
 		Seeds:       seeds,
-		SeedsMax:    o.SeedsMax,
-		RelCIPct:    o.RelCIPct,
 		BaseSeed:    base,
 		Overrides:   Overrides{Faults: o.Faults},
 		WallClock:   time.Since(start),
@@ -520,7 +379,7 @@ func RunCtx(ctx context.Context, e bench.Experiment, o Options) (*Result, error)
 		Ran:         ran,
 	}
 	for ci, c := range e.Cells {
-		samples := make([]float64, len(slots[ci]))
+		samples := make([]float64, seeds)
 		var vt int64
 		for r, m := range slots[ci] {
 			samples[r] = m.Value
@@ -529,10 +388,10 @@ func RunCtx(ctx context.Context, e bench.Experiment, o Options) (*Result, error)
 		res.Points = append(res.Points, PointResult{
 			Series:        c.Series,
 			X:             c.X,
-			Stats:         stats[ci],
+			Stats:         bench.Summarize(samples),
 			Samples:       samples,
 			VirtualTimeNs: vt,
-			Trace:         countersOf(slots[ci][0].Trace),
+			Trace:         slots[ci][0].Trace.Counters(),
 		})
 	}
 	res.Variance = varianceDecomp(res.Points)

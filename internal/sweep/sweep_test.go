@@ -191,8 +191,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 // noisySyntheticExperiment builds an experiment whose cell 0 is seed-
-// independent (zero variance) and whose cell 1 spreads with the seed —
-// the smallest matrix that exercises per-cell sequential stopping.
+// independent (zero variance) and whose cell 1 spreads with the seed.
 func noisySyntheticExperiment() bench.Experiment {
 	e := bench.Experiment{ID: "noisy", Title: "noisy", Unit: "us"}
 	e.Cells = append(e.Cells,
@@ -204,108 +203,6 @@ func noisySyntheticExperiment() bench.Experiment {
 		}},
 	)
 	return e
-}
-
-// TestSequentialStoppingPerCell: under -seeds-max/-rel-ci, a zero-variance
-// cell must stop at the first batch while a noisy cell keeps burning seeds
-// toward the cap, and the values of the seeds that did run must equal the
-// fixed-seed sweep's (stopping only truncates, never perturbs).
-func TestSequentialStoppingPerCell(t *testing.T) {
-	e := noisySyntheticExperiment()
-	r, err := Run(e, Options{Seeds: 3, SeedsMax: 24, RelCIPct: 1, Par: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byS := map[string]PointResult{}
-	for _, p := range r.Points {
-		byS[p.Series] = p
-	}
-	if n := byS["flat"].Stats.N; n != 3 {
-		t.Errorf("zero-variance cell ran %d seeds, want the 3-seed minimum batch", n)
-	}
-	if n := byS["noisy"].Stats.N; n <= 3 {
-		t.Errorf("noisy cell stopped at %d seeds; should have escalated", n)
-	}
-	full, err := Run(e, Options{Seeds: 24, Par: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range r.Points {
-		for _, fp := range full.Points {
-			if fp.Series != p.Series || fp.X != p.X {
-				continue
-			}
-			if !reflect.DeepEqual(p.Samples, fp.Samples[:len(p.Samples)]) {
-				t.Errorf("%s: sequential samples are not a prefix of the fixed-seed sweep", p.Series)
-			}
-		}
-	}
-	// Stopping is part of the artifact's provenance.
-	if r.SeedsMax != 24 || r.RelCIPct != 1 || r.Seeds != 3 {
-		t.Errorf("stopping rule not recorded: %+v", r)
-	}
-}
-
-// TestSequentialStoppingParInvariance: which seeds run is a pure function
-// of the accumulated values, so the artifact must stay byte-identical at
-// any pool size even with per-cell stopping.
-func TestSequentialStoppingParInvariance(t *testing.T) {
-	e := noisySyntheticExperiment()
-	var ref []byte
-	for _, par := range []int{1, 3, 16} {
-		r, err := Run(e, Options{Seeds: 2, SeedsMax: 16, RelCIPct: 5, Par: par})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Encode(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = b
-		} else if !bytes.Equal(ref, b) {
-			t.Fatalf("par=%d produced different bytes under sequential stopping", par)
-		}
-	}
-}
-
-// TestSequentialStoppingFaultPlan is the acceptance demonstration on a
-// real simulation: under a scripted fault plan, at least one low-variance
-// cell must converge before -seeds-max (saving seeds), and sequential
-// stopping must never run fewer than the minimum batch.
-func TestSequentialStoppingFaultPlan(t *testing.T) {
-	full, err := bench.FindExperiment("ablate-eager")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := bench.Experiment{ID: "stopdemo", Title: "stopping demo", Unit: "us", Direction: full.Direction}
-	e.Cells = full.Cells[:2]
-	r, err := Run(e, Options{Seeds: 2, SeedsMax: 6, RelCIPct: 10, Par: 2, Faults: "uniform:drop=0.002"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	saved := false
-	for _, p := range r.Points {
-		if p.Stats.N < 2 || p.Stats.N > 6 {
-			t.Fatalf("point %s ran %d seeds outside [2, 6]", p.Series, p.Stats.N)
-		}
-		if p.Stats.N < 6 {
-			saved = true
-		}
-	}
-	if !saved {
-		t.Error("no cell converged before -seeds-max; stopping rule did no work")
-	}
-}
-
-func TestSequentialStoppingOptionValidation(t *testing.T) {
-	e := syntheticExperiment(1)
-	if _, err := Run(e, Options{Seeds: 8, SeedsMax: 4, RelCIPct: 1}); err == nil {
-		t.Error("SeedsMax < Seeds should error")
-	}
-	if _, err := Run(e, Options{Seeds: 2, SeedsMax: 8}); err == nil {
-		t.Error("SeedsMax without RelCIPct should error")
-	}
 }
 
 // TestVarianceDecomposition: a clean deterministic sweep is all

@@ -47,15 +47,8 @@ func TestOptionsValidate(t *testing.T) {
 	}{
 		{"zero value", Options{}, true},
 		{"plain seeds", Options{Seeds: 16}, true},
-		{"stopping rule", Options{Seeds: 4, SeedsMax: 32, RelCIPct: 2}, true},
 		{"negative seeds", Options{Seeds: -1}, false},
-		{"negative seeds-max", Options{SeedsMax: -4}, false},
-		{"negative rel-ci", Options{RelCIPct: -1}, false},
 		{"negative par", Options{Par: -2}, false},
-		{"seeds-max below seeds", Options{Seeds: 16, SeedsMax: 4, RelCIPct: 2}, false},
-		{"seeds-max below default seeds=1 is fine", Options{SeedsMax: 1, RelCIPct: 2}, true},
-		{"seeds-max without rel-ci", Options{Seeds: 4, SeedsMax: 32}, false},
-		{"rel-ci without seeds-max", Options{Seeds: 4, RelCIPct: 2}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

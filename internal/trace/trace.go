@@ -74,6 +74,56 @@ func Collect(c *cluster.Cluster) *Report {
 	return r
 }
 
+// Counters is the compact run-counter record of one run: the protocol and
+// fabric totals a sweep point and a chaos verdict carry, so a timing
+// explains itself (a latency regression with a retransmit spike reads very
+// differently from one without) and a rerun can be compared bit for bit.
+type Counters struct {
+	PacketsSent uint64 `json:"packetsSent"`
+	Retransmits uint64 `json:"retransmits"`
+	Injected    uint64 `json:"injected"`
+	Delivered   uint64 `json:"delivered"`
+	Dropped     uint64 `json:"dropped"`
+	Duplicated  uint64 `json:"duplicated"`
+	Reordered   uint64 `json:"reordered"`
+	BytesWire   uint64 `json:"bytesWire"`
+	// Reliability counters (all zero on a clean fabric; omitted from the
+	// JSON then, so fault-free artifacts are byte-identical to ones
+	// written before these fields existed).
+	Timeouts     uint64 `json:"timeouts,omitempty"`
+	Corrupted    uint64 `json:"corrupted,omitempty"`
+	CorruptDrops uint64 `json:"corruptDrops,omitempty"`
+	RouteMasked  uint64 `json:"routeMasked,omitempty"`
+	NoRouteDrops uint64 `json:"noRouteDrops,omitempty"`
+	StallDelays  uint64 `json:"stallDelays,omitempty"`
+	FIFODrops    uint64 `json:"fifoDrops,omitempty"`
+}
+
+// Counters projects the report onto its run-counter record; a nil report
+// (a cell that keeps no cluster) has all-zero counters.
+func (r *Report) Counters() Counters {
+	if r == nil {
+		return Counters{}
+	}
+	return Counters{
+		PacketsSent:  r.TotalPacketsSent(),
+		Retransmits:  r.TotalRetransmits(),
+		Injected:     r.Fabric.Injected,
+		Delivered:    r.Fabric.Delivered,
+		Dropped:      r.Fabric.Dropped,
+		Duplicated:   r.Fabric.Duplicated,
+		Reordered:    r.Fabric.Reordered,
+		BytesWire:    r.Fabric.BytesWire,
+		Timeouts:     r.TotalTimeouts(),
+		Corrupted:    r.Fabric.Corrupted,
+		CorruptDrops: r.TotalCorruptDrops(),
+		RouteMasked:  r.Fabric.RouteMasked,
+		NoRouteDrops: r.Fabric.NoRouteDrops,
+		StallDelays:  r.TotalStallDelays(),
+		FIFODrops:    r.TotalFIFODrops(),
+	}
+}
+
 // TotalPacketsSent sums HAL packets across nodes.
 func (r *Report) TotalPacketsSent() uint64 {
 	var n uint64
