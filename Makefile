@@ -22,8 +22,10 @@ test:
 	go test -race ./...
 
 # alloc-check runs the zero-allocation gates (kernel event loop, sleep,
-# park→wake, Queue, the HAL packet path, a Pipes stream) without the race
-# detector: its instrumentation allocates, so `make test` skips them all.
+# park→wake, Queue, the pool's free-list hand-off on an After+Run cycle, a
+# warm engine making no fresh pooled buffer, the HAL packet path, a Pipes
+# stream, the LAPI send window) without the race detector: its
+# instrumentation allocates, so `make test` skips those it perturbs.
 alloc-check:
 	go test -count=1 -run ZeroAlloc ./internal/...
 
@@ -67,7 +69,7 @@ loc:
 # loc-check is the ratchet on that number: it fails when the total exceeds
 # LOC_MAX. A PR that shrinks the tree lowers LOC_MAX to its own result; a PR
 # that must grow it raises LOC_MAX in the same diff, where a reviewer sees it.
-LOC_MAX = 19625
+LOC_MAX = 19755
 loc-check:
 	@total=$$($(MAKE) -s --no-print-directory loc | awk '$$2 == "total" { print $$1 }'); \
 	echo "loc-check: $$total non-test Go lines (LOC_MAX $(LOC_MAX))"; \

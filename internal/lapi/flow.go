@@ -40,7 +40,11 @@ type flow struct {
 	// Sender state.
 	nextSeq  uint64
 	cumAcked uint64
-	unacked  []flowPkt
+	unacked  []flowPkt // packets [cumAcked, nextSeq), a window of base
+	base     []flowPkt // the start of unacked's array
+	// walkers counts retransmits walking unacked across blocking sends;
+	// while one does, the window's entries must stay where they are.
+	walkers  int
 	rtxArmed bool
 	rtxTimer sim.Timer
 	// rto is the adaptive retransmission timeout: 0 means the base
@@ -93,10 +97,24 @@ func (f *flow) send(p *sim.Proc, kind byte, body []byte) {
 	binary.BigEndian.PutUint64(buf[2:10], seq)
 	f.stampAck(buf)
 	copy(buf[flowHdrSize:], body)
-	f.unacked = append(f.unacked, flowPkt{seq: seq, payload: buf})
+	f.push(flowPkt{seq: seq, payload: buf})
 	f.l.tr.Emit(p.Now(), tracelog.LLAPI, tracelog.KFlowSend, f.l.node, f.peer, 0, len(body), int64(seq))
 	f.l.h.Send(p, f.peer, buf)
 	f.armRtx()
+}
+
+// push appends pk to the window. Acks trim unacked from the front, so once
+// it reaches the end of its array the entries move back to the array's
+// front rather than into a new array, except while a retransmit walks them.
+func (f *flow) push(pk flowPkt) {
+	if n := len(f.unacked); n == cap(f.unacked) && n < cap(f.base) && f.walkers == 0 {
+		f.unacked = f.base[:copy(f.base[:n], f.unacked)]
+	}
+	c := cap(f.unacked)
+	f.unacked = append(f.unacked, pk)
+	if cap(f.unacked) != c {
+		f.base = f.unacked[:0] // append moved the window to a new array
+	}
 }
 
 // stampAck piggybacks the receive side's cumulative ack on an outgoing
@@ -150,10 +168,12 @@ func (f *flow) retransmit(p *sim.Proc) {
 	}
 	f.l.stats.Retransmits++
 	f.l.tr.Emit(p.Now(), tracelog.LLAPI, tracelog.KFlowRtx, f.l.node, f.peer, 0, len(f.unacked), int64(f.cumAcked))
+	f.walkers++
 	for _, pk := range f.unacked {
 		f.stampAck(pk.payload)
 		f.l.h.Send(p, f.peer, pk.payload)
 	}
+	f.walkers--
 	f.armRtx()
 }
 
@@ -174,6 +194,11 @@ func (f *flow) onAck(cum uint64) {
 	// buffers go back to the engine pool.
 	for _, pk := range f.unacked[:i] {
 		f.l.eng.Pool().Put(pk.payload)
+	}
+	if f.walkers == 0 {
+		// A walking retransmit still reads its copy of the window's
+		// entries, so they are cleared only when none is active.
+		clear(f.unacked[:i])
 	}
 	f.unacked = f.unacked[i:]
 	// Progress: restart the retransmission timer rather than letting a

@@ -151,3 +151,26 @@ func TestQueueZeroAllocAndBounded(t *testing.T) {
 		t.Errorf("a queue holding %d items spans %d slots, want at most %d", occupancy, n, 2*occupancy+1)
 	}
 }
+
+// TestPoolHandOffZeroAlloc: an After+Run cycle whose callback uses the pool
+// takes lists from the stash and hands them back on every Run, and neither
+// step may allocate.
+func TestPoolHandOffZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under the race detector")
+	}
+	e := NewEngine(1)
+	fn := func() { e.Pool().Put(e.Pool().Get(64)) }
+	e.After(1, fn)
+	e.Run(0)
+	allocs := testing.AllocsPerRun(200, func() {
+		e.After(1, fn)
+		e.Run(0)
+	})
+	if allocs != 0 {
+		t.Errorf("After+Run cycle with pool traffic allocates %.1f objects/op, want 0", allocs)
+	}
+	if e.pool.free != nil {
+		t.Error("a quiesced Run kept its pool lists")
+	}
+}

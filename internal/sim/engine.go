@@ -127,9 +127,9 @@ type Engine struct {
 	// own, or that of a callback it was dispatching — so Run can re-raise
 	// it on the caller's goroutine (where tests can recover it).
 	procPanic any
-	// pool is large (free lists + per-class counters for every size class)
-	// and cold relative to the dispatch loop; keeping it last keeps the
-	// scalar fields above packed into the leading cache lines.
+	// pool is large (per-class counters for every size class) and cold
+	// relative to the dispatch loop; keeping it last keeps the scalar
+	// fields above packed into the leading cache lines.
 	pool BufPool
 }
 
@@ -301,7 +301,9 @@ func (e *Engine) Stop() { e.stopped = true }
 // Stop is called. horizon <= 0 means no horizon. It returns the number of
 // events executed. Before returning — normally, or by re-raising a panic
 // from simulated code — it force-kills any still-parked processes so their
-// coroutines end (their pending work is abandoned).
+// coroutines end (their pending work is abandoned). A Run that returns
+// normally with no event pending and no process left has quiesced: it
+// hands the buffer pool's free lists on (see BufPool).
 func (e *Engine) Run(horizon Time) int {
 	if e.running {
 		panic("sim: Engine.Run re-entered")
@@ -312,8 +314,10 @@ func (e *Engine) Run(horizon Time) int {
 	}
 	start := e.executed
 	e.running = true
-	defer e.shutdown()
+	returned := false
+	defer func() { e.shutdown(returned) }()
 	e.dispatch(nil)
+	returned = true
 	if horizon > 0 && e.live() && len(e.events) > 0 {
 		// The loop ended on a live event beyond the horizon. It stays
 		// queued for a later Run with a larger one; the clock stops here.
@@ -325,13 +329,16 @@ func (e *Engine) Run(horizon Time) int {
 // shutdown ends a Run: parked processes are killed, and a panic carried out
 // of a process coroutine is re-raised on Run's goroutine. Run defers it, so
 // a callback that panics on Run's own goroutine passes through it as well
-// and leaves no coroutine and no running flag behind.
-func (e *Engine) shutdown() {
+// (returned false) and leaves no coroutine and no running flag behind.
+func (e *Engine) shutdown(returned bool) {
 	e.running = false
 	e.killAll()
 	if r := e.procPanic; r != nil {
 		e.procPanic = nil
 		panic(r)
+	}
+	if returned && len(e.events) == 0 && len(e.procs) == 0 {
+		e.pool.handOff()
 	}
 }
 

@@ -42,6 +42,21 @@ func pingRing(stack cluster.Stack, seed int64, drop float64) sim.Time {
 	})
 }
 
+// concurrently runs fn(0), ..., fn(n-1) on n goroutines at once and waits
+// for them all.
+func concurrently(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		//simlint:allow baregoroutine these tests race whole engines against each other on purpose
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
+	}
+	wg.Wait()
+}
+
 // TestConcurrentEnginesBitIdentical runs >= 4 independent engines in
 // goroutines — different stacks, seeds, and fault settings, all active at
 // the same time — and asserts every one reproduces the virtual time its
@@ -71,17 +86,10 @@ func TestConcurrentEnginesBitIdentical(t *testing.T) {
 
 	// Concurrent pass: all engines live at once.
 	got := make([]sim.Time, len(configs))
-	var wg sync.WaitGroup
-	for i, c := range configs {
-		i, c := i, c
-		wg.Add(1)
-		//simlint:allow baregoroutine this test races whole engines against each other on purpose
-		go func() {
-			defer wg.Done()
-			got[i] = pingRing(c.stack, c.seed, c.drop)
-		}()
-	}
-	wg.Wait()
+	concurrently(len(configs), func(i int) {
+		c := configs[i]
+		got[i] = pingRing(c.stack, c.seed, c.drop)
+	})
 
 	for i, c := range configs {
 		if got[i] != want[i] {
@@ -98,17 +106,7 @@ func TestConcurrentSameConfigEngines(t *testing.T) {
 	const n = 8
 	want := pingRing(cluster.LAPIEnhanced, 42, 0.001)
 	got := make([]sim.Time, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		i := i
-		wg.Add(1)
-		//simlint:allow baregoroutine this test races whole engines against each other on purpose
-		go func() {
-			defer wg.Done()
-			got[i] = pingRing(cluster.LAPIEnhanced, 42, 0.001)
-		}()
-	}
-	wg.Wait()
+	concurrently(n, func(i int) { got[i] = pingRing(cluster.LAPIEnhanced, 42, 0.001) })
 	for i := 0; i < n; i++ {
 		if got[i] != want {
 			t.Errorf("replica %d ended at %v, want %v", i, got[i], want)

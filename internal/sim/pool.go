@@ -1,6 +1,10 @@
 package sim
 
-import "math/bits"
+import (
+	"math/bits"
+	"runtime"
+	"sync"
+)
 
 // BufPool is the engine-owned pool of payload buffers. The hot layers
 // (switchnet's injection-boundary snapshot, LAPI reassembly, MPCI framing)
@@ -11,17 +15,28 @@ import "math/bits"
 //
 //   - Determinism. All simulated code runs single-threaded under the engine
 //     token, so plain LIFO free lists need no locks, and — unlike sync.Pool,
-//     whose reuse pattern depends on GC timing and per-P caches — the
-//     sequence of buffers handed out is a pure function of the simulation's
-//     own event order. Buffer identity can therefore never leak scheduling
-//     noise into results.
-//   - One pool per engine. Sweep cells build independent engines on worker
-//     goroutines; per-engine pools keep them isolated without sharing.
+//     whose reuse pattern depends on GC timing and per-P caches — which of
+//     the engine's own earlier Puts serves a Get is a pure function of the
+//     simulation's own event order. Any other Get is served a buffer that
+//     Get zeroes or Snapshot overwrites, wherever it came from. Buffer
+//     identity can therefore never leak scheduling noise into results.
+//   - Stats per engine, storage handed on at quiescence. Sweep cells build
+//     independent engines on worker goroutines, and each counts only its
+//     own traffic. The free lists themselves outlive the engine: when Run
+//     ends quiesced, the engine hands them to a small process-wide stash,
+//     and the next pool that needs lists takes them from there before it
+//     allocates, so every cell after the first starts with warm buffers.
+//     The lists belong to one pool at a time; only the stash is locked.
 //
 // Buffers come in power-of-two size classes. Get zeroes the returned slice
 // (same contract as make), Snapshot copies into an unzeroed one. Put
 // recycles only slices whose capacity is exactly a class size, so handing a
 // foreign buffer to Put is harmless: it is simply left to the GC.
+//
+// The statistics are pure accounting of the engine's own Get/Put sequence:
+// a Get counts as a hit iff the class has seen more Puts than hits, which
+// is exactly when a pool that started empty would find a buffer on its
+// list. So no counter depends on which buffers the stash supplied.
 //
 // Ownership discipline (enforced for the simulation packages by simlint's
 // flow-sensitive bufpoolown analyzer): Put transfers ownership — the
@@ -33,19 +48,20 @@ import "math/bits"
 // bufpoolown flags Put of caller-owned bytes, double Puts, use after Put,
 // sub-slice Puts, and buffers that leak on every path.
 type BufPool struct {
-	free [poolClasses][][]byte
+	free *freeLists // nil until a Get or Put needs lists (see lists)
 	// PoolStats are plain counters, readable via Stats.
 	stats PoolStats
 	// per-class traffic, readable via ClassStats.
 	classGets [poolClasses]uint64
 	classHits [poolClasses]uint64
 	classPuts [poolClasses]uint64
+	fresh     uint64 // buffers made because a list was empty, for tests
 }
 
 // PoolStats counts pool traffic. Hits/Gets is the recycle rate.
 type PoolStats struct {
 	Gets     uint64 // Get/Snapshot calls served (excluding zero-length)
-	Hits     uint64 // ... served from a free list
+	Hits     uint64 // ... that the pool's own earlier Puts could serve
 	Puts     uint64 // buffers accepted back
 	Foreign  uint64 // Put calls dropped (capacity not a class size)
 	InFlight int64  // Gets minus accepted Puts
@@ -55,9 +71,9 @@ type PoolStats struct {
 type ClassStat struct {
 	Size uint64 // class buffer size in bytes
 	Gets uint64
-	Hits uint64 // Gets served from the free list
+	Hits uint64 // Gets the class's own earlier Puts could serve
 	Puts uint64
-	Free int // buffers parked on the free list right now
+	Free int // Puts - Hits: the class's own buffers back and not yet reused
 }
 
 const (
@@ -65,6 +81,51 @@ const (
 	poolMaxBits = 21 // largest class: 2 MiB (covers a 1 MiB message + framing)
 	poolClasses = poolMaxBits - poolMinBits + 1
 )
+
+// freeLists are a pool's per-class LIFO free lists, the unit the stash
+// moves between engines.
+type freeLists [poolClasses][][]byte
+
+// stash holds the free lists of engines whose Run ended quiesced, at most
+// one per GOMAXPROCS: sweeps run one engine per worker at a time.
+var stash struct {
+	sync.Mutex
+	lists []*freeLists
+}
+
+// lists returns the pool's free lists, taking them from the stash or, when
+// it is empty, allocating empty ones.
+func (bp *BufPool) lists() *freeLists {
+	if bp.free == nil {
+		stash.Lock()
+		if n := len(stash.lists); n > 0 {
+			bp.free = stash.lists[n-1]
+			stash.lists[n-1] = nil
+			stash.lists = stash.lists[:n-1]
+		}
+		stash.Unlock()
+		if bp.free == nil {
+			bp.free = new(freeLists)
+		}
+	}
+	return bp.free
+}
+
+// handOff gives the pool's free lists to the stash; the pool takes lists
+// again when it next needs them. The caller guarantees that nothing
+// simulated will run on the pool's engine meanwhile.
+func (bp *BufPool) handOff() {
+	fl := bp.free
+	if fl == nil {
+		return
+	}
+	bp.free = nil
+	stash.Lock()
+	if len(stash.lists) < runtime.GOMAXPROCS(0) {
+		stash.lists = append(stash.lists, fl)
+	}
+	stash.Unlock()
+}
 
 // classFor returns the size-class index for a buffer of n bytes, or -1 if n
 // exceeds the largest class.
@@ -114,15 +175,18 @@ func (bp *BufPool) get(n int) ([]byte, bool) {
 	bp.stats.Gets++
 	bp.stats.InFlight++
 	bp.classGets[c]++
-	fl := bp.free[c]
-	if m := len(fl); m > 0 {
-		b := fl[m-1][:n]
-		fl[m-1] = nil
-		bp.free[c] = fl[:m-1]
+	if bp.classPuts[c] > bp.classHits[c] {
 		bp.stats.Hits++
 		bp.classHits[c]++
+	}
+	fl := &bp.lists()[c]
+	if m := len(*fl); m > 0 {
+		b := (*fl)[m-1][:n]
+		(*fl)[m-1] = nil
+		*fl = (*fl)[:m-1]
 		return b, true
 	}
+	bp.fresh++
 	return make([]byte, n, 1<<(c+poolMinBits)), false
 }
 
@@ -139,7 +203,8 @@ func (bp *BufPool) Put(b []byte) {
 		return
 	}
 	cl := bits.TrailingZeros(uint(c)) - poolMinBits
-	bp.free[cl] = append(bp.free[cl], b[:0])
+	fl := &bp.lists()[cl]
+	*fl = append(*fl, b[:0])
 	bp.stats.Puts++
 	bp.stats.InFlight--
 	bp.classPuts[cl]++
@@ -161,7 +226,7 @@ func (bp *BufPool) ClassStats() []ClassStat {
 			Gets: bp.classGets[c],
 			Hits: bp.classHits[c],
 			Puts: bp.classPuts[c],
-			Free: len(bp.free[c]),
+			Free: int(bp.classPuts[c] - bp.classHits[c]),
 		})
 	}
 	return out

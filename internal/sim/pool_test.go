@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestPoolClassRounding(t *testing.T) {
 	cases := []struct{ n, wantCap int }{
@@ -119,5 +122,76 @@ func TestEnginePoolIsPerEngine(t *testing.T) {
 	//simlint:allow bufpoolown pool unit test: recycling identity across engines is the property under test
 	if got := e1.Pool().Get(64); &got[0] != &b[0] {
 		t.Error("engine pool did not recycle its own buffer")
+	}
+}
+
+// poolTimers schedules callbacks that each take a buffer, of sizes across
+// several classes, and return it a little later, so that buffers overlap.
+func poolTimers(e *Engine) {
+	for i := 1; i <= 30; i++ {
+		e.After(Time(5*i), func() {
+			b := e.Pool().Get(100 * (i%10 + 1))
+			e.After(12, func() { e.Pool().Put(b) })
+		})
+	}
+}
+
+// TestHorizonRunKeepsPoolLists: a Run stopped at a horizon with events
+// pending has not quiesced, so its pool keeps its lists; the Run that then
+// drains the queue hands them on, and the split run reports the virtual
+// time and pool traffic of one uninterrupted run.
+func TestHorizonRunKeepsPoolLists(t *testing.T) {
+	EmptyStash()
+	e := NewEngine(1)
+	poolTimers(e)
+	e.Run(50)
+	if e.Idle() || e.pool.free == nil || Stashed() != 0 {
+		t.Fatalf("stopped at the horizon: idle %v, pool holds lists %v, stashed %d; want pending events, lists kept, none stashed",
+			e.Idle(), e.pool.free != nil, Stashed())
+	}
+	e.Run(0)
+	if e.pool.free != nil || Stashed() != 1 {
+		t.Fatalf("after the last Run: pool holds lists %v, stashed %d; want the lists handed on", e.pool.free != nil, Stashed())
+	}
+	ref := NewEngine(1)
+	poolTimers(ref)
+	ref.Run(0)
+	if e.Now() != ref.Now() || e.pool.Stats() != ref.pool.Stats() || !reflect.DeepEqual(e.pool.ClassStats(), ref.pool.ClassStats()) {
+		t.Errorf("split run: t=%v %+v\none run:   t=%v %+v", e.Now(), e.pool.Stats(), ref.Now(), ref.pool.Stats())
+	}
+}
+
+// TestPanickingRunHandsNothingOff: a Run that ends by re-raising a panic
+// from simulated code, a process's or a callback's on Run's own goroutine,
+// has not quiesced, even with nothing left to run, and keeps its lists.
+func TestPanickingRunHandsNothingOff(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		setup func(e *Engine, use func())
+	}{
+		{"process", func(e *Engine, use func()) {
+			e.Spawn("boom", func(p *Proc) { use(); panic("boom") })
+		}},
+		{"callback", func(e *Engine, use func()) {
+			e.After(1, func() { use(); panic("boom") })
+		}},
+	} {
+		EmptyStash()
+		e := NewEngine(1)
+		tc.setup(e, func() { e.Pool().Put(e.Pool().Get(64)) })
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Run did not re-raise the panic", tc.name)
+				}
+			}()
+			e.Run(0)
+		}()
+		if !e.Idle() || e.LiveProcs() != 0 {
+			t.Fatalf("%s: the panicking Run left work behind", tc.name)
+		}
+		if e.pool.free == nil || Stashed() != 0 {
+			t.Errorf("%s: pool holds lists %v, stashed %d; want the lists kept", tc.name, e.pool.free != nil, Stashed())
+		}
 	}
 }

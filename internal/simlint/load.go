@@ -238,13 +238,46 @@ func (ld *Loader) loadUnits(dir, path string) ([]*Unit, error) {
 		units = append(units, u)
 	}
 	if ld.IncludeTests && len(extTest) > 0 {
-		u, err := ld.check(dir, path, extTest)
+		xld := ld
+		if len(inTest) > 0 && len(units) > 0 {
+			xld = ld.testVariant(path, units[0].Pkg)
+		}
+		u, err := xld.check(dir, path, extTest)
 		if err != nil {
 			return nil, err
 		}
 		units = append(units, u)
 	}
 	return units, nil
+}
+
+// testVariant returns a loader that resolves path to pkg, the package
+// checked together with its in-package test files, and re-checks against
+// it every module package that imports path. This is how the go tool
+// builds an external test package: it sees the hooks an export_test.go
+// adds, and so do the packages it imports that import the package under
+// test; the others are shared.
+func (ld *Loader) testVariant(path string, pkg *types.Package) *Loader {
+	v := *ld
+	v.deps = map[string]*types.Package{}
+	for p, dep := range ld.deps {
+		if !imports(dep, path) {
+			v.deps[p] = dep
+		}
+	}
+	v.deps[path] = pkg
+	v.loading = make(map[string]bool)
+	return &v
+}
+
+// imports reports whether pkg imports path, directly or indirectly.
+func imports(pkg *types.Package, path string) bool {
+	for _, imp := range pkg.Imports() {
+		if imp.Path() == path || imports(imp, path) {
+			return true
+		}
+	}
+	return false
 }
 
 // parseDir parses every buildable Go file in dir and splits the files into
