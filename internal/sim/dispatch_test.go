@@ -101,7 +101,7 @@ func TestCancelledTopDoesNotBlockFastPath(t *testing.T) {
 		if !e.Idle() {
 			t.Error("cancelled event still queued after the sleep")
 		}
-		if n := len(e.free); n == 0 || e.free[n-1] != tm.ev {
+		if n := e.nfree; n == 0 || e.free[n-1] != tm.slot {
 			t.Error("Sleep went through the heap although only a cancelled event was pending")
 		}
 		if e.switches != before {

@@ -20,10 +20,12 @@
 //
 // The event queue and the scheduling paths are engineered for wall-clock
 // throughput (see DESIGN.md "Kernel performance"): a specialized 4-ary
-// min-heap over *event with no interface boxing, a free list that recycles
-// fired and cancelled events (generation counters keep stale Timer handles
+// min-heap of pointer-free (time, sequence, slot) keys over an indexed
+// slot arena, a stack of free slot indices that recycles fired and
+// cancelled events (a slot's sequence number keeps stale Timer handles
 // harmless), a typed resume-process event kind so Proc.Sleep allocates no
-// closure, and an engine-owned payload buffer pool (BufPool). Event order
+// closure, and an engine-owned payload buffer pool (BufPool). A quiesced
+// engine hands its event storage and buffers to the next one. Event order
 // is a strict total order on (time, sequence), so none of this can change
 // a single virtual timestamp.
 package sim
@@ -81,27 +83,46 @@ const (
 	evStart
 )
 
-// event is a scheduled occurrence. Events are owned by the engine and
-// recycled through a free list; gen counts reuses of the slot so a Timer
-// handle from a previous life can never cancel the current occupant.
-type event struct {
+// key is a scheduled occurrence as the heap sees it: its time, its sequence
+// number and the arena slot holding the rest. It holds no pointer, so sift
+// steps copy plain values, with no write barrier, and the GC never scans
+// the heap.
+type key struct {
 	t    Time
 	seq  uint64 // tie-breaker: FIFO among same-time events
-	gen  uint32 // slot reuse count (see Timer)
-	kind byte
-	dead bool   // cancelled; skipped (and recycled) when popped
-	fn   func() // evCall
-	proc *Proc  // evResume, evStart
+	slot uint32
 }
 
-// eventLess is the queue's strict total order. seq is unique, so two
+// keyLess is the queue's strict total order. seq is unique, so two
 // distinct events never compare equal and any correct heap pops them in
 // exactly one order — the bedrock of bit-identical replay.
-func eventLess(a, b *event) bool {
+func keyLess(a, b key) bool {
 	if a.t != b.t {
 		return a.t < b.t
 	}
 	return a.seq < b.seq
+}
+
+// noSeq marks an arena slot with no live occupant: free, or cancelled and
+// waiting for its key to pop. The engine's counter never reaches it.
+const noSeq = math.MaxUint64
+
+// event is the payload of an arena slot. seq names the occupant: a key
+// whose seq differs from its slot's is cancelled, and so is a Timer's.
+type event struct {
+	seq  uint64
+	kind byte
+	fn   func() // evCall
+	proc *Proc  // evResume, evStart
+}
+
+// eventQueue is the event storage: the heap of keys, the slot arena and the
+// stack of free slot indices. A quiesced engine hands it on (see handOff).
+type eventQueue struct {
+	keys  []key    // 4-ary min-heap ordered by keyLess
+	slots []event  // indexed by key.slot; nil until the first grow
+	free  []uint32 // free[:nfree] is the stack of slots with no occupant
+	nfree int      // len(free) == len(slots), so a release never grows it
 }
 
 // Engine is the discrete-event simulation engine. It owns the virtual clock
@@ -109,24 +130,24 @@ func eventLess(a, b *event) bool {
 type Engine struct {
 	now      Time
 	seq      uint64
-	executed uint64   // events run so far, over all Runs (Sleep's fast path counts too)
-	switches uint64   // coroutine switches, for tests
-	events   []*event // 4-ary min-heap ordered by eventLess
-	free     []*event // recycled event slots
-	hand     *Proc    // named by a proc yielding to the proc that entered it: the one due
-	seed     int64
-	rng      *rand.Rand         // built from seed by the first Rand call; nil until then
-	procs    map[*Proc]struct{} // live (spawned, not finished) processes
-	parked   int                // how many of them are parked on a primitive
-	running  bool
-	procSeq  int
-	stopped  bool // Stop was called; Run drains no further events
+	executed uint64 // events run so far, over all Runs (Sleep's fast path counts too)
+	switches uint64 // coroutine switches, for tests
+	eventQueue
+	hand    *Proc // named by a proc yielding to the proc that entered it: the one due
+	seed    int64
+	rng     *rand.Rand         // built from seed by the first Rand call; nil until then
+	procs   map[*Proc]struct{} // live (spawned, not finished) processes
+	parked  int                // how many of them are parked on a primitive
+	running bool
+	procSeq int
+	stopped bool // Stop was called; Run drains no further events
 	// winEnd is the exclusive time bound of the current Run (horizon+1).
 	winEnd Time
 	// procPanic carries a panic out of a process coroutine — the process's
 	// own, or that of a callback it was dispatching — so Run can re-raise
 	// it on the caller's goroutine (where tests can recover it).
 	procPanic any
+	grown     uint64 // arena slots made because none was free or stashed, for tests
 	// pool is large (per-class counters for every size class) and cold
 	// relative to the dispatch loop; keeping it last keeps the scalar
 	// fields above packed into the leading cache lines.
@@ -166,51 +187,53 @@ func (e *Engine) RandUsed() bool { return e.rng != nil }
 // the engine it must only be used from simulation context.
 func (e *Engine) Pool() *BufPool { return &e.pool }
 
-// push inserts ev into the 4-ary heap (sift up).
-func (e *Engine) push(ev *event) {
-	h := append(e.events, ev)
+// arity is the heap's fan-out (see pop).
+const arity = 4
+
+// push inserts k into the 4-ary heap (sift up).
+func (e *Engine) push(k key) {
+	h := append(e.keys, k)
 	i := len(h) - 1
 	for i > 0 {
-		parent := (i - 1) / 4
-		if !eventLess(ev, h[parent]) {
+		parent := (i - 1) / arity
+		if !keyLess(k, h[parent]) {
 			break
 		}
 		h[i] = h[parent]
 		i = parent
 	}
-	h[i] = ev
-	e.events = h
+	h[i] = k
+	e.keys = h
 }
 
-// pop removes and returns the minimum event (sift down). The 4-ary layout
+// pop removes and returns the minimum key (sift down). The 4-ary layout
 // halves the tree height of a binary heap; the extra child comparisons are
 // cheap relative to the memory traffic they save.
-func (e *Engine) pop() *event {
-	h := e.events
+func (e *Engine) pop() key {
+	h := e.keys
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = nil
 	h = h[:n]
-	e.events = h
+	e.keys = h
 	if n > 0 {
 		i := 0
 		for {
-			c := 4*i + 1
+			c := arity*i + 1
 			if c >= n {
 				break
 			}
 			m := c
-			end := c + 4
+			end := c + arity
 			if end > n {
 				end = n
 			}
 			for j := c + 1; j < end; j++ {
-				if eventLess(h[j], h[m]) {
+				if keyLess(h[j], h[m]) {
 					m = j
 				}
 			}
-			if !eventLess(h[m], last) {
+			if !keyLess(h[m], last) {
 				break
 			}
 			h[i] = h[m]
@@ -221,68 +244,89 @@ func (e *Engine) pop() *event {
 	return top
 }
 
-// alloc takes an event slot from the free list, or makes a new one.
-func (e *Engine) alloc() *event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return ev
+// pending reports whether k's slot still holds the event k was pushed for,
+// that is, whether the event has not been cancelled.
+func (e *Engine) pending(k key) bool { return e.slots[k.slot].seq == k.seq }
+
+// alloc takes a free arena slot, growing the arena when none is left.
+func (e *Engine) alloc() uint32 {
+	if e.nfree == 0 {
+		e.grow()
 	}
-	return &event{}
+	e.nfree--
+	return e.free[e.nfree]
 }
 
-// release recycles a fired or cancelled event slot. The generation bump
-// invalidates every outstanding Timer handle to the slot.
-func (e *Engine) release(ev *event) {
-	ev.gen++
-	ev.fn = nil
-	ev.proc = nil
-	ev.dead = false
-	e.free = append(e.free, ev)
+// grow refills the empty free stack. An engine without an arena first
+// takes one a quiesced engine handed on (see handOff); otherwise the arena
+// doubles. It is kept out of line so that alloc stays small enough to
+// inline.
+//
+//go:noinline
+func (e *Engine) grow() {
+	if e.slots == nil && e.takeQueue() {
+		return
+	}
+	n := len(e.slots)
+	m := max(2*n, 16)
+	e.slots = append(e.slots, make([]event, m-n)...)
+	e.free = append(e.free, make([]uint32, m-n)...)
+	for s := n; s < m; s++ {
+		e.slots[s].seq = noSeq
+		e.free[s-n] = uint32(s)
+	}
+	e.nfree = m - n
+	e.grown += uint64(m - n)
+}
+
+// release frees a fired or cancelled slot. Overwriting seq invalidates
+// every outstanding Timer handle to the slot.
+func (e *Engine) release(s uint32) {
+	e.slots[s] = event{seq: noSeq}
+	e.free[e.nfree] = s
+	e.nfree++
 }
 
 // schedule enqueues an event at absolute time t (clamped to now).
-func (e *Engine) schedule(t Time, kind byte, fn func(), p *Proc) *event {
+func (e *Engine) schedule(t Time, kind byte, fn func(), p *Proc) key {
 	if t < e.now {
 		t = e.now
 	}
-	ev := e.alloc()
-	ev.t = t
-	ev.seq = e.seq
-	ev.kind = kind
-	ev.fn = fn
-	ev.proc = p
+	k := key{t: t, seq: e.seq, slot: e.alloc()}
+	e.slots[k.slot] = event{seq: k.seq, kind: kind, fn: fn, proc: p}
 	e.seq++
-	e.push(ev)
-	return ev
+	e.push(k)
+	return k
 }
 
 // Timer is a handle to a scheduled callback, allowing cancellation. Timers
 // are plain values; the zero Timer is valid and Stop on it reports false.
-// The handle pins nothing: once the callback fires, the event slot is
-// recycled, and the generation check makes Stop on the stale handle a
-// guaranteed no-op even if the slot now holds an unrelated event.
+// The handle pins nothing: once the callback fires, its slot is recycled,
+// and Stop matches only while the slot holds the event with the handle's
+// sequence number. Sequence numbers are unique over an engine's life,
+// whichever arena it holds, so Stop on a stale handle is a guaranteed
+// no-op even if the slot now holds an unrelated event.
 type Timer struct {
-	ev  *event
-	gen uint32
+	e    *Engine
+	seq  uint64
+	slot uint32
 }
 
 // Stop cancels the timer. It reports whether the callback had not yet fired
 // (and therefore will never fire).
 func (t Timer) Stop() bool {
-	if t.ev == nil || t.ev.gen != t.gen || t.ev.dead {
+	if t.e == nil || int(t.slot) >= len(t.e.slots) || t.e.slots[t.slot].seq != t.seq {
 		return false
 	}
-	t.ev.dead = true
+	t.e.slots[t.slot].seq = noSeq
 	return true
 }
 
 // At schedules fn to run at absolute virtual time t (clamped to now).
 // fn runs in engine context and must not block.
 func (e *Engine) At(t Time, fn func()) Timer {
-	ev := e.schedule(t, evCall, fn, nil)
-	return Timer{ev: ev, gen: ev.gen}
+	k := e.schedule(t, evCall, fn, nil)
+	return Timer{e: e, seq: k.seq, slot: k.slot}
 }
 
 // After schedules fn to run d nanoseconds from now.
@@ -303,7 +347,7 @@ func (e *Engine) Stop() { e.stopped = true }
 // from simulated code — it force-kills any still-parked processes so their
 // coroutines end (their pending work is abandoned). A Run that returns
 // normally with no event pending and no process left has quiesced: it
-// hands the buffer pool's free lists on (see BufPool).
+// hands its event storage and the buffer pool's free lists on (see handOff).
 func (e *Engine) Run(horizon Time) int {
 	if e.running {
 		panic("sim: Engine.Run re-entered")
@@ -318,7 +362,7 @@ func (e *Engine) Run(horizon Time) int {
 	defer func() { e.shutdown(returned) }()
 	e.dispatch(nil)
 	returned = true
-	if horizon > 0 && e.live() && len(e.events) > 0 {
+	if horizon > 0 && e.live() && len(e.keys) > 0 {
 		// The loop ended on a live event beyond the horizon. It stays
 		// queued for a later Run with a larger one; the clock stops here.
 		e.now = horizon
@@ -337,8 +381,8 @@ func (e *Engine) shutdown(returned bool) {
 		e.procPanic = nil
 		panic(r)
 	}
-	if returned && len(e.events) == 0 && len(e.procs) == 0 {
-		e.pool.handOff()
+	if returned && len(e.keys) == 0 && len(e.procs) == 0 {
+		e.handOff()
 	}
 }
 
@@ -348,42 +392,42 @@ func (e *Engine) live() bool {
 	return e.running && !e.stopped && e.procPanic == nil
 }
 
-// nextTime returns the time of the earliest pending live event. Dead
-// (cancelled) events encountered at the top are recycled on the way, so
-// the answer is exact. ok is false when the queue is empty.
+// nextTime returns the time of the earliest pending event. Cancelled
+// events encountered at the top are recycled on the way, so the answer is
+// exact. ok is false when the queue is empty.
 func (e *Engine) nextTime() (t Time, ok bool) {
-	for len(e.events) > 0 {
-		if !e.events[0].dead {
-			return e.events[0].t, true
+	for len(e.keys) > 0 {
+		if k := e.keys[0]; e.pending(k) {
+			return k.t, true
 		}
-		e.release(e.pop())
+		e.release(e.pop().slot)
 	}
 	return 0, false
 }
 
-// next pops the event the loop must execute now. It returns nil when the
-// loop is over: the engine is not live, the queue is empty, or the earliest
-// live event lies at or beyond winEnd (and stays queued).
-func (e *Engine) next() *event {
+// next pops the event the loop must execute now. ok is false when the loop
+// is over: the engine is not live, the queue is empty, or the earliest
+// pending event lies at or beyond winEnd (and stays queued).
+func (e *Engine) next() (k key, ok bool) {
 	if !e.live() {
-		return nil
+		return k, false
 	}
-	for len(e.events) > 0 {
-		ev := e.pop()
-		if ev.dead {
-			e.release(ev)
+	for len(e.keys) > 0 {
+		k = e.pop()
+		if !e.pending(k) {
+			e.release(k.slot)
 			continue
 		}
-		if ev.t >= e.winEnd {
+		if k.t >= e.winEnd {
 			// Not consumed: pushed back, so a later Run with a larger
 			// horizon still sees it. Popping first and undoing it
 			// once per run is cheaper than peeking before every pop.
-			e.push(ev)
-			return nil
+			e.push(k)
+			return k, false
 		}
-		return ev
+		return k, true
 	}
-	return nil
+	return k, false
 }
 
 // dispatch is the event loop, run by whoever holds the token: Run's
@@ -415,16 +459,17 @@ func (e *Engine) dispatch(self *Proc) {
 // due runs events until a process falls due and returns it (nil: loop over).
 func (e *Engine) due(self *Proc) *Proc {
 	for {
-		ev := e.next()
-		if ev == nil {
+		k, ok := e.next()
+		if !ok {
 			return nil
 		}
-		e.now = ev.t
+		e.now = k.t
 		// Recycle the slot before dispatch: the callback commonly schedules
-		// follow-up events, which then reuse it immediately. The gen bump in
-		// release is what makes Stop-after-fire report false.
+		// follow-up events, which then reuse it immediately. The seq
+		// overwrite in release is what makes Stop-after-fire report false.
+		ev := &e.slots[k.slot]
 		kind, fn, p := ev.kind, ev.fn, ev.proc
-		e.release(ev)
+		e.release(k.slot)
 		e.executed++
 		switch {
 		case kind == evCall:
@@ -502,7 +547,7 @@ func (e *Engine) killAll() {
 }
 
 // Idle reports whether no events are pending.
-func (e *Engine) Idle() bool { return len(e.events) == 0 }
+func (e *Engine) Idle() bool { return len(e.keys) == 0 }
 
 // LiveProcs returns the number of spawned processes that have not finished.
 func (e *Engine) LiveProcs() int { return len(e.procs) }
@@ -588,7 +633,7 @@ func (p *Proc) yield() {
 
 // unpark schedules p to resume at time t. Must be called from sim context.
 // This is a typed event, not a closure, so parking is allocation-free once
-// the engine's free list is warm.
+// the engine's arena is warm.
 func (p *Proc) unpark(t Time) {
 	p.eng.schedule(t, evResume, nil, p)
 }

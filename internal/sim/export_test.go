@@ -1,24 +1,30 @@
 package sim
 
-// Hooks into the pool's free-list hand-off, for the external tests
-// (package sim_test), which build whole clusters and so cannot live inside
-// package sim.
+// Hooks into the hand-off of free lists and event storage, for the
+// external tests (package sim_test), which build whole clusters and so
+// cannot live inside package sim.
 
-// EmptyStash drops every stashed free list, so the next pool that needs
-// lists starts cold.
+// EmptyStash drops every stashed free list and event queue, so the next
+// pool that needs lists and the next engine that needs slots start cold.
 func EmptyStash() {
 	stash.Lock()
 	clear(stash.lists)
 	stash.lists = stash.lists[:0]
+	clear(stash.queues)
+	stash.queues = stash.queues[:0]
 	stash.Unlock()
 }
 
-// Stashed returns how many free lists the stash holds.
-func Stashed() int {
+// Stashed returns how many free lists and event queues the stash holds.
+func Stashed() (lists, queues int) {
 	stash.Lock()
 	defer stash.Unlock()
-	return len(stash.lists)
+	return len(stash.lists), len(stash.queues)
 }
+
+// Grown returns how many arena slots the engine has made because it had
+// none free and the stash held no arena.
+func (e *Engine) Grown() uint64 { return e.grown }
 
 // Fresh returns how many buffers the pool has made because a list was empty.
 func (bp *BufPool) Fresh() uint64 { return bp.fresh }

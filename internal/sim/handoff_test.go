@@ -14,9 +14,9 @@ import (
 )
 
 // The tests here build whole clusters, so they live outside package sim.
-// They pin the free-list hand-off: an engine that quiesces hands its pool's
-// lists to the stash, the next engine's pool takes them, and nothing a run
-// reports depends on that.
+// They pin the hand-off: an engine that quiesces hands its pool's lists and
+// its event arena to the stash, the next engine takes them, and nothing a
+// run reports depends on that.
 
 // stream runs a native-stack MPI_Isend stream of count copies of want from
 // rank 0 to rank 1 on a fresh 2-node cluster, checks every received byte
@@ -102,25 +102,47 @@ func TestWarmEngineBuffersZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestWarmEngineEventsZeroAlloc: a second identical cluster run schedules
+// every event into the arena the first run handed on, and grows no slot.
+func TestWarmEngineEventsZeroAlloc(t *testing.T) {
+	msg := pattern(64<<10, 3)
+	sim.EmptyStash()
+	_, cold := stream(t, msg, 64)
+	if cold.Eng.Grown() == 0 {
+		t.Fatal("test premise broken: a cold engine grew no arena slot")
+	}
+	_, c := stream(t, msg, 64)
+	if n := c.Eng.Grown(); n != 0 {
+		t.Errorf("a warm engine grew %d arena slots, want 0", n)
+	}
+}
+
 // TestConcurrentClustersShareTheStash is the traffic of sweeps and spsimd:
 // several goroutines build, run and verify clusters at once, each taking
-// lists from the stash and handing them back. Under -race it checks that no
-// buffer is touched by two engines; each goroutine streams its own pattern,
-// so a buffer still in use when handed on would corrupt a payload.
+// lists and arenas from the stash and handing them back. Under -race it
+// checks that no buffer or arena slot is touched by two engines; each
+// goroutine streams its own pattern, so a buffer still in use when handed
+// on would corrupt a payload, and an arena shared by two engines would move
+// a run's final virtual time.
 func TestConcurrentClustersShareTheStash(t *testing.T) {
 	const workers, clusters = 4, 20
 	reports := make([][]*trace.Report, workers)
+	ends := make([][]sim.Time, workers)
 	concurrently(workers, func(w int) {
 		msg := pattern(16<<10+w, byte(w))
 		for i := 0; i < clusters; i++ {
-			r, _ := stream(t, msg, 8)
+			r, c := stream(t, msg, 8)
 			reports[w] = append(reports[w], r)
+			ends[w] = append(ends[w], c.Eng.Now())
 		}
 	})
 	for w, rs := range reports {
 		for i, r := range rs {
 			if r.Pool != rs[0].Pool {
 				t.Errorf("worker %d cluster %d: pool stats %+v, want %+v like its first", w, i, r.Pool, rs[0].Pool)
+			}
+			if ends[w][i] != ends[w][0] {
+				t.Errorf("worker %d cluster %d: ended at %v, want %v like its first", w, i, ends[w][i], ends[w][0])
 			}
 		}
 	}

@@ -23,10 +23,11 @@ import (
 //   - Stats per engine, storage handed on at quiescence. Sweep cells build
 //     independent engines on worker goroutines, and each counts only its
 //     own traffic. The free lists themselves outlive the engine: when Run
-//     ends quiesced, the engine hands them to a small process-wide stash,
-//     and the next pool that needs lists takes them from there before it
-//     allocates, so every cell after the first starts with warm buffers.
-//     The lists belong to one pool at a time; only the stash is locked.
+//     ends quiesced, the engine hands them, with its event storage, to a
+//     small process-wide stash, and the next pool that needs lists takes
+//     them from there before it allocates, so every cell after the first
+//     starts with warm buffers. The lists belong to one pool at a time;
+//     only the stash is locked.
 //
 // Buffers come in power-of-two size classes. Get zeroes the returned slice
 // (same contract as make), Snapshot copies into an unzeroed one. Put
@@ -86,11 +87,14 @@ const (
 // moves between engines.
 type freeLists [poolClasses][][]byte
 
-// stash holds the free lists of engines whose Run ended quiesced, at most
-// one per GOMAXPROCS: sweeps run one engine per worker at a time.
+// stash holds what engines whose Run ended quiesced handed on: free lists
+// and event storage, at most one of each per GOMAXPROCS, since sweeps run
+// one engine per worker at a time. Each belongs to one engine at a time;
+// only the stash is locked.
 var stash struct {
 	sync.Mutex
-	lists []*freeLists
+	lists  []*freeLists
+	queues []eventQueue
 }
 
 // lists returns the pool's free lists, taking them from the stash or, when
@@ -111,18 +115,37 @@ func (bp *BufPool) lists() *freeLists {
 	return bp.free
 }
 
-// handOff gives the pool's free lists to the stash; the pool takes lists
-// again when it next needs them. The caller guarantees that nothing
-// simulated will run on the pool's engine meanwhile.
-func (bp *BufPool) handOff() {
-	fl := bp.free
-	if fl == nil {
+// takeQueue adopts the event storage most recently handed on, if any. All
+// of its slots are free, since the engine that handed it on had quiesced.
+func (e *Engine) takeQueue() bool {
+	stash.Lock()
+	n := len(stash.queues)
+	if n > 0 {
+		e.eventQueue = stash.queues[n-1]
+		stash.queues[n-1] = eventQueue{}
+		stash.queues = stash.queues[:n-1]
+	}
+	stash.Unlock()
+	return n > 0
+}
+
+// handOff gives the engine's event storage and its pool's free lists to the
+// stash; the engine takes them again when it next needs them. The caller
+// guarantees that nothing simulated will run on the engine meanwhile, and
+// that no event is pending, so every arena slot is free.
+func (e *Engine) handOff() {
+	fl, q := e.pool.free, e.eventQueue
+	if fl == nil && q.slots == nil {
 		return
 	}
-	bp.free = nil
+	e.pool.free, e.eventQueue = nil, eventQueue{}
 	stash.Lock()
-	if len(stash.lists) < runtime.GOMAXPROCS(0) {
+	room := runtime.GOMAXPROCS(0)
+	if fl != nil && len(stash.lists) < room {
 		stash.lists = append(stash.lists, fl)
+	}
+	if q.slots != nil && len(stash.queues) < room {
+		stash.queues = append(stash.queues, q)
 	}
 	stash.Unlock()
 }

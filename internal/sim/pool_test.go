@@ -137,33 +137,37 @@ func poolTimers(e *Engine) {
 }
 
 // TestHorizonRunKeepsPoolLists: a Run stopped at a horizon with events
-// pending has not quiesced, so its pool keeps its lists; the Run that then
-// drains the queue hands them on, and the split run reports the virtual
-// time and pool traffic of one uninterrupted run.
+// pending has not quiesced, so its pool keeps its lists and the engine its
+// arena and pending keys; the Run that then drains the queue hands both
+// on, and the split run reports the virtual time and pool traffic of one
+// uninterrupted run.
 func TestHorizonRunKeepsPoolLists(t *testing.T) {
 	EmptyStash()
 	e := NewEngine(1)
 	poolTimers(e)
 	e.Run(50)
-	if e.Idle() || e.pool.free == nil || Stashed() != 0 {
-		t.Fatalf("stopped at the horizon: idle %v, pool holds lists %v, stashed %d; want pending events, lists kept, none stashed",
-			e.Idle(), e.pool.free != nil, Stashed())
+	if lists, queues := Stashed(); e.Idle() || e.pool.free == nil || e.slots == nil || lists != 0 || queues != 0 {
+		t.Fatalf("stopped at the horizon: idle %v, pool holds lists %v, engine holds an arena %v, stashed %d lists and %d queues; want pending keys, lists and arena kept, none stashed",
+			e.Idle(), e.pool.free != nil, e.slots != nil, lists, queues)
 	}
 	e.Run(0)
-	if e.pool.free != nil || Stashed() != 1 {
-		t.Fatalf("after the last Run: pool holds lists %v, stashed %d; want the lists handed on", e.pool.free != nil, Stashed())
+	if lists, queues := Stashed(); e.pool.free != nil || e.slots != nil || lists != 1 || queues != 1 {
+		t.Fatalf("after the last Run: pool holds lists %v, engine holds an arena %v, stashed %d lists and %d queues; want both handed on",
+			e.pool.free != nil, e.slots != nil, lists, queues)
 	}
 	ref := NewEngine(1)
 	poolTimers(ref)
 	ref.Run(0)
-	if e.Now() != ref.Now() || e.pool.Stats() != ref.pool.Stats() || !reflect.DeepEqual(e.pool.ClassStats(), ref.pool.ClassStats()) {
-		t.Errorf("split run: t=%v %+v\none run:   t=%v %+v", e.Now(), e.pool.Stats(), ref.Now(), ref.pool.Stats())
+	if e.Now() != ref.Now() || e.executed != ref.executed || e.pool.Stats() != ref.pool.Stats() || !reflect.DeepEqual(e.pool.ClassStats(), ref.pool.ClassStats()) {
+		t.Errorf("split run: t=%v events %d %+v\none run:   t=%v events %d %+v",
+			e.Now(), e.executed, e.pool.Stats(), ref.Now(), ref.executed, ref.pool.Stats())
 	}
 }
 
 // TestPanickingRunHandsNothingOff: a Run that ends by re-raising a panic
 // from simulated code, a process's or a callback's on Run's own goroutine,
-// has not quiesced, even with nothing left to run, and keeps its lists.
+// has not quiesced, even with nothing left to run, and keeps its lists and
+// its arena.
 func TestPanickingRunHandsNothingOff(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -190,8 +194,9 @@ func TestPanickingRunHandsNothingOff(t *testing.T) {
 		if !e.Idle() || e.LiveProcs() != 0 {
 			t.Fatalf("%s: the panicking Run left work behind", tc.name)
 		}
-		if e.pool.free == nil || Stashed() != 0 {
-			t.Errorf("%s: pool holds lists %v, stashed %d; want the lists kept", tc.name, e.pool.free != nil, Stashed())
+		if lists, queues := Stashed(); e.pool.free == nil || e.slots == nil || lists != 0 || queues != 0 {
+			t.Errorf("%s: pool holds lists %v, engine holds an arena %v, stashed %d lists and %d queues; want both kept",
+				tc.name, e.pool.free != nil, e.slots != nil, lists, queues)
 		}
 	}
 }
