@@ -123,6 +123,8 @@ type LAPI struct {
 
 	nextMsgID uint64
 	pending   map[msgKey]*recvMsg
+	recvFree  []*recvMsg // finished receive records (newRecv, finishMsg)
+	recvMade  uint64     // records made because recvFree was empty, for tests
 
 	nextGetID   uint32
 	pendingGets map[uint32]*getOp
@@ -361,15 +363,9 @@ func (l *LAPI) loopback(p *sim.Proc, op byte, hdrID int, uhdr, data []byte, tgtC
 		panic("lapi: loopback supports only Amsend and Put")
 	}
 	l.stats.MsgsSent++
-	m := &recvMsg{
-		key:     msgKey{src: l.node, id: l.nextMsgID},
-		op:      op,
-		uhdr:    l.eng.Pool().Snapshot(uhdr),
-		dataLen: len(data),
-		gotHdr:  true,
-		tgtCntr: tgtCntr,
-		cmplCnt: cmplCntr,
-	}
+	m := l.newRecv(msgKey{src: l.node, id: l.nextMsgID})
+	m.op, m.uhdr, m.dataLen, m.gotHdr = op, l.eng.Pool().Snapshot(uhdr), len(data), true
+	m.tgtCntr, m.cmplCnt = tgtCntr, cmplCntr
 	l.nextMsgID++
 	switch op {
 	case opAmsend:

@@ -47,11 +47,7 @@ func (l *LAPI) onMsgHdr(p *sim.Proc, src int, body []byte) {
 
 	key := msgKey{src: src, id: id}
 	l.tr.Emit(p.Now(), tracelog.LLAPI, tracelog.KMsgHdr, l.node, src, tracelog.LAPIMsgID(src, id), dataLen, int64(op))
-	m := l.pending[key]
-	if m == nil {
-		m = &recvMsg{key: key}
-		l.pending[key] = m
-	}
+	m := l.pendingMsg(key)
 	m.op = op
 	m.uhdr = l.eng.Pool().Snapshot(uhdr)
 	m.dataLen = dataLen
@@ -90,20 +86,40 @@ func (l *LAPI) onMsgHdr(p *sim.Proc, src int, body []byte) {
 		l.store(p, m, seg.off, seg.data)
 		l.eng.Pool().Put(seg.data)
 	}
-	m.stash = nil
+	m.stash = m.stash[:0]
 	l.maybeFinish(p, m)
+}
+
+// pendingMsg returns the record of the message key names, starting one for
+// its first packet.
+func (l *LAPI) pendingMsg(key msgKey) *recvMsg {
+	m := l.pending[key]
+	if m == nil {
+		m = l.newRecv(key)
+		l.pending[key] = m
+	}
+	return m
+}
+
+// newRecv returns a cleared record for key, one finishMsg returned if any.
+// pending is keyed by msgKey values and never iterated, so which record
+// serves a message cannot reach any result.
+func (l *LAPI) newRecv(key msgKey) *recvMsg {
+	if n := len(l.recvFree); n > 0 {
+		m := l.recvFree[n-1]
+		l.recvFree = l.recvFree[:n-1]
+		m.key = key
+		return m
+	}
+	l.recvMade++
+	return &recvMsg{key: key}
 }
 
 func (l *LAPI) onMsgData(p *sim.Proc, src int, body []byte) {
 	id := binary.BigEndian.Uint64(body[0:8])
 	off := int(binary.BigEndian.Uint32(body[8:12]))
 	data := body[msgDataFixed:]
-	key := msgKey{src: src, id: id}
-	m := l.pending[key]
-	if m == nil {
-		m = &recvMsg{key: key}
-		l.pending[key] = m
-	}
+	m := l.pendingMsg(msgKey{src: src, id: id})
 	l.tr.Emit(p.Now(), tracelog.LLAPI, tracelog.KMsgData, l.node, src, tracelog.LAPIMsgID(src, id), len(data), int64(off))
 	if !m.gotHdr {
 		// The switch's routes delivered a data packet before the header
@@ -193,49 +209,54 @@ func (l *LAPI) finishMsg(p *sim.Proc, m *recvMsg) {
 		cntr := int(binary.BigEndian.Uint16(m.uhdr[0:2]))
 		l.bumpCounter(p, cntr)
 	}
-	// Every op consumes the user header synchronously above (the Threaded
-	// completion closure captures only scalar fields), so the pooled snapshot
-	// taken in onMsgHdr/loopback is dead once the message has finished.
+	// Every op consumes the user header and the record synchronously above
+	// (the Threaded completion closure captures only scalars), so both the
+	// pooled snapshot taken in onMsgHdr/loopback and the record are dead once
+	// the message has finished; the record keeps its stash capacity.
 	//simlint:allow bufpoolown ownership transfer: the pooled uhdr snapshot returns to the engine pool with the completed message
 	l.eng.Pool().Put(m.uhdr)
-	m.uhdr = nil
+	*m = recvMsg{stash: m.stash[:0]}
+	l.recvFree = append(l.recvFree, m)
 }
 
 // completeWithHandler finishes an Amsend/Put: run the completion handler in
 // the configured regime, then post-completion bookkeeping.
 func (l *LAPI) completeWithHandler(p *sim.Proc, m *recvMsg) {
-	after := func(p *sim.Proc) {
-		if m.tgtCntr != noID {
-			l.bumpCounter(p, m.tgtCntr)
-		}
-		if m.cmplCnt != noID {
-			l.sendNotify(p, m.key.src, m.cmplCnt)
-		}
-	}
+	src, tgtCntr, cmplCnt := m.key.src, m.tgtCntr, m.cmplCnt
 	if m.cmpl == nil {
-		after(p)
+		l.afterCompletion(p, src, tgtCntr, cmplCnt)
 		return
 	}
 	switch l.variant {
 	case Threaded:
 		l.stats.CmplThreaded++
 		cmpl, arg := m.cmpl, m.arg
-		mid := tracelog.LAPIMsgID(m.key.src, m.key.id)
-		src := m.key.src
+		mid := tracelog.LAPIMsgID(src, m.key.id)
 		l.tr.Emit(p.Now(), tracelog.LLAPI, tracelog.KCmplQueued, l.node, src, mid, m.dataLen, 0)
 		l.cmplQueue.Put(p, func(cp *sim.Proc) {
 			l.h.ChargeCPU(cp, l.par.ThreadContextSwitch)
 			l.tr.Emit(cp.Now(), tracelog.LLAPI, tracelog.KCtxSwitch, l.node, src, mid, 0, int64(l.par.ThreadContextSwitch))
 			cmpl(cp, arg)
-			after(cp)
+			l.afterCompletion(cp, src, tgtCntr, cmplCnt)
 			l.h.KickProgress()
 		})
 	case Inline:
 		l.stats.CmplInline++
 		l.h.ChargeCPU(p, l.par.InlineHandlerOverhead)
-		l.tr.Emit(p.Now(), tracelog.LLAPI, tracelog.KCmplInline, l.node, m.key.src, tracelog.LAPIMsgID(m.key.src, m.key.id), 0, int64(l.par.InlineHandlerOverhead))
+		l.tr.Emit(p.Now(), tracelog.LLAPI, tracelog.KCmplInline, l.node, src, tracelog.LAPIMsgID(src, m.key.id), 0, int64(l.par.InlineHandlerOverhead))
 		m.cmpl(p, m.arg)
-		after(p)
+		l.afterCompletion(p, src, tgtCntr, cmplCnt)
+	}
+}
+
+// afterCompletion bumps an Amsend/Put's target counter and notifies its
+// origin's completion counter, each if the origin asked for it.
+func (l *LAPI) afterCompletion(p *sim.Proc, src, tgtCntr, cmplCnt int) {
+	if tgtCntr != noID {
+		l.bumpCounter(p, tgtCntr)
+	}
+	if cmplCnt != noID {
+		l.sendNotify(p, src, cmplCnt)
 	}
 }
 

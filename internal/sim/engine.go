@@ -147,7 +147,8 @@ type Engine struct {
 	// own, or that of a callback it was dispatching — so Run can re-raise
 	// it on the caller's goroutine (where tests can recover it).
 	procPanic any
-	grown     uint64 // arena slots made because none was free or stashed, for tests
+	grown     uint64   // arena slots made because none was free or stashed, for tests
+	handOffs  []func() // OnHandOff hooks
 	// pool is large (per-class counters for every size class) and cold
 	// relative to the dispatch loop; keeping it last keeps the scalar
 	// fields above packed into the leading cache lines.
@@ -264,8 +265,10 @@ func (e *Engine) alloc() uint32 {
 //
 //go:noinline
 func (e *Engine) grow() {
-	if e.slots == nil && e.takeQueue() {
-		return
+	if e.slots == nil {
+		if e.eventQueue, _ = queueStash.Take(); e.slots != nil {
+			return // every slot is free: its engine had quiesced
+		}
 	}
 	n := len(e.slots)
 	m := max(2*n, 16)
@@ -337,6 +340,12 @@ func (e *Engine) After(d Time, fn func()) Timer {
 	return e.At(e.now+d, fn)
 }
 
+// OnHandOff registers fn to run whenever a Run ends quiesced, after the
+// engine has handed its own storage on (see handOff), so that a layer above
+// the engine can hand on storage of its own. fn runs on Run's goroutine
+// with nothing simulated running and must not schedule events.
+func (e *Engine) OnHandOff(fn func()) { e.handOffs = append(e.handOffs, fn) }
+
 // Stop makes Run return after the current event completes. Pending events are
 // discarded and parked processes are killed.
 func (e *Engine) Stop() { e.stopped = true }
@@ -347,7 +356,7 @@ func (e *Engine) Stop() { e.stopped = true }
 // from simulated code — it force-kills any still-parked processes so their
 // coroutines end (their pending work is abandoned). A Run that returns
 // normally with no event pending and no process left has quiesced: it
-// hands its event storage and the buffer pool's free lists on (see handOff).
+// hands its storage on and runs the OnHandOff hooks (see handOff).
 func (e *Engine) Run(horizon Time) int {
 	if e.running {
 		panic("sim: Engine.Run re-entered")

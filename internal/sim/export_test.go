@@ -7,19 +7,24 @@ package sim
 // EmptyStash drops every stashed free list and event queue, so the next
 // pool that needs lists and the next engine that needs slots start cold.
 func EmptyStash() {
-	stash.Lock()
-	clear(stash.lists)
-	stash.lists = stash.lists[:0]
-	clear(stash.queues)
-	stash.queues = stash.queues[:0]
-	stash.Unlock()
+	listStash.empty()
+	queueStash.empty()
 }
 
 // Stashed returns how many free lists and event queues the stash holds.
-func Stashed() (lists, queues int) {
-	stash.Lock()
-	defer stash.Unlock()
-	return len(stash.lists), len(stash.queues)
+func Stashed() (lists, queues int) { return listStash.len(), queueStash.len() }
+
+func (s *Stash[T]) empty() {
+	s.mu.Lock()
+	clear(s.items)
+	s.items = s.items[:0]
+	s.mu.Unlock()
+}
+
+func (s *Stash[T]) len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.items)
 }
 
 // Grown returns how many arena slots the engine has made because it had

@@ -14,9 +14,10 @@ import (
 )
 
 // The tests here build whole clusters, so they live outside package sim.
-// They pin the hand-off: an engine that quiesces hands its pool's lists and
-// its event arena to the stash, the next engine takes them, and nothing a
-// run reports depends on that.
+// They pin the hand-off: an engine that quiesces hands its pool's lists,
+// its event arena and (through OnHandOff) its fabric's packet records to
+// the stashes, the next engine takes them, and nothing a run reports
+// depends on that.
 
 // stream runs a native-stack MPI_Isend stream of count copies of want from
 // rank 0 to rank 1 on a fresh 2-node cluster, checks every received byte
@@ -119,11 +120,13 @@ func TestWarmEngineEventsZeroAlloc(t *testing.T) {
 
 // TestConcurrentClustersShareTheStash is the traffic of sweeps and spsimd:
 // several goroutines build, run and verify clusters at once, each taking
-// lists and arenas from the stash and handing them back. Under -race it
-// checks that no buffer or arena slot is touched by two engines; each
-// goroutine streams its own pattern, so a buffer still in use when handed
-// on would corrupt a payload, and an arena shared by two engines would move
-// a run's final virtual time.
+// lists, arenas and switchnet's packet records from the stashes and
+// handing them back. Under -race it checks that no buffer, arena slot or
+// packet record is touched by two engines, that is, that they cross
+// goroutines only through a stash; each goroutine streams its own pattern,
+// so a buffer still in use when handed on would corrupt a payload, and an
+// arena or a record shared by two engines would move a run's final virtual
+// time or its fabric counters.
 func TestConcurrentClustersShareTheStash(t *testing.T) {
 	const workers, clusters = 4, 20
 	reports := make([][]*trace.Report, workers)
@@ -140,6 +143,9 @@ func TestConcurrentClustersShareTheStash(t *testing.T) {
 		for i, r := range rs {
 			if r.Pool != rs[0].Pool {
 				t.Errorf("worker %d cluster %d: pool stats %+v, want %+v like its first", w, i, r.Pool, rs[0].Pool)
+			}
+			if r.Fabric != rs[0].Fabric {
+				t.Errorf("worker %d cluster %d: fabric stats %+v, want %+v like its first", w, i, r.Fabric, rs[0].Fabric)
 			}
 			if ends[w][i] != ends[w][0] {
 				t.Errorf("worker %d cluster %d: ended at %v, want %v like its first", w, i, ends[w][i], ends[w][0])

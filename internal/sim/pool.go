@@ -87,67 +87,69 @@ const (
 // moves between engines.
 type freeLists [poolClasses][][]byte
 
-// stash holds what engines whose Run ended quiesced handed on: free lists
-// and event storage, at most one of each per GOMAXPROCS, since sweeps run
-// one engine per worker at a time. Each belongs to one engine at a time;
-// only the stash is locked.
-var stash struct {
-	sync.Mutex
-	lists  []*freeLists
-	queues []eventQueue
+// Stash holds what engines whose Run ended quiesced handed on, for the next
+// engine that needs it: at most one item per GOMAXPROCS, since sweeps run
+// one engine per worker at a time. Each item belongs to one engine at a
+// time; only the stash is locked, and its lock orders one engine's last use
+// of an item before the next engine's first.
+type Stash[T any] struct {
+	mu    sync.Mutex
+	items []T
 }
+
+// Take removes and returns the item given most recently; ok is false when
+// the stash is empty.
+func (s *Stash[T]) Take() (x T, ok bool) {
+	s.mu.Lock()
+	if n := len(s.items); n > 0 {
+		x, ok = s.items[n-1], true
+		clear(s.items[n-1:])
+		s.items = s.items[:n-1]
+	}
+	s.mu.Unlock()
+	return x, ok
+}
+
+// Give keeps x for a later Take, or leaves it to the GC when the stash
+// already holds one item per GOMAXPROCS.
+func (s *Stash[T]) Give(x T) {
+	s.mu.Lock()
+	if len(s.items) < runtime.GOMAXPROCS(0) {
+		s.items = append(s.items, x)
+	}
+	s.mu.Unlock()
+}
+
+var listStash Stash[*freeLists]  // BufPool free lists
+var queueStash Stash[eventQueue] // event storage
 
 // lists returns the pool's free lists, taking them from the stash or, when
 // it is empty, allocating empty ones.
 func (bp *BufPool) lists() *freeLists {
 	if bp.free == nil {
-		stash.Lock()
-		if n := len(stash.lists); n > 0 {
-			bp.free = stash.lists[n-1]
-			stash.lists[n-1] = nil
-			stash.lists = stash.lists[:n-1]
-		}
-		stash.Unlock()
-		if bp.free == nil {
+		if bp.free, _ = listStash.Take(); bp.free == nil {
 			bp.free = new(freeLists)
 		}
 	}
 	return bp.free
 }
 
-// takeQueue adopts the event storage most recently handed on, if any. All
-// of its slots are free, since the engine that handed it on had quiesced.
-func (e *Engine) takeQueue() bool {
-	stash.Lock()
-	n := len(stash.queues)
-	if n > 0 {
-		e.eventQueue = stash.queues[n-1]
-		stash.queues[n-1] = eventQueue{}
-		stash.queues = stash.queues[:n-1]
-	}
-	stash.Unlock()
-	return n > 0
-}
-
-// handOff gives the engine's event storage and its pool's free lists to the
-// stash; the engine takes them again when it next needs them. The caller
-// guarantees that nothing simulated will run on the engine meanwhile, and
-// that no event is pending, so every arena slot is free.
+// handOff stashes the engine's event storage and its pool's free lists,
+// which it takes again when it next needs them, then runs the OnHandOff
+// hooks. The caller guarantees that nothing simulated will run on the engine
+// meanwhile, and that no event is pending, so every arena slot is free.
 func (e *Engine) handOff() {
-	fl, q := e.pool.free, e.eventQueue
-	if fl == nil && q.slots == nil {
-		return
+	if e.pool.free != nil {
+		listStash.Give(e.pool.free)
+		e.pool.free = nil
 	}
-	e.pool.free, e.eventQueue = nil, eventQueue{}
-	stash.Lock()
-	room := runtime.GOMAXPROCS(0)
-	if fl != nil && len(stash.lists) < room {
-		stash.lists = append(stash.lists, fl)
+	if e.slots != nil {
+		queueStash.Give(e.eventQueue)
+		e.eventQueue = eventQueue{}
 	}
-	if q.slots != nil && len(stash.queues) < room {
-		stash.queues = append(stash.queues, q)
+	for _, fn := range e.handOffs {
+		fn()
 	}
-	stash.Unlock()
 }
 
 // classFor returns the size-class index for a buffer of n bytes, or -1 if n

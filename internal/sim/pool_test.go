@@ -138,22 +138,24 @@ func poolTimers(e *Engine) {
 
 // TestHorizonRunKeepsPoolLists: a Run stopped at a horizon with events
 // pending has not quiesced, so its pool keeps its lists and the engine its
-// arena and pending keys; the Run that then drains the queue hands both
-// on, and the split run reports the virtual time and pool traffic of one
+// arena and pending keys and runs no OnHandOff hook; the Run that then
+// drains the queue hands both on and runs the hook once, and the split run reports the virtual time and pool traffic of one
 // uninterrupted run.
 func TestHorizonRunKeepsPoolLists(t *testing.T) {
 	EmptyStash()
 	e := NewEngine(1)
+	hooked := 0
+	e.OnHandOff(func() { hooked++ })
 	poolTimers(e)
 	e.Run(50)
-	if lists, queues := Stashed(); e.Idle() || e.pool.free == nil || e.slots == nil || lists != 0 || queues != 0 {
-		t.Fatalf("stopped at the horizon: idle %v, pool holds lists %v, engine holds an arena %v, stashed %d lists and %d queues; want pending keys, lists and arena kept, none stashed",
-			e.Idle(), e.pool.free != nil, e.slots != nil, lists, queues)
+	if lists, queues := Stashed(); e.Idle() || e.pool.free == nil || e.slots == nil || lists != 0 || queues != 0 || hooked != 0 {
+		t.Fatalf("stopped at the horizon: idle %v, pool holds lists %v, engine holds an arena %v, stashed %d lists and %d queues, hook ran %d times; want pending keys, lists and arena kept, none stashed, no hook",
+			e.Idle(), e.pool.free != nil, e.slots != nil, lists, queues, hooked)
 	}
 	e.Run(0)
-	if lists, queues := Stashed(); e.pool.free != nil || e.slots != nil || lists != 1 || queues != 1 {
-		t.Fatalf("after the last Run: pool holds lists %v, engine holds an arena %v, stashed %d lists and %d queues; want both handed on",
-			e.pool.free != nil, e.slots != nil, lists, queues)
+	if lists, queues := Stashed(); e.pool.free != nil || e.slots != nil || lists != 1 || queues != 1 || hooked != 1 {
+		t.Fatalf("after the last Run: pool holds lists %v, engine holds an arena %v, stashed %d lists and %d queues, hook ran %d times; want both handed on and the hook run once",
+			e.pool.free != nil, e.slots != nil, lists, queues, hooked)
 	}
 	ref := NewEngine(1)
 	poolTimers(ref)
@@ -166,8 +168,9 @@ func TestHorizonRunKeepsPoolLists(t *testing.T) {
 
 // TestPanickingRunHandsNothingOff: a Run that ends by re-raising a panic
 // from simulated code, a process's or a callback's on Run's own goroutine,
-// has not quiesced, even with nothing left to run, and keeps its lists and
-// its arena.
+// has not quiesced, even with nothing left to run: it keeps its lists and
+// its arena, and runs no OnHandOff hook, so a layer above (switchnet's
+// packet records) keeps its storage too.
 func TestPanickingRunHandsNothingOff(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -182,6 +185,8 @@ func TestPanickingRunHandsNothingOff(t *testing.T) {
 	} {
 		EmptyStash()
 		e := NewEngine(1)
+		hooked := false
+		e.OnHandOff(func() { hooked = true })
 		tc.setup(e, func() { e.Pool().Put(e.Pool().Get(64)) })
 		func() {
 			defer func() {
@@ -197,6 +202,9 @@ func TestPanickingRunHandsNothingOff(t *testing.T) {
 		if lists, queues := Stashed(); e.pool.free == nil || e.slots == nil || lists != 0 || queues != 0 {
 			t.Errorf("%s: pool holds lists %v, engine holds an arena %v, stashed %d lists and %d queues; want both kept",
 				tc.name, e.pool.free != nil, e.slots != nil, lists, queues)
+		}
+		if hooked {
+			t.Errorf("%s: the panicking Run ran its OnHandOff hook", tc.name)
 		}
 	}
 }

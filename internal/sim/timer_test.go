@@ -80,7 +80,7 @@ func TestStaleTimerIgnoresAdoptedArena(t *testing.T) {
 	tm := a.After(1, nop)
 	a.Run(0) // ...comes back for tm, and goes again
 	c.Run(0) // C's arena lands on top of it
-	cArena := &stash.queues[len(stash.queues)-1].slots[0]
+	cArena := &queueStash.items[len(queueStash.items)-1].slots[0]
 	fired := false
 	fresh := a.After(1, func() { fired = true })
 	if &a.slots[0] != cArena || fresh.slot != tm.slot {

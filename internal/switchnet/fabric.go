@@ -123,8 +123,14 @@ type Fabric struct {
 	stats   Stats
 	deliver []func(*Packet)
 	free    []*Packet     // dead packet records (NewPacket, Free)
+	took    bool          // NewPacket looked in packetStash since the last hand-off
 	arrive  func(*Packet) // f.arrived, bound once
+	fresh   uint64        // records made because free and the stash were empty, for tests
 }
+
+// packetStash holds the free record lists of fabrics whose engine quiesced,
+// for the next fabric to need a record (see sim.Stash).
+var packetStash sim.Stash[[]*Packet]
 
 // New creates a fabric with n ports using the given cost model. The fault
 // plan on par compiles into the fabric's injector here; an empty plan costs
@@ -142,6 +148,7 @@ func New(eng *sim.Engine, par *machine.Params, n int) *Fabric {
 		deliver: make([]func(*Packet), n),
 	}
 	f.arrive = f.arrived
+	eng.OnHandOff(f.handOff)
 	r := par.RoutesPerPair
 	freeAt := make([]sim.Time, n*n*r)
 	for i := range f.pairs {
@@ -170,16 +177,25 @@ func (f *Fabric) AttachPort(node int, deliver func(*Packet)) {
 }
 
 // NewPacket returns a record for a packet from src to dst, recycled from
-// the free list when one is there. Send snapshots payload, so the caller
-// keeps its bytes. Whoever sees the packet die returns the record: Free
-// when its payload lives on, Release when the payload dies with it.
+// the free list, which the first NewPacket to find it empty fills with the
+// list a fabric on a quiesced engine handed on. A record carries no fabric
+// (its bound stage callback closes over the record alone, and Free clears
+// the pending stage), so it moves between fabrics and engines safely. Send
+// snapshots payload, so the caller keeps its bytes. Whoever sees the packet
+// die returns the record: Free when its payload lives on, Release when the
+// payload dies with it.
 func (f *Fabric) NewPacket(src, dst int, payload []byte) *Packet {
+	if len(f.free) == 0 && !f.took {
+		f.took = true
+		f.free, _ = packetStash.Take()
+	}
 	var pk *Packet
 	if n := len(f.free); n > 0 {
 		pk = f.free[n-1]
 		f.free = f.free[:n-1]
 		*pk = Packet{fire: pk.fire}
 	} else {
+		f.fresh++
 		pk = new(Packet)
 	}
 	//simlint:allow payloadretain the record carries payload only into Send, which snapshots it at injection
@@ -196,6 +212,16 @@ func (f *Fabric) Free(pk *Packet) {
 	}
 	pk.free, pk.Payload, pk.then = true, nil, nil
 	f.free = append(f.free, pk)
+}
+
+// handOff gives the free records to packetStash; the engine runs it when a
+// Run ends quiesced (sim.Engine.OnHandOff). Records still held elsewhere,
+// such as one in an unpolled adapter FIFO, are left to the GC.
+func (f *Fabric) handOff() {
+	if len(f.free) > 0 {
+		packetStash.Give(f.free)
+	}
+	f.free, f.took = nil, false
 }
 
 // Release is the death of a packet whose pooled payload dies with it (a
