@@ -3,6 +3,7 @@ package sim
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // The alloc gates pin the kernel's zero-allocation steady state: once the
@@ -18,7 +19,7 @@ func TestEventLoopZeroAllocSteadyState(t *testing.T) {
 	e := NewEngine(1)
 	fn := func() {}
 	e.After(1, fn)
-	e.Run(0) // warm the event free list and heap capacity
+	e.Run(0) // warm the event free list and queue capacity
 	allocs := testing.AllocsPerRun(200, func() {
 		e.After(1, fn)
 		e.Run(0)
@@ -51,7 +52,7 @@ func TestSleepZeroAllocSteadyState(t *testing.T) {
 		}
 		spawn()
 		e.Run(0)
-		// Each run pays a constant spawn cost (Proc, coroutine, event heap
+		// Each run pays a constant spawn cost (Proc, coroutine, event queue
 		// churn); with the engine warm, the laps themselves must
 		// add nothing, so any per-lap allocation would show up as >= laps.
 		allocs := testing.AllocsPerRun(10, func() {
@@ -178,9 +179,9 @@ func TestPoolHandOffZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestEventKeysHoldNoPointers: the heap is a slice of keys, and it stays
-// free of write barriers and GC scanning only while no key field can hold
-// a pointer.
+// TestEventKeysHoldNoPointers: the queue's near list and buckets are slices
+// of keys, and they stay free of write barriers and GC scanning only while
+// no key field can hold a pointer.
 func TestEventKeysHoldNoPointers(t *testing.T) {
 	var holds func(reflect.Type) bool
 	holds = func(ty reflect.Type) bool {
@@ -201,7 +202,20 @@ func TestEventKeysHoldNoPointers(t *testing.T) {
 	ty := reflect.TypeOf(key{})
 	for i := 0; i < ty.NumField(); i++ {
 		if f := ty.Field(i); holds(f.Type) {
-			t.Errorf("key.%s (%v) can hold a pointer; the event heap must be pointer-free", f.Name, f.Type)
+			t.Errorf("key.%s (%v) can hold a pointer; the event queue must be pointer-free", f.Name, f.Type)
 		}
+	}
+}
+
+// TestEngineHoldsBucketsByPointer: the radix queue's bucket table travels
+// with the arena, behind a pointer. Held by value it would add 1.5 KiB to
+// every Engine, whether it ever schedules or not.
+func TestEngineHoldsBucketsByPointer(t *testing.T) {
+	table := unsafe.Sizeof(buckets{})
+	if q := unsafe.Sizeof(eventQueue{}); q >= table/8 {
+		t.Errorf("eventQueue is %d bytes; the %d-byte bucket table must stay out of line", q, table)
+	}
+	if e := unsafe.Sizeof(Engine{}); e >= table {
+		t.Errorf("Engine is %d bytes, more than the %d-byte bucket table it must not hold", e, table)
 	}
 }

@@ -11,8 +11,9 @@ import "testing"
 // as its sim.*_ns per-layer metrics.
 
 // BenchmarkEventLoop is the events/sec microbenchmark: schedule and
-// dispatch b.N no-op callbacks, keeping a standing batch in the queue so
-// the heap's sift paths are exercised at a realistic depth.
+// dispatch b.N no-op callbacks, keeping a standing batch of up to 512
+// distinct times in the queue, so that keys spread over many radix buckets
+// and every pop after the first of a batch refills from one.
 func BenchmarkEventLoop(b *testing.B) {
 	e := NewEngine(1)
 	fn := func() {}
@@ -48,8 +49,33 @@ func BenchmarkTimerStop(b *testing.B) {
 	e.Run(0)
 }
 
+// BenchmarkTimerRearm is the transport pattern: a stream of events a few
+// hundred ns apart, with a retransmit timer stopped and re-armed 2 ms
+// ahead on every 8th, so that the queue holds near events, a far live
+// timer and a tail of cancelled ones. One op is one stream event.
+func BenchmarkTimerRearm(b *testing.B) {
+	e := NewEngine(1)
+	var rtx Timer
+	n := 0
+	var tick func()
+	timeout := func() {}
+	tick = func() {
+		if n%8 == 0 {
+			rtx.Stop()
+			rtx = e.After(2*Millisecond, timeout)
+		}
+		if n++; n < b.N {
+			e.After(Time(100+n%5*50), tick)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.After(0, tick)
+	e.Run(0)
+}
+
 // BenchmarkSleep measures Proc.Sleep's fast path: with nothing else pending
-// the wake-up is the next pop, so the clock advances with no heap operation
+// the wake-up is the next pop, so the clock advances with no queue operation
 // and no coroutine switch.
 func BenchmarkSleep(b *testing.B) {
 	e := NewEngine(1)

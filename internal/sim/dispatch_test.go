@@ -85,9 +85,9 @@ func TestStopThenSleepKillsProc(t *testing.T) {
 }
 
 // TestCancelledTopDoesNotBlockFastPath: a stopped timer earlier than the
-// wake-up is purged, not mistaken for pending work. The fast path leaves
-// the heap alone, so the purged slot is the last one recycled; the slow
-// path would have recycled its own resume event after it.
+// wake-up is purged, not mistaken for pending work. The fast path queues
+// nothing, so the purged slot is the last one recycled; the slow path
+// would have recycled its own resume event after it.
 func TestCancelledTopDoesNotBlockFastPath(t *testing.T) {
 	e := NewEngine(1)
 	e.Spawn("p", func(p *Proc) {
@@ -102,7 +102,7 @@ func TestCancelledTopDoesNotBlockFastPath(t *testing.T) {
 			t.Error("cancelled event still queued after the sleep")
 		}
 		if n := e.nfree; n == 0 || e.free[n-1] != tm.slot {
-			t.Error("Sleep went through the heap although only a cancelled event was pending")
+			t.Error("Sleep went through the queue although only a cancelled event was pending")
 		}
 		if e.switches != before {
 			t.Errorf("Sleep cost %d coroutine switches, want 0", e.switches-before)

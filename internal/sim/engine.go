@@ -19,20 +19,23 @@
 // arbitrary coroutine of the simulation — and must not block.
 //
 // The event queue and the scheduling paths are engineered for wall-clock
-// throughput (see DESIGN.md "Kernel performance"): a specialized 4-ary
-// min-heap of pointer-free (time, sequence, slot) keys over an indexed
-// slot arena, a stack of free slot indices that recycles fired and
-// cancelled events (a slot's sequence number keeps stale Timer handles
-// harmless), a typed resume-process event kind so Proc.Sleep allocates no
-// closure, and an engine-owned payload buffer pool (BufPool). A quiesced
-// engine hands its event storage and buffers to the next one. Event order
-// is a strict total order on (time, sequence), so none of this can change
-// a single virtual timestamp.
+// throughput (see DESIGN.md "Kernel performance"): a monotone radix heap of
+// pointer-free (time, sequence, slot) keys — the clock never runs
+// backwards, so keys only move down its buckets and a pop is O(1)
+// amortized — over an indexed slot arena, a stack of free slot indices
+// that recycles fired and cancelled events (a slot's sequence number keeps
+// stale Timer handles harmless), a typed resume-process event kind so
+// Proc.Sleep allocates no closure, and an engine-owned payload buffer pool
+// (BufPool). A quiesced engine hands its event storage and buffers to the
+// next one. Event order is a strict total order on (time, sequence), which
+// every exact priority queue pops alike, so none of this can change a
+// single virtual timestamp.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 )
@@ -83,24 +86,16 @@ const (
 	evStart
 )
 
-// key is a scheduled occurrence as the heap sees it: its time, its sequence
-// number and the arena slot holding the rest. It holds no pointer, so sift
-// steps copy plain values, with no write barrier, and the GC never scans
-// the heap.
+// key is a scheduled occurrence as the queue sees it: its time, its
+// sequence number and the arena slot holding the rest. Keys pop in (t, seq)
+// order, a strict total order since seq is unique: any exact priority queue
+// pops them in exactly one order — the bedrock of bit-identical replay. A
+// key holds no pointer, so moving keys between buckets copies plain values,
+// with no write barrier, and the GC never scans them.
 type key struct {
 	t    Time
 	seq  uint64 // tie-breaker: FIFO among same-time events
 	slot uint32
-}
-
-// keyLess is the queue's strict total order. seq is unique, so two
-// distinct events never compare equal and any correct heap pops them in
-// exactly one order — the bedrock of bit-identical replay.
-func keyLess(a, b key) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	return a.seq < b.seq
 }
 
 // noSeq marks an arena slot with no live occupant: free, or cancelled and
@@ -116,10 +111,26 @@ type event struct {
 	proc *Proc  // evResume, evStart
 }
 
-// eventQueue is the event storage: the heap of keys, the slot arena and the
-// stack of free slot indices. A quiesced engine hands it on (see handOff).
+// buckets are the radix queue's far keys: buckets[i] holds the keys whose
+// time first differs from last at bit i (times are non-negative, so 63
+// bits). Each bucket is in seq order.
+type buckets [63][]key
+
+// bucketCap is the capacity near and each bucket start with, carved from
+// one array.
+const bucketCap = 8
+
+// eventQueue is the event storage: a monotone radix heap of keys, the slot
+// arena and the stack of free slot indices. No key is ever earlier than
+// last, which is at most now; so a key's bucket only falls as last rises,
+// and a pop is O(1) amortized. A quiesced engine hands the storage on (see
+// handOff).
 type eventQueue struct {
-	keys  []key    // 4-ary min-heap ordered by keyLess
+	near  []key    // near[head:] are the keys at last, in seq order; reset when drained
+	head  int      // near[:head] have popped
+	last  Time     // the time of the keys most recently moved to near
+	mask  uint64   // bit i set: far[i] is not empty
+	far   *buckets // nil until the first grow
 	slots []event  // indexed by key.slot; nil until the first grow
 	free  []uint32 // free[:nfree] is the stack of slots with no occupant
 	nfree int      // len(free) == len(slots), so a release never grows it
@@ -188,62 +199,71 @@ func (e *Engine) RandUsed() bool { return e.rng != nil }
 // the engine it must only be used from simulation context.
 func (e *Engine) Pool() *BufPool { return &e.pool }
 
-// arity is the heap's fan-out (see pop).
-const arity = 4
-
-// push inserts k into the 4-ary heap (sift up).
+// push queues k, which is no earlier than last. A key at last has the
+// newest seq, so appending it keeps near in order; so does appending to a
+// bucket.
 func (e *Engine) push(k key) {
-	h := append(e.keys, k)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / arity
-		if !keyLess(k, h[parent]) {
-			break
+	if k.t == e.last {
+		if e.head == len(e.near) {
+			e.near = e.near[:0] // drained: start over
+			e.head = 0
 		}
-		h[i] = h[parent]
-		i = parent
+		e.near = append(e.near, k)
+		return
 	}
-	h[i] = k
-	e.keys = h
+	i := bits.Len64(uint64(k.t^e.last)) - 1
+	e.far[i] = append(e.far[i], k)
+	e.mask |= 1 << i
 }
 
-// pop removes and returns the minimum key (sift down). The 4-ary layout
-// halves the tree height of a binary heap; the extra child comparisons are
-// cheap relative to the memory traffic they save.
-func (e *Engine) pop() key {
-	h := e.keys
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h = h[:n]
-	e.keys = h
-	if n > 0 {
-		i := 0
-		for {
-			c := arity*i + 1
-			if c >= n {
-				break
-			}
-			m := c
-			end := c + arity
-			if end > n {
-				end = n
-			}
-			for j := c + 1; j < end; j++ {
-				if keyLess(h[j], h[m]) {
-					m = j
-				}
-			}
-			if !keyLess(h[m], last) {
-				break
-			}
-			h[i] = h[m]
-			i = m
+// compact drops the cancelled keys of bucket i, keeping the others in
+// order, and returns the earliest time left in it.
+func (e *Engine) compact(i int) Time {
+	b := e.far[i]
+	n, m := 0, timeInf
+	for _, k := range b {
+		if !e.pending(k) {
+			e.release(k.slot)
+			continue
 		}
-		h[i] = last
+		m = min(m, k.t)
+		b[n] = k
+		n++
 	}
-	return top
+	e.far[i] = e.far[i][:n] // a length store, with no write barrier
+	return m
 }
+
+// refill compacts the lowest non-empty bucket, emptying buckets until one
+// holds a live key. Then it sets last to that bucket's earliest time m and
+// pushes its keys again: those at m into the drained near, the others into
+// lower buckets, each of which receives a subsequence of one in seq order.
+// It reports false, having moved no key, when the queue holds no live key
+// or m lies at or beyond winEnd: last must not pass a clock that a Run with
+// a horizon leaves behind it.
+func (e *Engine) refill(winEnd Time) bool {
+	for e.mask != 0 {
+		i := bits.TrailingZeros64(e.mask)
+		m := e.compact(i)
+		b := e.far[i]
+		if len(b) > 0 && m >= winEnd {
+			return false
+		}
+		e.far[i] = b[:0]
+		e.mask &^= 1 << i
+		if len(b) > 0 {
+			e.last = m
+			for _, k := range b {
+				e.push(k)
+			}
+			return true
+		}
+	}
+	return false
+}
+
+// empty reports whether no key is queued, live or cancelled.
+func (e *Engine) empty() bool { return e.head == len(e.near) && e.mask == 0 }
 
 // pending reports whether k's slot still holds the event k was pushed for,
 // that is, whether the event has not been cancelled.
@@ -269,6 +289,12 @@ func (e *Engine) grow() {
 		if e.eventQueue, _ = queueStash.Take(); e.slots != nil {
 			return // every slot is free: its engine had quiesced
 		}
+		e.far = new(buckets)
+		keys := make([]key, (len(e.far)+1)*bucketCap)
+		for i := range e.far {
+			e.far[i] = keys[i*bucketCap : i*bucketCap : (i+1)*bucketCap]
+		}
+		e.near = keys[len(e.far)*bucketCap:][:0]
 	}
 	n := len(e.slots)
 	m := max(2*n, 16)
@@ -298,6 +324,13 @@ func (e *Engine) schedule(t Time, kind byte, fn func(), p *Proc) key {
 	k := key{t: t, seq: e.seq, slot: e.alloc()}
 	e.slots[k.slot] = event{seq: k.seq, kind: kind, fn: fn, proc: p}
 	e.seq++
+	// A full bucket drops its cancelled keys before it grows: a retransmit
+	// timer stopped and re-armed on every ack leaves one per ack in a far
+	// bucket, which is not refilled until the clock nears it. (Only a
+	// schedule brings a bucket cancelled keys; refill moves live ones.)
+	if i := bits.Len64(uint64(t^e.last)) - 1; i >= 0 && len(e.far[i]) == cap(e.far[i]) {
+		e.compact(i)
+	}
 	e.push(k)
 	return k
 }
@@ -371,10 +404,11 @@ func (e *Engine) Run(horizon Time) int {
 	defer func() { e.shutdown(returned) }()
 	e.dispatch(nil)
 	returned = true
-	if horizon > 0 && e.live() && len(e.keys) > 0 {
+	if horizon > 0 && e.live() && !e.empty() {
 		// The loop ended on a live event beyond the horizon. It stays
-		// queued for a later Run with a larger one; the clock stops here.
-		e.now = horizon
+		// queued for a later Run with a larger one; the clock stops here,
+		// unless it has already passed it.
+		e.now = max(e.now, horizon)
 	}
 	return int(e.executed - start)
 }
@@ -390,7 +424,7 @@ func (e *Engine) shutdown(returned bool) {
 		e.procPanic = nil
 		panic(r)
 	}
-	if returned && len(e.keys) == 0 && len(e.procs) == 0 {
+	if returned && e.empty() && len(e.procs) == 0 {
 		e.handOff()
 	}
 }
@@ -401,17 +435,30 @@ func (e *Engine) live() bool {
 	return e.running && !e.stopped && e.procPanic == nil
 }
 
-// nextTime returns the time of the earliest pending event. Cancelled
-// events encountered at the top are recycled on the way, so the answer is
-// exact. ok is false when the queue is empty.
-func (e *Engine) nextTime() (t Time, ok bool) {
-	for len(e.keys) > 0 {
-		if k := e.keys[0]; e.pending(k) {
-			return k.t, true
+// dueBy reports whether a pending event is due at or before t, for Sleep.
+// Cancelled events met on the way are recycled, so the answer is exact.
+// When it reports none, it has moved no key, because Sleep's fast path then
+// sets the clock below the earliest event and last must stay at or below
+// it. When it reports one, it has refilled near up to that event, at most
+// t, ahead of the sleeper's wake-up at t and the pop that follows.
+func (e *Engine) dueBy(t Time) bool {
+	for e.head < len(e.near) {
+		k := e.near[e.head]
+		if e.pending(k) {
+			return true // at last, which is at most now
 		}
-		e.release(e.pop().slot)
+		e.head++
+		e.release(k.slot)
 	}
-	return 0, false
+	if e.mask == 0 {
+		return false
+	}
+	// Every far key shares last's bits above its bucket's and has that
+	// bucket's bit set, so this bound settles most calls without a scan.
+	if j := bits.TrailingZeros64(e.mask); (e.last>>j|1)<<j > t {
+		return false
+	}
+	return e.refill(t + 1)
 }
 
 // next pops the event the loop must execute now. ok is false when the loop
@@ -421,22 +468,22 @@ func (e *Engine) next() (k key, ok bool) {
 	if !e.live() {
 		return k, false
 	}
-	for len(e.keys) > 0 {
-		k = e.pop()
+	for {
+		if e.head == len(e.near) && !e.refill(e.winEnd) {
+			return k, false
+		}
+		k = e.near[e.head]
 		if !e.pending(k) {
+			e.head++
 			e.release(k.slot)
 			continue
 		}
 		if k.t >= e.winEnd {
-			// Not consumed: pushed back, so a later Run with a larger
-			// horizon still sees it. Popping first and undoing it
-			// once per run is cheaper than peeking before every pop.
-			e.push(k)
-			return k, false
+			return k, false // not consumed: a later Run may reach it
 		}
+		e.head++
 		return k, true
 	}
-	return k, false
 }
 
 // dispatch is the event loop, run by whoever holds the token: Run's
@@ -556,7 +603,7 @@ func (e *Engine) killAll() {
 }
 
 // Idle reports whether no events are pending.
-func (e *Engine) Idle() bool { return len(e.keys) == 0 }
+func (e *Engine) Idle() bool { return e.empty() }
 
 // LiveProcs returns the number of spawned processes that have not finished.
 func (e *Engine) LiveProcs() int { return len(e.procs) }
@@ -654,19 +701,17 @@ func (p *Proc) Sleep(d Time) {
 	}
 	e := p.eng
 	t := e.now + d
-	if e.live() && t < e.winEnd {
-		if next, ok := e.nextTime(); !ok || next > t {
-			// Every pending event is strictly later than the wake-up, so the
-			// resume event this Sleep would schedule is the very next pop
-			// (an event at exactly t is older and would go first, hence the
-			// strict comparison). Do what that pop would do — advance the
-			// clock, count the event, and use up its sequence number so the
-			// numbering of later events is unchanged — and keep running.
-			e.now = t
-			e.seq++
-			e.executed++
-			return
-		}
+	if e.live() && t < e.winEnd && !e.dueBy(t) {
+		// Every pending event is strictly later than the wake-up, so the
+		// resume event this Sleep would schedule is the very next pop (an
+		// event at exactly t is older and would go first, hence dueBy's
+		// inclusive bound). Do what that pop would do — advance the clock,
+		// count the event, and use up its sequence number so the numbering
+		// of later events is unchanged — and keep running.
+		e.now = t
+		e.seq++
+		e.executed++
+		return
 	}
 	p.unpark(t)
 	p.yield()

@@ -27,6 +27,9 @@ func (s *Stash[T]) len() int {
 	return len(s.items)
 }
 
+// RaceEnabled reports whether the race detector is compiled in.
+func RaceEnabled() bool { return raceEnabled }
+
 // Grown returns how many arena slots the engine has made because it had
 // none free and the stash held no arena.
 func (e *Engine) Grown() uint64 { return e.grown }

@@ -41,6 +41,7 @@ type gop struct {
 
 type gworld struct {
 	e      *Engine
+	scale  Time // every drawn delay, horizon and callback time is multiplied by it
 	h      uint64
 	n      int
 	conds  [2]Cond
@@ -107,6 +108,9 @@ func (w *gworld) callback(tag, what int) func() {
 	}
 }
 
+// d scales a drawn delay.
+func (w *gworld) d(a int) Time { return Time(a) * w.scale }
+
 func (w *gworld) body(prog []gop) func(*Proc) {
 	return func(p *Proc) {
 		id := p.id
@@ -117,7 +121,7 @@ func (w *gworld) body(prog []gop) func(*Proc) {
 			c := &w.conds[op.b&1]
 			switch op.kind {
 			case gSleep:
-				p.Sleep(Time(op.a))
+				p.Sleep(w.d(op.a))
 			case gYield:
 				p.Yield()
 			case gSignal:
@@ -127,16 +131,16 @@ func (w *gworld) body(prog []gop) func(*Proc) {
 			case gBroadcast:
 				c.Broadcast()
 			case gWaitTimeout:
-				if c.WaitTimeout(p, Time(op.a)) {
+				if c.WaitTimeout(p, w.d(op.a)) {
 					step |= 1
 				}
 			case gWait:
 				c.Wait(p)
 			case gUse:
-				w.res.Use(p, Time(op.a))
+				w.res.Use(p, w.d(op.a))
 			case gHold:
 				w.res.Acquire(p)
-				p.Sleep(Time(op.a))
+				p.Sleep(w.d(op.a))
 				p.Yield()
 				w.res.Release()
 			case gPut:
@@ -148,7 +152,7 @@ func (w *gworld) body(prog []gop) func(*Proc) {
 					step |= 1
 				}
 			case gTimer:
-				w.timers = append(w.timers, w.e.After(Time(op.a), w.callback(len(w.timers), op.b)))
+				w.timers = append(w.timers, w.e.After(w.d(op.a), w.callback(len(w.timers), op.b)))
 			case gStopTimer:
 				if n := len(w.timers); n > 0 && w.timers[(op.a*7+op.b)%n].Stop() {
 					step |= 1
@@ -163,10 +167,16 @@ func (w *gworld) body(prog []gop) func(*Proc) {
 	}
 }
 
-// scheduleDigest runs the program generated from seed and returns the
-// hash of its step log, event counts, final clock and sequence counter.
-func scheduleDigest(seed int64) uint64 {
-	w := &gworld{e: NewEngine(seed), h: 14695981039346656037}
+// scheduleDigest runs the program generated from seed with delays of a few
+// nanoseconds.
+func scheduleDigest(seed int64) uint64 { return scaledDigest(seed, 1) }
+
+// scaledDigest runs the program generated from seed, every time in it
+// multiplied by scale, and returns the hash of its step log, event counts,
+// final clock and sequence counter. The random draws do not depend on
+// scale.
+func scaledDigest(seed int64, scale Time) uint64 {
+	w := &gworld{e: NewEngine(seed), h: 14695981039346656037, scale: scale}
 	rng := w.e.Rand() // the program is drawn up front; nothing below draws again
 	w.res = NewResource(1 + rng.Intn(2))
 	w.q = NewQueue(2)
@@ -188,18 +198,18 @@ func scheduleDigest(seed int64) uint64 {
 		// Split the run at a horizon inside the program, and give the
 		// second Run processes of its own: callbacks beyond the horizon
 		// spawn them.
-		horizon = Time(10 + rng.Intn(40))
+		horizon = w.d(10 + rng.Intn(40))
 		for i := 0; i < 2; i++ {
 			prog := w.program(rng, 6+rng.Intn(6), 1)
 			tag := 1000 + i
-			w.e.At(horizon+Time(1+rng.Intn(9)), func() {
+			w.e.At(horizon+w.d(1+rng.Intn(9)), func() {
 				w.log(-tag, 0)
 				w.e.Spawn("late", w.body(prog))
 			})
 		}
 	}
 	if seed%8 == 5 {
-		w.e.At(Time(5+rng.Intn(60)), func() {
+		w.e.At(w.d(5+rng.Intn(60)), func() {
 			w.log(-2000, 0)
 			w.e.Stop()
 		})
@@ -230,6 +240,24 @@ func TestGoldenScheduleDigestsAreRepeatable(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		if a, b := scheduleDigest(seed), scheduleDigest(seed); a != b {
 			t.Fatalf("seed %d: digests %#x and %#x from the same program", seed, a, b)
+		}
+	}
+}
+
+// wideScale is the delay scale of seed's wide program: a power of two up to
+// 2^40, plus 1 or 2 on most seeds, so that event times differ in their high
+// bits and their low ones alike.
+func wideScale(seed int64) Time { return Time(1)<<(seed*7%41) + Time(seed%3) }
+
+// TestGoldenWideScheduleDigests runs the generator with its times scaled by
+// wideScale, so that the queue holds events from nanoseconds to hours
+// apart. The constants were captured at d697e4e, whose event queue was a
+// 4-ary heap.
+func TestGoldenWideScheduleDigests(t *testing.T) {
+	for i, want := range wideDigests {
+		seed := int64(i + 1)
+		if got := scaledDigest(seed, wideScale(seed)); got != want {
+			t.Errorf("seed %d (scale %d): schedule digest %#016x, want %#016x (captured at d697e4e)", seed, wideScale(seed), got, want)
 		}
 	}
 }
@@ -283,4 +311,31 @@ var goldenDigests = [...]uint64{
 	0xc5de66c4ab8ce224, // seed 46
 	0x5bf550b69ef46938, // seed 47
 	0xdac82da3d63b86eb, // seed 48
+}
+
+var wideDigests = [...]uint64{
+	0xafb20742ba020097, // seed 1
+	0x0e9d88621e2c6737, // seed 2
+	0xde93ac6643967882, // seed 3
+	0x07ad1c893e63744f, // seed 4
+	0xb206af65073f2bb2, // seed 5
+	0xfd86188b29205aa7, // seed 6
+	0xe6f0791df968a3d6, // seed 7
+	0x62b7a918d4ef5ed8, // seed 8
+	0x349e1bbdb52efa72, // seed 9
+	0x6162c6be7d265838, // seed 10
+	0x3ea5c41a3aff5688, // seed 11
+	0xf8a4ada281a45506, // seed 12
+	0xb5dfb618c4bc635c, // seed 13
+	0xf2b3bdc1f98c5149, // seed 14
+	0x0cd4731babfd1a2c, // seed 15
+	0xf88e2e96397e52e6, // seed 16
+	0x6c45e37d4d4b2457, // seed 17
+	0xd736149959ae6d39, // seed 18
+	0x3b6bdf9f1d92a272, // seed 19
+	0xf202aca2a5c240be, // seed 20
+	0x6e85788dd3b02781, // seed 21
+	0xf416305511af7424, // seed 22
+	0xfaa9d3c9340a32c1, // seed 23
+	0xcf9907b01d272aae, // seed 24
 }

@@ -105,6 +105,11 @@ func TestWarmEngineBuffersZeroAlloc(t *testing.T) {
 
 // TestWarmEngineEventsZeroAlloc: a second identical cluster run schedules
 // every event into the arena the first run handed on, and grows no slot.
+// Then an engine whose keys spread over many buckets of the radix queue —
+// µs events, and a 2 ms timer re-armed on every 8th — runs After+Run
+// cycles, handing its queue on at the end of each and taking it back on
+// the next schedule: the bucket table and its arrays travel with the
+// arena, so a warm cycle allocates nothing.
 func TestWarmEngineEventsZeroAlloc(t *testing.T) {
 	msg := pattern(64<<10, 3)
 	sim.EmptyStash()
@@ -115,6 +120,33 @@ func TestWarmEngineEventsZeroAlloc(t *testing.T) {
 	_, c := stream(t, msg, 64)
 	if n := c.Eng.Grown(); n != 0 {
 		t.Errorf("a warm engine grew %d arena slots, want 0", n)
+	}
+
+	if sim.RaceEnabled() {
+		t.Skip("allocation counts are perturbed under the race detector")
+	}
+	e := sim.NewEngine(1)
+	var rtx sim.Timer
+	n := 0
+	var tick func()
+	timeout := func() {}
+	tick = func() {
+		if n%8 == 0 {
+			rtx.Stop()
+			rtx = e.After(2*sim.Millisecond, timeout)
+		}
+		if n++; n < 512 {
+			e.After(sim.Time(1+n%7)*sim.Microsecond, tick)
+		}
+	}
+	cycle := func() {
+		n = 0
+		e.After(0, tick)
+		e.Run(0)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Errorf("a warm After+Run cycle over many buckets allocates %.1f objects, want 0", allocs)
 	}
 }
 

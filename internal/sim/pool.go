@@ -144,7 +144,10 @@ func (e *Engine) handOff() {
 		e.pool.free = nil
 	}
 	if e.slots != nil {
-		queueStash.Give(e.eventQueue)
+		// The next engine's clock starts anew, so last must too.
+		q := e.eventQueue
+		q.near, q.head, q.last = q.near[:0], 0, 0
+		queueStash.Give(q)
 		e.eventQueue = eventQueue{}
 	}
 	for _, fn := range e.handOffs {
