@@ -1,7 +1,7 @@
 // Command spsimd is the simulation-as-a-service daemon: a long-running
 // HTTP/JSON server that accepts sweep campaigns, schedules them over a
 // bounded worker pool, streams per-cell progress, and serves every
-// completed sweep/v2 artifact from a content-addressed exact result cache
+// completed sweep/v3 artifact from a content-addressed exact result cache
 // — identical requests cost one simulation, ever, per code version.
 //
 // Usage:

@@ -18,7 +18,7 @@ import (
 // CI-method tags recorded in Summary.CIMethod.
 const (
 	// CIExact: the sample is degenerate (n==1 or all values equal), so the
-	// interval is the point itself.
+	// interval, like every other statistic, is the point itself.
 	CIExact = "exact"
 	// CISign: small-n order-statistic (sign-test) interval for the median.
 	CISign = "sign"
@@ -68,21 +68,24 @@ func Summarize(values []float64) Summary {
 	v := append([]float64(nil), values...)
 	sort.Float64s(v)
 	n := len(v)
-	s := Summary{N: n, Min: v[0], Max: v[n-1]}
-	s.Median = medianSorted(v)
+	if x := v[0]; x == v[n-1] {
+		// All samples equal (n == 1 included): a point mass, stated
+		// exactly. Summing n copies of a clean-fabric value would leave
+		// floating-point residue in the mean and std.
+		return Summary{N: n, Min: x, Max: x, Median: x, Mean: x, CI95Lo: x, CI95Hi: x, CIMethod: CIExact}
+	}
+	s := Summary{N: n, Min: v[0], Max: v[n-1], Median: medianSorted(v)}
 	var sum float64
 	for _, x := range v {
 		sum += x
 	}
 	s.Mean = sum / float64(n)
-	if n > 1 {
-		var ss float64
-		for _, x := range v {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.Std = math.Sqrt(ss / float64(n-1))
+	var ss float64
+	for _, x := range v {
+		d := x - s.Mean
+		ss += d * d
 	}
+	s.Std = math.Sqrt(ss / float64(n-1))
 	s.CI95Lo, s.CI95Hi, s.CIMethod = medianCI95(v, s.Median)
 	return s
 }
@@ -97,20 +100,11 @@ func medianSorted(v []float64) float64 {
 }
 
 // medianCI95 builds a 95% confidence interval for the median of the
-// ascending-sorted sample v. Degenerate samples collapse to the point;
-// n < 8 uses the exact sign-test order-statistic interval; larger samples
-// use a deterministic percentile bootstrap.
+// ascending-sorted sample v, whose values are not all equal: n < 8 uses
+// the exact sign-test order-statistic interval; larger samples use a
+// deterministic percentile bootstrap.
 func medianCI95(v []float64, median float64) (lo, hi float64, method string) {
-	n := len(v)
-	if n == 1 || v[0] == v[n-1] {
-		// All samples equal: the distribution observed is a point mass and
-		// the interval is exact. This is the common clean-fabric case —
-		// a deterministic simulator repeated over seeds — and is where the
-		// old mean-centered CI went wrong: floating-point summation noise
-		// in the mean could exclude the median itself.
-		return median, median, CIExact
-	}
-	if n < 8 {
+	if len(v) < 8 {
 		lo, hi = signTestCI(v)
 		return lo, hi, CISign
 	}

@@ -27,6 +27,9 @@ func TestSummarizeTable(t *testing.T) {
 	}{
 		{name: "n=1", in: []float64{42}, median: 42, method: CIExact, zeroWidth: true},
 		{name: "all-equal", in: []float64{7, 7, 7, 7, 7, 7, 7, 7, 7, 7}, median: 7, method: CIExact, zeroWidth: true},
+		// fig11 "Native MPI" x=0: sixteen seeds of one deterministic value,
+		// whose summed mean is 24.947499999999994.
+		{name: "16 x 24.9475", in: repeat(24.9475, 16), median: 24.9475, method: CIExact, zeroWidth: true},
 		{name: "odd n", in: []float64{3, 1, 2}, median: 2, method: CISign, wantLo: 1, wantHi: 3, checkExact: true},
 		{name: "even n small", in: []float64{10, 20, 30, 40}, median: 25, method: CISign, wantLo: 10, wantHi: 40, checkExact: true},
 		// n=8 is the bootstrap threshold.
@@ -55,6 +58,9 @@ func TestSummarizeTable(t *testing.T) {
 			}
 			if c.zeroWidth && (s.CI95Lo != s.Median || s.CI95Hi != s.Median) {
 				t.Fatalf("degenerate sample CI should collapse to the median: %+v", s)
+			}
+			if c.zeroWidth && (s.Mean != c.median || s.Std != 0) {
+				t.Fatalf("degenerate sample must state its value exactly: mean %v, std %v, want %v, 0", s.Mean, s.Std, c.median)
 			}
 			if c.checkExact && (s.CI95Lo != c.wantLo || s.CI95Hi != c.wantHi) {
 				t.Fatalf("CI = [%v, %v], want [%v, %v]", s.CI95Lo, s.CI95Hi, c.wantLo, c.wantHi)
@@ -105,21 +111,25 @@ func TestSummarizeTailRobust(t *testing.T) {
 }
 
 // TestSummarizeMeanCINoiseGone reproduces the committed-artifact case that
-// motivated the bugfix: 16 bit-identical values whose *mean* picks up
-// floating-point summation noise. The old mean-centered CI could exclude
-// the median itself; the median CI is exact.
+// motivated the bugfix: 16 bit-identical values whose summed mean picks up
+// floating-point noise. The old mean-centered CI could exclude the median
+// itself; the summary of a point mass states the point, interval and mean
+// alike.
 func TestSummarizeMeanCINoiseGone(t *testing.T) {
-	vals := make([]float64, 16)
-	for i := range vals {
-		vals[i] = 23.009
+	s := Summarize(repeat(23.009, 16))
+	want := Summary{N: 16, Min: 23.009, Max: 23.009, Median: 23.009, Mean: 23.009, CI95Lo: 23.009, CI95Hi: 23.009, CIMethod: CIExact}
+	if s != want {
+		t.Fatalf("all-equal sample must be summarized exactly:\n got %+v\nwant %+v", s, want)
 	}
-	s := Summarize(vals)
-	if s.Mean == s.Median {
-		t.Skip("this platform's summation happens to be exact; nothing to test")
+}
+
+// repeat returns n copies of x.
+func repeat(x float64, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = x
 	}
-	if s.CIMethod != CIExact || s.CI95Lo != 23.009 || s.CI95Hi != 23.009 {
-		t.Fatalf("all-equal sample must give the exact point interval: %+v", s)
-	}
+	return v
 }
 
 func TestSignTestCoverageWidths(t *testing.T) {

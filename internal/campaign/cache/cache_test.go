@@ -19,7 +19,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := []byte(`{"schema":"sweep/v2","points":[1,2,3]}`)
+	body := []byte(`{"schema":"sweep/v3","points":[1,2,3]}`)
 	k := key("a")
 	if _, ok := s.Get(k); ok {
 		t.Fatal("empty store reported a hit")

@@ -1,7 +1,7 @@
 // Package campaign is the core of the simulation-as-a-service layer: a
 // typed description of one sweep campaign, its validation, its canonical
 // content-addressed digest, and a runner that executes it through
-// internal/sweep to a deterministic sweep/v2 artifact.
+// internal/sweep to a deterministic sweep/v3 artifact.
 //
 // The digest is what makes the service's cache *exact* rather than
 // heuristic: every field that can move a result — experiment, seed plan,
@@ -32,7 +32,7 @@ import (
 type Kind string
 
 // Sweep runs a full experiment matrix through internal/sweep and yields a
-// sweep/v2 JSON artifact.
+// sweep/v3 JSON artifact.
 const Sweep Kind = "sweep"
 
 // Request describes one campaign (see sweep.Options for the knobs). The
@@ -156,7 +156,7 @@ type Runner struct {
 	Par int
 }
 
-// Run executes one canonicalized request and returns its sweep/v2 JSON
+// Run executes one canonicalized request and returns its sweep/v3 JSON
 // artifact, reporting each completed repetition to progress (which may be
 // nil). The bytes are a pure function of (request, Git) — the property the
 // exact cache rests on. Cancellation drains in-flight work and returns

@@ -113,7 +113,7 @@ func (s *Server) tools() []toolDef {
 		},
 		{
 			Name: "submit_campaign",
-			Description: "Run a sweep campaign (a full experiment matrix) and wait for its sweep/v2 " +
+			Description: "Run a sweep campaign (a full experiment matrix) and wait for its sweep/v3 " +
 				"artifact. Identical requests are served from the exact result cache. Returns the job " +
 				"id, content digest, and whether it was a cache hit; fetch the artifact bytes with " +
 				"fetch_result.",
@@ -127,7 +127,7 @@ func (s *Server) tools() []toolDef {
 		},
 		{
 			Name: "fetch_result",
-			Description: "Fetch a completed campaign's sweep/v2 JSON artifact. Address it by content " +
+			Description: "Fetch a completed campaign's sweep/v3 JSON artifact. Address it by content " +
 				"digest (preferred) or job id.",
 			InputSchema: obj(map[string]any{
 				"digest": str("content digest returned by submit_campaign"),
@@ -329,12 +329,9 @@ func (s *Server) loadSweep(digest string) (*sweep.Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("campaign: no cached result for digest %s", digest)
 	}
-	var r sweep.Result
-	if err := json.Unmarshal(body, &r); err != nil {
-		return nil, fmt.Errorf("campaign: artifact %s is not a sweep result: %w", digest, err)
+	r, err := sweep.Decode(body)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: artifact %s: %w", digest, err)
 	}
-	if r.Schema != sweep.SchemaV2 {
-		return nil, fmt.Errorf("campaign: artifact %s has schema %q, want %q", digest, r.Schema, sweep.SchemaV2)
-	}
-	return &r, nil
+	return r, nil
 }

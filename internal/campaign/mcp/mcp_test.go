@@ -173,8 +173,8 @@ func TestServeSession(t *testing.T) {
 		t.Fatalf("artifact fetched by digest is not the ring sweep: %.80q", ringBody)
 	}
 	sweepBody := toolText(t, resps[1])
-	if !strings.Contains(sweepBody, `"sweep/v2"`) {
-		t.Fatalf("sweep artifact fetched by job id does not look like sweep/v2: %.80q", sweepBody)
+	if !strings.Contains(sweepBody, `"sweep/v3"`) {
+		t.Fatalf("sweep artifact fetched by job id does not look like sweep/v3: %.80q", sweepBody)
 	}
 	compareOut := toolText(t, resps[2])
 	if !strings.Contains(compareOut, "no regressions") {

@@ -67,7 +67,7 @@ func metric(t *testing.T, ts *httptest.Server, name string) string {
 }
 
 // The acceptance path end to end: the same sweep campaign submitted twice
-// returns byte-identical sweep/v2 artifacts, the second from cache (hit
+// returns byte-identical sweep/v3 artifacts, the second from cache (hit
 // header, hit counter), and the cold run's medians match the committed
 // BENCH_fig10.json baseline exactly (tolerance 0) — clean-fabric
 // dispersion is degenerate, so even a 2-seed run reproduces the 16-seed
@@ -108,14 +108,14 @@ func TestCacheExactnessEndToEnd(t *testing.T) {
 		t.Fatalf("spsimd_cache_puts_total = %s, want 1", got)
 	}
 
-	// The artifact is a real sweep/v2 result matching the committed
+	// The artifact is a real sweep/v3 result matching the committed
 	// baseline's medians at zero tolerance.
 	var got sweep.Result
 	if err := json.Unmarshal(coldBody, &got); err != nil {
 		t.Fatalf("artifact is not a sweep result: %v", err)
 	}
-	if got.Schema != sweep.SchemaV2 {
-		t.Fatalf("artifact schema = %q, want %q", got.Schema, sweep.SchemaV2)
+	if got.Schema != sweep.SchemaV3 {
+		t.Fatalf("artifact schema = %q, want %q", got.Schema, sweep.SchemaV3)
 	}
 	baseline, err := sweep.Load("../../../BENCH_fig10.json")
 	if err != nil {

@@ -15,10 +15,9 @@ const (
 	// the deterministic-simulator common case; any median movement beyond
 	// the tolerance is real by definition.
 	MethodExact = "exact"
-	// MethodRankSum: Wilcoxon rank-sum (Mann-Whitney U) on the stored
-	// per-seed samples, the distribution-aware path for fault-injected
-	// sweeps whose timing distributions are skewed by retransmission
-	// tails.
+	// MethodRankSum: Wilcoxon rank-sum (Mann-Whitney U) on the per-seed
+	// samples, the distribution-aware path for fault-injected sweeps whose
+	// timing distributions are skewed by retransmission tails.
 	MethodRankSum = "ranksum"
 	// MethodMissing: the point exists only in the old result; there is
 	// nothing to test.
@@ -77,9 +76,10 @@ type Delta struct {
 //
 //   - both sides degenerate (all repetitions equal): any median movement
 //     beyond the tolerance is real — the simulator is deterministic;
-//   - otherwise both sides carry per-seed samples: Wilcoxon rank-sum at
-//     alpha=0.05, with the tolerance as a practical-significance floor on
-//     the median movement.
+//   - otherwise: Wilcoxon rank-sum at alpha=0.05 on the per-seed samples,
+//     with the tolerance as a practical-significance floor on the median
+//     movement. A side stored without samples (its repetitions all agree)
+//     enters the test as Stats.N copies of its value.
 //
 // The regression direction is the one both results declare; a missing,
 // unknown or conflicting declaration fails loudly.
@@ -128,16 +128,13 @@ func Compare(old, new *Result, o CompareOpts) ([]Delta, error) {
 			d.Pct = move / op.Stats.Median * 100
 		}
 		slack := math.Abs(o.TolPct / 100 * op.Stats.Median)
-		switch {
-		case op.Stats.Min == op.Stats.Max && np.Stats.Min == np.Stats.Max:
+		if op.Stats.Min == op.Stats.Max && np.Stats.Min == np.Stats.Max {
 			d.Method = MethodExact
 			d.Moved = math.Abs(move) > slack
-		case len(op.Samples) > 0 && len(np.Samples) > 0:
+		} else {
 			d.Method = MethodRankSum
-			d.P = rankSumP(op.Samples, np.Samples)
+			d.P = rankSumP(op, np)
 			d.Moved = d.P < rankSumAlpha && math.Abs(move) > slack
-		default:
-			return nil, fmt.Errorf("sweep: %s x=%d: a point without per-seed samples cannot be judged", np.Series, np.X)
 		}
 		if d.Moved {
 			if higherWorse {
@@ -165,45 +162,52 @@ func Compare(old, new *Result, o CompareOpts) ([]Delta, error) {
 }
 
 // rankSumP is the two-sided p-value of the Wilcoxon rank-sum
-// (Mann-Whitney U) test between samples a and b, using the normal
-// approximation with midranks, tie-corrected variance, and continuity
-// correction. A zero tie-corrected variance (every observation in both
-// samples equal) means the distributions are indistinguishable: p = 1.
-func rankSumP(a, b []float64) float64 {
-	n1, n2 := len(a), len(b)
-	n := n1 + n2
-	type obs struct {
-		v     float64
+// (Mann-Whitney U) test between the per-seed samples of points a (old)
+// and b (new), using the normal approximation with midranks,
+// tie-corrected variance, and continuity correction. A point stored
+// without samples is one run of Stats.N equal observations, so a hostile
+// seed count costs no memory. A zero tie-corrected variance (every
+// observation in both samples equal) means the distributions are
+// indistinguishable: p = 1.
+func rankSumP(a, b PointResult) float64 {
+	type run struct {
+		v, n  float64 // value, multiplicity
 		inOld bool
 	}
-	all := make([]obs, 0, n)
-	for _, v := range a {
-		all = append(all, obs{v, true})
-	}
-	for _, v := range b {
-		all = append(all, obs{v, false})
+	var all []run
+	var sides [2]float64 // observations per side
+	for side, p := range [2]PointResult{a, b} {
+		vs, each := p.Samples, 1.0
+		if vs == nil {
+			vs, each = []float64{p.Stats.Median}, float64(p.Stats.N)
+		}
+		for _, v := range vs {
+			all = append(all, run{v, each, side == 0})
+		}
+		sides[side] = float64(len(vs)) * each
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].v < all[j].v })
-	var r1, tieSum float64
-	for i := 0; i < n; {
-		j := i
-		for j < n && all[j].v == all[i].v {
-			j++
+	n1, n2 := sides[0], sides[1]
+	n := n1 + n2
+	var r1, tieSum, below float64
+	for i := 0; i < len(all); {
+		j, t := i, 0.0
+		for ; j < len(all) && all[j].v == all[i].v; j++ {
+			t += all[j].n
 		}
-		t := float64(j - i)
-		rank := float64(i+j+1) / 2 // midrank of the tie group
+		rank := below + (t+1)/2 // midrank of the tie group
 		for k := i; k < j; k++ {
 			if all[k].inOld {
-				r1 += rank
+				r1 += rank * all[k].n
 			}
 		}
 		tieSum += t*t*t - t
+		below += t
 		i = j
 	}
-	u1 := r1 - float64(n1)*float64(n1+1)/2
-	mu := float64(n1) * float64(n2) / 2
-	sigma2 := float64(n1) * float64(n2) / 12 *
-		(float64(n+1) - tieSum/(float64(n)*float64(n-1)))
+	u1 := r1 - n1*(n1+1)/2
+	mu := n1 * n2 / 2
+	sigma2 := n1 * n2 / 12 * (n + 1 - tieSum/(n*(n-1)))
 	if sigma2 <= 0 {
 		return 1
 	}

@@ -11,15 +11,20 @@ import (
 	"splapi/internal/bench"
 )
 
-// mkPoint builds a PointResult from raw samples the way Run does.
+// mkPoint builds a PointResult from raw samples the way Run does: the
+// samples are stored only when they differ.
 func mkPoint(series string, x int, samples ...float64) PointResult {
-	return PointResult{Series: series, X: x, Stats: bench.Summarize(samples), Samples: samples}
+	p := PointResult{Series: series, X: x, Stats: bench.Summarize(samples)}
+	if p.Stats.Min != p.Stats.Max {
+		p.Samples = samples
+	}
+	return p
 }
 
-// mkResult builds a v2 result over per-x sample sets, declaring the
+// mkResult builds a v3 result over per-x sample sets, declaring the
 // direction the way Run does (from the unit when it is a known one).
 func mkResult(unit string, pts map[int][]float64) *Result {
-	r := &Result{Schema: SchemaV2, Experiment: "x", Unit: unit, Seeds: 3}
+	r := &Result{Schema: SchemaV3, Experiment: "x", Unit: unit, Seeds: 3}
 	if d, err := bench.DirectionForUnit(unit); err == nil {
 		r.Direction = string(d)
 	}
@@ -117,6 +122,40 @@ func TestCompareRankSum(t *testing.T) {
 	}
 	if deltas[0].Regression {
 		t.Errorf("overlapping jitter flagged as regression: %+v", deltas[0])
+	}
+}
+
+// TestCompareDegenerateAgainstSampled: a point stored as one number (every
+// repetition equal, no samples) still meets a sampled point in the
+// rank-sum test, as Stats.N copies of its value — e.g. a faulted cell that
+// came out all-equal at the parent but not at the change.
+func TestCompareDegenerateAgainstSampled(t *testing.T) {
+	flat := make([]float64, 16)
+	tail := make([]float64, 16)
+	for i := range flat {
+		flat[i] = 100
+		tail[i] = 130 + float64(i)
+	}
+	oldR := mkResult("us", map[int][]float64{1: flat})
+	newR := mkResult("us", map[int][]float64{1: tail})
+	if oldR.Points[0].Samples != nil || newR.Points[0].Samples == nil {
+		t.Fatalf("fixture: want an old point without samples and a new one with them: %+v vs %+v", oldR.Points[0], newR.Points[0])
+	}
+	for _, pair := range [][2]*Result{{oldR, newR}, {newR, oldR}} {
+		deltas, err := Compare(pair[0], pair[1], CompareOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := deltas[0]; d.Method != MethodRankSum || !d.Moved || d.P >= 0.05 {
+			t.Errorf("a constant 100 against 130..145 must be a rank-sum movement: %+v", d)
+		}
+	}
+	deltas, err := Compare(oldR, newR, CompareOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !deltas[0].Regression {
+		t.Errorf("latency up from a constant 100 to 130..145 is a regression: %+v", deltas[0])
 	}
 }
 
@@ -252,13 +291,13 @@ func TestCompareDirectionHandling(t *testing.T) {
 // whose mean-centered CI could exclude its own median — is no longer read
 // at all: Load rejects it as loudly as any other foreign schema.
 func TestCompareSelfIsClean(t *testing.T) {
-	v2 := mkResult("us", map[int][]float64{1: {23.009, 23.009, 23.009}})
-	deltas, err := Compare(v2, v2, CompareOpts{})
+	v3 := mkResult("us", map[int][]float64{1: {23.009, 23.009, 23.009}})
+	deltas, err := Compare(v3, v3, CompareOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if deltas[0].Moved || deltas[0].Regression {
-		t.Errorf("v2 self-comparison flagged a movement: %+v", deltas[0])
+		t.Errorf("v3 self-comparison flagged a movement: %+v", deltas[0])
 	}
 
 	legacy := `{"experiment": "x", "title": "t", "unit": "us", "seeds": 16, "baseSeed": 1,
@@ -307,6 +346,7 @@ func TestCompareSelfCleanAllArtifacts(t *testing.T) {
 
 // TestRankSumPValues sanity-checks the test statistic itself.
 func TestRankSumPValues(t *testing.T) {
+	rankSumP := func(a, b []float64) float64 { return rankSumP(mkPoint("s", 1, a...), mkPoint("s", 1, b...)) }
 	same := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	if p := rankSumP(same, same); p < 0.9 {
 		t.Errorf("identical samples: p = %v, want ~1", p)

@@ -7,10 +7,9 @@ import (
 
 // Print writes a human-readable summary of a sweep result: one row per
 // point with the seeds consumed, the median, the observed range, the
-// median-CI half-width and its construction method, plus the per-series
-// seed-vs-parameter variance decomposition and the run's cost line
-// (virtual seconds simulated, repetitions recorded and run, wall-clock,
-// pool size).
+// median-CI half-width and its construction method, plus the run's cost
+// line (virtual seconds simulated, repetitions recorded and run,
+// wall-clock, pool size).
 func (r *Result) Print(w io.Writer) {
 	fmt.Fprintf(w, "%s  [%s, %d seed(s), base %d]\n", r.Title, r.Unit, r.Seeds, r.BaseSeed)
 	if r.Overrides.Faults != "" {
@@ -27,10 +26,6 @@ func (r *Result) Print(w io.Writer) {
 			p.Trace.Retransmits, p.Trace.PacketsSent)
 		virtual += p.VirtualTimeNs
 		recorded += s.N
-	}
-	for _, v := range r.Variance {
-		fmt.Fprintf(w, "  variance %-28s seed-axis %12.4g  parameter-axis %12.4g  seed share %5.1f%%\n",
-			v.Series, v.SeedVar, v.ParamVar, v.SeedShare*100)
 	}
 	fmt.Fprintf(w, "  cost: %.3f virtual seconds", float64(virtual)/1e9)
 	if r.Ran > 0 {

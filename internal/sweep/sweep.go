@@ -104,34 +104,16 @@ type PointResult struct {
 	X      int           `json:"x"`
 	Stats  bench.Summary `json:"stats"`
 	// Samples holds the raw per-repetition values in repetition order
-	// (repetition r ran under CellSeed(..., r), so the correspondence is
-	// recoverable). They are what makes the nonparametric regression gate
-	// possible: Compare runs a rank-sum test on old-vs-new samples rather
-	// than trusting any summary interval.
+	// (repetition r ran under CellSeed(..., r)) when they differ; a point
+	// whose repetitions all agree is the one number in Stats. They make
+	// the nonparametric regression gate possible: Compare runs a rank-sum
+	// test on old-vs-new samples rather than trusting any interval.
 	Samples []float64 `json:"samples,omitempty"`
 	// VirtualTimeNs is the summed virtual time of all repetitions: the
 	// simulated cost of producing this point.
 	VirtualTimeNs int64 `json:"virtualTimeNs"`
 	// Trace is the run-counter record of repetition 0 (deterministic).
 	Trace trace.Counters `json:"trace"`
-}
-
-// SeriesVariance is the per-series variance decomposition of a result:
-// how much of the observed spread comes from the seed axis (within-cell
-// repetition noise — fault timing, retransmission tails) versus the
-// parameter axis (between-cell movement of the median along x). A fault
-// sweep whose seed share approaches 1 is telling you the signal drowned;
-// a clean-fabric sweep has seed share exactly 0.
-type SeriesVariance struct {
-	Series string `json:"series"`
-	// SeedVar is the mean within-cell sample variance (Std^2) across the
-	// series' points.
-	SeedVar float64 `json:"seedVar"`
-	// ParamVar is the population variance of the per-cell medians across
-	// the series' x values.
-	ParamVar float64 `json:"paramVar"`
-	// SeedShare = SeedVar / (SeedVar + ParamVar); 0 when both vanish.
-	SeedShare float64 `json:"seedShare"`
 }
 
 // Overrides records the matrix-level parameter overrides a result was
@@ -148,7 +130,7 @@ type Overrides struct {
 // cost and pool size are observable on the struct but deliberately kept
 // out of the file (json:"-") to preserve that property.
 type Result struct {
-	// Schema tags the artifact format: SchemaV2 ("sweep/v2"), the only one
+	// Schema tags the artifact format: SchemaV3 ("sweep/v3"), the only one
 	// Load accepts; see json.go.
 	Schema     string `json:"schema"`
 	Experiment string `json:"experiment"`
@@ -157,13 +139,12 @@ type Result struct {
 	// Direction is the declared regression direction of the metric
 	// (bench.LowerIsBetter / bench.HigherIsBetter), so the gate never
 	// infers it from unit spelling.
-	Direction   string           `json:"direction,omitempty"`
-	GitDescribe string           `json:"gitDescribe"`
-	Seeds       int              `json:"seeds"`
-	BaseSeed    int64            `json:"baseSeed"`
-	Overrides   Overrides        `json:"overrides"`
-	Variance    []SeriesVariance `json:"variance,omitempty"`
-	Points      []PointResult    `json:"points"`
+	Direction   string        `json:"direction,omitempty"`
+	GitDescribe string        `json:"gitDescribe"`
+	Seeds       int           `json:"seeds"`
+	BaseSeed    int64         `json:"baseSeed"`
+	Overrides   Overrides     `json:"overrides"`
+	Points      []PointResult `json:"points"`
 
 	// WallClock is the host time the sweep took; Par is the pool size
 	// used; Ran counts the repetitions executed, which is fewer than the
@@ -181,48 +162,6 @@ func CellSeed(base int64, experiment, series string, x, rep int) int64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%s|%d|%d|%d", experiment, series, x, rep, base)
 	return int64(h.Sum64() >> 1) // keep it positive for readability
-}
-
-// varianceDecomp computes the per-series seed-axis vs parameter-axis
-// variance decomposition over the aggregated points, in first-appearance
-// series order (deterministic).
-func varianceDecomp(points []PointResult) []SeriesVariance {
-	var order []string
-	medians := map[string][]float64{}
-	seedVars := map[string][]float64{}
-	for _, p := range points {
-		if _, ok := medians[p.Series]; !ok {
-			order = append(order, p.Series)
-		}
-		medians[p.Series] = append(medians[p.Series], p.Stats.Median)
-		seedVars[p.Series] = append(seedVars[p.Series], p.Stats.Std*p.Stats.Std)
-	}
-	var out []SeriesVariance
-	for _, series := range order {
-		sv := SeriesVariance{Series: series}
-		var sum float64
-		for _, v := range seedVars[series] {
-			sum += v
-		}
-		sv.SeedVar = sum / float64(len(seedVars[series]))
-		m := medians[series]
-		var mean float64
-		for _, v := range m {
-			mean += v
-		}
-		mean /= float64(len(m))
-		var ss float64
-		for _, v := range m {
-			d := v - mean
-			ss += d * d
-		}
-		sv.ParamVar = ss / float64(len(m))
-		if total := sv.SeedVar + sv.ParamVar; total > 0 {
-			sv.SeedShare = sv.SeedVar / total
-		}
-		out = append(out, sv)
-	}
-	return out
 }
 
 // Run sweeps every cell of the experiment across the seed list on a worker
@@ -365,7 +304,7 @@ func RunCtx(ctx context.Context, e bench.Experiment, o Options) (*Result, error)
 	}
 
 	res := &Result{
-		Schema:      SchemaV2,
+		Schema:      SchemaV3,
 		Experiment:  e.ID,
 		Title:       e.Title,
 		Unit:        e.Unit,
@@ -385,15 +324,17 @@ func RunCtx(ctx context.Context, e bench.Experiment, o Options) (*Result, error)
 			samples[r] = m.Value
 			vt += int64(m.VirtualTime)
 		}
-		res.Points = append(res.Points, PointResult{
+		p := PointResult{
 			Series:        c.Series,
 			X:             c.X,
 			Stats:         bench.Summarize(samples),
-			Samples:       samples,
 			VirtualTimeNs: vt,
 			Trace:         slots[ci][0].Trace.Counters(),
-		})
+		}
+		if p.Stats.Min != p.Stats.Max {
+			p.Samples = samples
+		}
+		res.Points = append(res.Points, p)
 	}
-	res.Variance = varianceDecomp(res.Points)
 	return res, nil
 }

@@ -165,11 +165,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatalf("point %d changed across round trip:\n%+v\nvs\n%+v", i, r.Points[i], got.Points[i])
 		}
 	}
-	if got.Schema != SchemaV2 {
-		t.Fatalf("saved artifact schema = %q, want %q", got.Schema, SchemaV2)
-	}
-	if !reflect.DeepEqual(got.Variance, r.Variance) {
-		t.Fatalf("variance decomposition changed across round trip:\n%+v\nvs\n%+v", r.Variance, got.Variance)
+	if got.Schema != SchemaV3 {
+		t.Fatalf("saved artifact schema = %q, want %q", got.Schema, SchemaV3)
 	}
 
 	// An artifact carrying an override this version no longer models (the
@@ -187,60 +184,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "dropProb") {
 		t.Fatalf("Load(stale overrides) = %v, want an unknown-field error naming dropProb", err)
-	}
-}
-
-// noisySyntheticExperiment builds an experiment whose cell 0 is seed-
-// independent (zero variance) and whose cell 1 spreads with the seed.
-func noisySyntheticExperiment() bench.Experiment {
-	e := bench.Experiment{ID: "noisy", Title: "noisy", Unit: "us"}
-	e.Cells = append(e.Cells,
-		bench.Cell{Series: "flat", X: 0, Run: func(rc bench.RunSpec) bench.Measurement {
-			return bench.Measurement{Value: 100}
-		}},
-		bench.Cell{Series: "noisy", X: 0, Run: func(rc bench.RunSpec) bench.Measurement {
-			return bench.Measurement{Value: 100 + float64(rc.Seed%977)}
-		}},
-	)
-	return e
-}
-
-// TestVarianceDecomposition: a clean deterministic sweep is all
-// parameter-axis variance (seed share 0); adding seed noise moves the
-// share up.
-func TestVarianceDecomposition(t *testing.T) {
-	r, err := Run(syntheticExperiment(5), Options{Seeds: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Variance) != 1 {
-		t.Fatalf("got %d variance rows, want 1", len(r.Variance))
-	}
-	v := r.Variance[0]
-	if v.ParamVar <= 0 {
-		t.Errorf("synthetic cells differ by construction; parameter-axis variance = %v", v.ParamVar)
-	}
-	// syntheticExperiment values do vary with seed (seed%97), so the seed
-	// share must be positive but far below the parameter axis (cells are
-	// 1000 apart).
-	if v.SeedVar <= 0 || v.SeedShare <= 0 || v.SeedShare > 0.5 {
-		t.Errorf("seed-axis decomposition off: %+v", v)
-	}
-
-	noisy, err := Run(noisySyntheticExperiment(), Options{Seeds: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shares := map[string]SeriesVariance{}
-	for _, sv := range noisy.Variance {
-		shares[sv.Series] = sv
-	}
-	if sv := shares["flat"]; sv.SeedVar != 0 || sv.SeedShare != 0 {
-		t.Errorf("flat series should be all parameter axis: %+v", sv)
-	}
-	if sv := shares["noisy"]; sv.SeedVar <= 0 || sv.SeedShare != 1 {
-		// One cell only: no parameter axis, all seed axis.
-		t.Errorf("noisy single-cell series should be all seed axis: %+v", sv)
 	}
 }
 
