@@ -27,9 +27,9 @@ test:
 # warm After+Run cycle over many radix-queue buckets allocating nothing
 # (its bucket table travels with the arena), a warm fabric making no
 # packet record, the pointer-free event keys, the HAL packet path, a Pipes
-# stream, the LAPI send window and receive records) without the race
-# detector: its instrumentation allocates, so `make test` skips those it
-# perturbs.
+# stream, the LAPI send window and receive records, a memoised NAS serial
+# reference) without the race detector: its instrumentation allocates, so
+# `make test` skips those it perturbs.
 alloc-check:
 	go test -count=1 -run 'ZeroAlloc|NoPointers' ./internal/...
 
@@ -80,7 +80,7 @@ loc:
 # loc-check is the ratchet on that number: it fails when the total exceeds
 # LOC_MAX. A PR that shrinks the tree lowers LOC_MAX to its own result; a PR
 # that must grow it raises LOC_MAX in the same diff, where a reviewer sees it.
-LOC_MAX = 19885
+LOC_MAX = 19939
 loc-check:
 	@total=$$($(MAKE) -s --no-print-directory loc | awk '$$2 == "total" { print $$1 }'); \
 	echo "loc-check: $$total non-test Go lines (LOC_MAX $(LOC_MAX))"; \

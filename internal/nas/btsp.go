@@ -33,10 +33,19 @@ func newADIGrid(rank, nranks, m int, seed float64) *adiGrid {
 	g.u = make([][]float64, adiNZ)
 	for k := range g.u {
 		g.u[k] = make([]float64, rows*adiNX*m)
+		x := 0
 		for j := 0; j < rows; j++ {
+			r := (k + g.jlo + j) % 19 // (k+jlo+j+i) % 19 as a running residue; rc adds c
 			for i := 0; i < adiNX; i++ {
-				for c := 0; c < m; c++ {
-					g.u[k][(j*adiNX+i)*m+c] = seed * float64((k+g.jlo+j+i+c)%19)
+				for c, rc := 0, r; c < m; c++ {
+					g.u[k][x] = seed * float64(rc)
+					x++
+					if rc++; rc == 19 {
+						rc = 0
+					}
+				}
+				if r++; r == 19 {
+					r = 0
 				}
 			}
 		}
@@ -45,19 +54,30 @@ func newADIGrid(rank, nranks, m int, seed float64) *adiGrid {
 }
 
 // xSweep is the local x-direction line solve (Thomas-like recurrences along
-// each row).
+// each row): per component, u = 0.9*u + 0.05*left + 0.001 forward, then
+// u -= 0.04*right backward. Components never mix and rows are independent,
+// so each recurrence carries its neighbour in a register and rows go in
+// pairs as two dependency chains.
 func (g *adiGrid) xSweep(k int, flopsPerCell float64) float64 {
-	u := g.u[k]
 	m := g.m
-	for j := 0; j < g.rows; j++ {
-		for i := 1; i < adiNX; i++ {
-			for c := 0; c < m; c++ {
-				u[(j*adiNX+i)*m+c] = 0.9*u[(j*adiNX+i)*m+c] + 0.05*u[(j*adiNX+i-1)*m+c] + 0.001
-			}
+	n := adiNX * m
+	for j := 0; j < g.rows; j += 2 {
+		a := g.u[k][j*n : (j+1)*n]
+		b := a // an odd last row pairs with itself: both chains agree
+		if j+1 < g.rows {
+			b = g.u[k][(j+1)*n : (j+2)*n]
 		}
-		for i := adiNX - 2; i >= 0; i-- {
-			for c := 0; c < m; c++ {
-				u[(j*adiNX+i)*m+c] -= 0.04 * u[(j*adiNX+i+1)*m+c]
+		for c := 0; c < m; c++ {
+			pa, pb := a[c], b[c]
+			for x := c + m; x < n; x += m {
+				pa = 0.9*a[x] + 0.05*pa + 0.001
+				pb = 0.9*b[x] + 0.05*pb + 0.001
+				a[x], b[x] = pa, pb
+			}
+			for x := n - 2*m + c; x >= 0; x -= m {
+				pa = a[x] - 0.04*pa
+				pb = b[x] - 0.04*pb
+				a[x], b[x] = pa, pb
 			}
 		}
 	}

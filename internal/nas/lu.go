@@ -35,53 +35,71 @@ func newLUGrid(rank, nranks int) *luGrid {
 	for k := range g.u {
 		g.u[k] = make([]float64, rows*luNX)
 		for j := 0; j < rows; j++ {
-			for i := 0; i < luNX; i++ {
-				g.u[k][j*luNX+i] = float64((k+g.jlo+j+i)%17) * 0.1
+			r := (k + g.jlo + j) % 17 // (k+jlo+j+i) % 17 as a running residue
+			for x := j * luNX; x < (j+1)*luNX; x++ {
+				g.u[k][x] = float64(r) * 0.1
+				if r++; r == 17 {
+					r = 0
+				}
 			}
 		}
 	}
 	return g
 }
 
+// row is row j of plane k.
+func (g *luGrid) row(k, j int) *[luNX]float64 { return (*[luNX]float64)(g.u[k][j*luNX:]) }
+
 // luLower applies the lower-triangular SSOR sweep to plane k of the block.
 // halo is global row jlo-1 of the plane (zeros at the domain boundary).
+// Each element is 0.96*u + 0.02*(below+left) + 0.001 over final neighbours.
+// Rows go in pairs as two dependency chains, the upper one a column behind
+// (element (j+1, i-1) needs only (j, i-1) and (j+1, i-2)), and each chain
+// carries its left neighbour in a register.
 func (g *luGrid) luLower(k int, halo []float64) float64 {
-	u := g.u[k]
-	for j := 0; j < g.rows; j++ {
-		var below []float64
-		if j == 0 {
-			below = halo
-		} else {
-			below = u[(j-1)*luNX : j*luNX]
+	below := (*[luNX]float64)(halo)
+	var spare [luNX]float64 // an odd last row pairs with a throwaway row
+	for j := 0; j < g.rows; j += 2 {
+		r0, r1 := g.row(k, j), &spare
+		if j+1 < g.rows {
+			r1 = g.row(k, j+1)
 		}
+		l0, l1 := 0.0, 0.0
 		for i := 0; i < luNX; i++ {
-			left := 0.0
 			if i > 0 {
-				left = u[j*luNX+i-1]
+				l1 = 0.96*r1[i-1] + 0.02*(l0+l1) + 0.001
+				r1[i-1] = l1
 			}
-			u[j*luNX+i] = 0.96*u[j*luNX+i] + 0.02*(below[i]+left) + 0.001
+			l0 = 0.96*r0[i] + 0.02*(below[i]+l0) + 0.001
+			r0[i] = l0
 		}
+		r1[luNX-1] = 0.96*r1[luNX-1] + 0.02*(l0+l1) + 0.001
+		below = r1
 	}
 	return float64(g.rows * luNX * 5)
 }
 
-// luUpper applies the upper-triangular sweep; halo is global row jhi.
+// luUpper applies the upper-triangular sweep, luLower mirrored: each element
+// is 0.96*u + 0.02*(above+right) - 0.0005; halo is global row jhi.
 func (g *luGrid) luUpper(k int, halo []float64) float64 {
-	u := g.u[k]
-	for j := g.rows - 1; j >= 0; j-- {
-		var above []float64
-		if j == g.rows-1 {
-			above = halo
-		} else {
-			above = u[(j+1)*luNX : (j+2)*luNX]
+	above := (*[luNX]float64)(halo)
+	var spare [luNX]float64
+	for j := g.rows - 1; j >= 0; j -= 2 {
+		r0, r1 := g.row(k, j), &spare
+		if j > 0 {
+			r1 = g.row(k, j-1)
 		}
+		l0, l1 := 0.0, 0.0
 		for i := luNX - 1; i >= 0; i-- {
-			right := 0.0
 			if i < luNX-1 {
-				right = u[j*luNX+i+1]
+				l1 = 0.96*r1[i+1] + 0.02*(l0+l1) - 0.0005
+				r1[i+1] = l1
 			}
-			u[j*luNX+i] = 0.96*u[j*luNX+i] + 0.02*(above[i]+right) - 0.0005
+			l0 = 0.96*r0[i] + 0.02*(above[i]+l0) - 0.0005
+			r0[i] = l0
 		}
+		r1[0] = 0.96*r1[0] + 0.02*(l0+l1) - 0.0005
+		above = r1
 	}
 	return float64(g.rows * luNX * 5)
 }

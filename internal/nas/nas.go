@@ -9,8 +9,8 @@
 // FT's transpose all-to-all, LU's wavefront pipelining of small messages,
 // and BT/SP's ADI line-solve pipelines — at sizes that run quickly under
 // the simulator. Computation is performed for real (results are verified
-// against serial references) and its virtual cost is charged to the node's
-// CPU at a fixed flops rate.
+// against serial references, computed once per process by package bench)
+// and its virtual cost is charged to the node's CPU at a fixed flops rate.
 package nas
 
 import (
@@ -34,7 +34,8 @@ type Kernel struct {
 	// rank must return the same value (kernels end with the result made
 	// global).
 	Run func(p *sim.Proc, env *Env) float64
-	// Serial computes the reference checksum sequentially.
+	// Serial computes the reference checksum sequentially, anew on every
+	// call; bench.RunNASKernelOpts memoises it per process by Name.
 	Serial func() float64
 	// Tol is the acceptable |distributed - serial| (0 for exact).
 	Tol float64
