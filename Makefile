@@ -28,8 +28,9 @@ test:
 # (its bucket table travels with the arena), a warm fabric making no
 # packet record, the pointer-free event keys, the HAL packet path, a Pipes
 # stream, the LAPI send window and receive records, a memoised NAS serial
-# reference) without the race detector: its instrumentation allocates, so
-# `make test` skips those it perturbs.
+# reference, a memoised chaos payload fold (chaos.TestFoldHitZeroAlloc))
+# without the race detector: its instrumentation allocates, so `make test`
+# skips those it perturbs.
 alloc-check:
 	go test -count=1 -run 'ZeroAlloc|NoPointers' ./internal/...
 
@@ -80,7 +81,7 @@ loc:
 # loc-check is the ratchet on that number: it fails when the total exceeds
 # LOC_MAX. A PR that shrinks the tree lowers LOC_MAX to its own result; a PR
 # that must grow it raises LOC_MAX in the same diff, where a reviewer sees it.
-LOC_MAX = 19939
+LOC_MAX = 20009
 loc-check:
 	@total=$$($(MAKE) -s --no-print-directory loc | awk '$$2 == "total" { print $$1 }'); \
 	echo "loc-check: $$total non-test Go lines (LOC_MAX $(LOC_MAX))"; \
@@ -122,9 +123,11 @@ trace-smoke:
 	$(TRACE_CELL) -trace /tmp/trace_drop2.json -faults uniform:drop=0.02 -seed 2
 	go run ./cmd/tracediff /tmp/trace_drop1.json /tmp/trace_drop2.json; test $$? -eq 1
 
-# chaos-smoke runs the fault-injection acceptance harness on two scripted
-# plans x two seeds x every workload, gating on payload-exact MPI results,
+# chaos-smoke runs the fault-injection acceptance harness on all four preset
+# plans x seeds 1-6 x every workload, gating on payload-exact MPI results,
 # completion without deadlock, bounded completion-time inflation, and
-# bit-identical same-seed reruns. Nonzero exit on any gate failure.
+# bit-identical same-seed reruns. Nonzero exit on any gate failure. Seeds
+# 1-6 all complete; seed 7 is the corruptor preset's first livelock
+# (ROADMAP, hang 2).
 chaos-smoke:
-	go run ./cmd/chaos -plans burst-loss,corruptor -seeds 2
+	go run ./cmd/chaos -plans burst-loss,corruptor,flappy-route,stalled-adapter -seeds 6

@@ -22,17 +22,53 @@ const (
 // over global rows [lo, hi). x must cover [lo-band, hi+band) clamped to the
 // domain, indexed so that x[i-lo+band] is global element i.
 func cgMatvec(y, x []float64, lo, hi int) float64 {
-	for i := lo; i < hi; i++ {
-		v := (2.5 + float64(i%7)*0.01) * x[i-lo+cgBand]
-		if i-cgBand >= 0 {
-			v -= x[i-lo]
-		}
-		if i+cgBand < cgN {
-			v -= x[i-lo+2*cgBand]
-		}
-		y[i-lo] = v
-	}
+	a := min(max(lo, cgBand), hi)    // rows [lo, a) lack x[i-band]
+	b := max(min(hi, cgN-cgBand), a) // rows [b, hi) lack x[i+band]
+	cgRows(y[:a-lo], cgZeros, x[cgBand:], x[2*cgBand:], lo)
+	cgRows(y[a-lo:b-lo], x[a-lo:], x[a-lo+cgBand:], x[a-lo+2*cgBand:], a)
+	cgRows(y[b-lo:hi-lo], x[b-lo:], x[b-lo+cgBand:], cgZeros, b)
 	return float64(hi-lo) * 6
+}
+
+// cgZeros stands in for a missing neighbour: v - 0 is v exactly, so a row
+// that subtracts it computes what one that skips the subtraction does.
+var cgZeros = make([]float64, cgBand)
+
+// cgRows sets y[j] = (diag*xc[j] - xl[j]) - xr[j] for global rows row,
+// row+1, ... The diagonal repeats every 7 rows, so it runs blocks of 7 rows
+// against a table rotated to row: no branch or bounds check inside a block.
+func cgRows(y, xl, xc, xr []float64, row int) {
+	var d [7]float64
+	for k := range d {
+		d[k] = 2.5 + float64((row+k)%7)*0.01
+	}
+	xl, xc, xr = xl[:len(y)], xc[:len(y)], xr[:len(y)]
+	for ; len(y) >= 7; y, xl, xc, xr = y[7:], xl[7:], xc[7:], xr[7:] {
+		y7, l7, c7, r7 := (*[7]float64)(y), (*[7]float64)(xl), (*[7]float64)(xc), (*[7]float64)(xr)
+		for k := range y7 {
+			y7[k] = d[k]*c7[k] - l7[k] - r7[k]
+		}
+	}
+	for k := range y {
+		y[k] = d[k]*xc[k] - xl[k] - xr[k]
+	}
+}
+
+// cgUpdate applies x += alpha*d and r -= alpha*q; x and d are owned windows.
+func cgUpdate(x, r, d, q []float64, alpha float64) {
+	r, d, q = r[:len(x)], d[:len(x)], q[:len(x)]
+	for i := range x {
+		x[i] += alpha * d[i]
+		r[i] -= alpha * q[i]
+	}
+}
+
+// cgDirection sets d = r + beta*d; d is an owned window.
+func cgDirection(d, r []float64, beta float64) {
+	r = r[:len(d)]
+	for i := range d {
+		d[i] = r[i] + beta*d[i]
+	}
 }
 
 func cgDot(a, b []float64) (float64, float64) {
@@ -98,19 +134,14 @@ func CG() Kernel {
 			dq, fl2 := cgDot(d[cgBand:cgBand+rows], q)
 			env.Compute(p, fl2)
 			alpha := rho / allreduce1(dq)
-			for i := 0; i < rows; i++ {
-				x[i+cgBand] += alpha * d[i+cgBand]
-				r[i] -= alpha * q[i]
-			}
+			cgUpdate(x[cgBand:cgBand+rows], r, d[cgBand:cgBand+rows], q, alpha)
 			env.Compute(p, float64(4*rows))
 			rhoNew, fl3 := cgDot(r, r)
 			env.Compute(p, fl3)
 			rhoNew = allreduce1(rhoNew)
 			beta := rhoNew / rho
 			rho = rhoNew
-			for i := 0; i < rows; i++ {
-				d[i+cgBand] = r[i] + beta*d[i+cgBand]
-			}
+			cgDirection(d[cgBand:cgBand+rows], r, beta)
 			env.Compute(p, float64(2*rows))
 		}
 		sum, _ := cgDot(x[cgBand:cgBand+rows], x[cgBand:cgBand+rows])
@@ -134,16 +165,11 @@ func CG() Kernel {
 				cgMatvec(q, d, 0, cgN)
 				dq, _ := cgDot(d[cgBand:cgBand+cgN], q)
 				alpha := rho / dq
-				for i := 0; i < cgN; i++ {
-					x[i+cgBand] += alpha * d[i+cgBand]
-					r[i] -= alpha * q[i]
-				}
+				cgUpdate(x[cgBand:cgBand+cgN], r, d[cgBand:cgBand+cgN], q, alpha)
 				rhoNew, _ := cgDot(r, r)
 				beta := rhoNew / rho
 				rho = rhoNew
-				for i := 0; i < cgN; i++ {
-					d[i+cgBand] = r[i] + beta*d[i+cgBand]
-				}
+				cgDirection(d[cgBand:cgBand+cgN], r, beta)
 			}
 			sum, _ := cgDot(x[cgBand:cgBand+cgN], x[cgBand:cgBand+cgN])
 			return sum + rho
