@@ -232,7 +232,7 @@ func (h *HAL) dispatch(p *sim.Proc, src int, payload []byte) {
 		panic(fmt.Sprintf("hal: node %d: no handler for protocol %d", h.node, payload[0]))
 	}
 	fn(p, src, payload)
-	// The handler contract (enforced by simlint payloadretain on every
+	// The handler contract (enforced by simlint bufpoolown on every
 	// protocol layer) is copy-don't-retain, so once it returns the packet's
 	// pooled snapshot is dead and goes back to the engine pool.
 	//simlint:allow bufpoolown ownership transfer: handlers must not retain packet bytes, so dispatch returns the pooled snapshot

@@ -187,7 +187,7 @@ func (r *RdmaEngine) RegisterRegion(buf []byte) (rkey uint32, ready sim.Time) {
 		}
 	}
 	e.nextKey++
-	//simlint:allow payloadretain registered region: the caller pins buf with the adapter until Deregister; RDMA lands bytes in it by design
+	//simlint:allow bufpoolown registered region: the caller pins buf with the adapter until Deregister; RDMA lands bytes in it by design
 	reg := &region{rkey: e.nextKey, buf: buf, key: key, refs: 1}
 	e.regions[reg.rkey] = reg
 	if len(buf) > 0 {

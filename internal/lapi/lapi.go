@@ -255,7 +255,7 @@ func (l *LAPI) RegisterCounter(c *Counter) int {
 func (l *LAPI) RegisterBuffer(b []byte) int {
 	// Retaining b is the one-sided API contract: the registered slice IS
 	// the remote-access window into the caller's memory.
-	//simlint:allow payloadretain one-sided semantics: remote Put/Get must read and write the caller's own buffer
+	//simlint:allow bufpoolown one-sided semantics: remote Put/Get must read and write the caller's own buffer
 	l.buffers = append(l.buffers, b)
 	return len(l.buffers) - 1
 }
@@ -434,7 +434,7 @@ func (l *LAPI) Get(p *sim.Proc, tgt, bufID, off int, local []byte, tgtCntr int, 
 	l.nextGetID++
 	// Retaining local is the API contract: the reply handler must deposit
 	// the arriving data directly in the caller's buffer.
-	//simlint:allow payloadretain asynchronous Get writes into the caller's buffer on reply
+	//simlint:allow bufpoolown asynchronous Get writes into the caller's buffer on reply
 	l.pendingGets[getID] = &getOp{buf: local, org: org}
 	uhdr := l.eng.Pool().Get(14)
 	binary.BigEndian.PutUint16(uhdr[0:2], uint16(bufID))

@@ -71,7 +71,7 @@ func (l *LAPI) Getv(p *sim.Proc, tgt, bufID int, entries []VecEntry, local []byt
 	l.nextGetID++
 	// Same contract as Get: the reply handler deposits arriving data
 	// directly in the caller's buffer.
-	//simlint:allow payloadretain asynchronous Getv writes into the caller's buffer on reply
+	//simlint:allow bufpoolown asynchronous Getv writes into the caller's buffer on reply
 	l.pendingGets[getID] = &getOp{buf: local, org: org}
 	uhdr := l.eng.Pool().Get(8 + 8*len(entries))
 	binary.BigEndian.PutUint16(uhdr[0:2], uint16(bufID))

@@ -7,25 +7,23 @@ import (
 	"go/types"
 )
 
-// Bufpoolown enforces the BufPool ownership discipline (sim/pool.go)
-// flow-sensitively, within each function:
+// Bufpoolown enforces payload ownership within each function. In every
+// simulation package it checks the BufPool discipline (sim/pool.go)
+// flow-sensitively:
 //
 //   - use-after-Put: Put transfers ownership to the pool; a later Get may
 //     recycle the backing array, so reading or writing the slice after Put
 //     races with unrelated code in virtual time;
 //   - double-Put: returning the same buffer twice parks the array on the
-//     free list twice — two later Gets then alias each other (the PR 1
-//     bug class). Branches are merged, so a Put on one path followed by an
-//     unconditional Put is caught as a possible double-Put;
+//     free list twice, so two later Gets alias each other. Branches are
+//     merged, so a Put on one path followed by an unconditional Put is
+//     caught as a possible double-Put;
 //   - Put-of-subslice: Put recycles by capacity class. A capacity-changing
 //     sub-slice (b[2:], b[:n:m]) either misses every class (silent leak)
 //     or lands in a smaller class while the parent slice still aliases
 //     the bytes;
-//   - Put-of-caller-owned bytes: parameters and their carrier fields are
-//     owned by the caller; pooling them lets a later Get rewrite bytes
-//     the caller still uses. (This rule moved here from payloadretain,
-//     which bolted it onto taint tracking in PR 3; ownership is a
-//     flow-sensitive property and lives with the rest of them now.)
+//   - Put-of-caller-owned bytes: pooling bytes the caller still uses lets
+//     a later Get rewrite them;
 //   - leak-on-all-paths: a buffer obtained from Get/Snapshot that is
 //     never Put, never escapes (field, global, channel, composite,
 //     return, closure capture), and is never handed to another function
@@ -37,23 +35,39 @@ import (
 //     adapter no longer translates the region, so a transfer aimed at it
 //     scribbles over unpinned memory.
 //
+// On the packet injection boundary (InInjectionBoundary) the fabric
+// delivers packets at a future virtual time while senders keep re-stamping
+// their buffers (piggybacked acks in retransmission buffers), so it also
+// flags retaining caller-owned bytes without a copy: storing them into a
+// struct field, map or slice element, or package-level variable; placing
+// them in a composite literal; sending them on a channel; appending them
+// as an element; or capturing them in a closure passed to the engine's
+// At/After/Spawn. Those are exactly the sites where a pooled buffer
+// escapes, and one helper (keep) judges both.
+//
+// Caller-owned bytes are the []byte parameters and the []byte fields of
+// struct (pointer) parameters, e.g. pkt.Payload. They are tracked through
+// assignments, reslices, slice conversions and append's first operand.
+// Copies cleanse: append([]byte(nil), b...), copy into a fresh buffer, or
+// any function-call result. Assigning an owned value over a carrier field
+// (the fabric's snapshot line) clears the field for the rest of the
+// function.
+//
 // A function registered as a packet-delivery handler (Fabric.AttachPort,
-// Adapter.SetBypass) owns its delivered packet's pooled payload — the
-// fabric snapshotted the bytes at injection — so the caller-owned-Put rule
-// exempts its parameters: an RDMA bypass handler landing chunks in a
-// registered read target, or returning the spent packet to the pool, is
-// the discipline working, not a violation.
+// Adapter.SetBypass) owns its delivered packet's pooled payload, because
+// the fabric snapshotted the bytes at injection. Its parameters carry no
+// caller ownership: an RDMA bypass handler landing chunks in a registered
+// read target, or returning the spent packet to the pool, is the
+// discipline working, not a violation.
 //
 // Ownership here is intraprocedural by design: passing a buffer to a
 // callee discharges the leak obligation (the callee may keep it) but does
 // not release ownership — the caller may still Put afterwards, as the
-// deliver-then-Put idiom does. Aliasing is tracked through plain
-// assignments, capacity-preserving reslices (b[:n]), and append-in-place;
-// capacity-changing reslices become sub-slice aliases whose Put is an
-// error.
+// deliver-then-Put idiom does. Capacity-changing reslices of a pooled
+// buffer become sub-slice aliases whose Put is an error.
 var Bufpoolown = &Analyzer{
 	Name:      "bufpoolown",
-	Doc:       "flow-sensitive BufPool ownership: use-after-Put, double-Put, Put-of-subslice, caller-owned Put, leaks",
+	Doc:       "payload ownership: use-after-Put, double-Put, Put-of-subslice, caller-owned Put, leaks; no caller-owned []byte retained across the injection boundary without a copy",
 	AppliesTo: InSimDomain,
 	Run:       bufpoolownRun,
 }
@@ -72,6 +86,14 @@ func bufpoolownRun(pass *Pass) {
 			return true
 		})
 	}
+}
+
+// declIsDeliveryOwner reports whether fn is a registered packet-delivery
+// handler: it owns the payloads it is handed, so the caller-ownership
+// rules do not apply to its parameters.
+func declIsDeliveryOwner(pass *Pass, fn *ast.FuncDecl) bool {
+	obj, ok := pass.Unit.Info.Defs[fn.Name].(*types.Func)
+	return ok && pass.Prog != nil && pass.Prog.deliveryOwner(funcKeyOf(obj))
 }
 
 // bpState is the per-path ownership state of one pooled buffer.
@@ -135,16 +157,20 @@ type bpWalker struct {
 	vars map[types.Object]*bpRecord // exact (capacity-preserving) aliases
 	subs map[types.Object]*bpRecord // capacity-changing sub-slice aliases
 	recs []*bpRecord
-	// Caller-owned bytes (parameters and their carrier fields), for the
-	// Put-of-caller-owned rule.
+	// Caller-owned bytes: locals aliasing them, and pointer/struct
+	// parameters mapped to their caller-owned []byte fields (pkt ->
+	// {Payload}). Tracking is flow-through in source order, not per path.
 	callerTainted map[types.Object]bool
 	carrier       map[types.Object]map[*types.Var]bool
+	// boundary turns on the retention rules (InInjectionBoundary).
+	boundary bool
 	// Registered RDMA regions, for the use-after-Deregister rule: the rkey
 	// variable and the buffer it pins, tracked in source order.
 	regKeys map[types.Object]*regRecord
 	regBufs map[types.Object]*regRecord
 	// Loop bodies are walked twice (once to find the fixed point, once to
-	// catch cross-iteration bugs), so reports are deduplicated by site.
+	// catch cross-iteration bugs), so reports are deduplicated by position
+	// and message.
 	reported map[string]bool
 }
 
@@ -162,6 +188,7 @@ func bufpoolownFunc(pass *Pass, params *ast.FieldList, body *ast.BlockStmt, owne
 		subs:          make(map[types.Object]*bpRecord),
 		callerTainted: make(map[types.Object]bool),
 		carrier:       make(map[types.Object]map[*types.Var]bool),
+		boundary:      InInjectionBoundary(pass.Unit.Path),
 		regKeys:       make(map[types.Object]*regRecord),
 		regBufs:       make(map[types.Object]*regRecord),
 		reported:      make(map[string]bool),
@@ -209,17 +236,59 @@ func bufpoolownFunc(pass *Pass, params *ast.FieldList, body *ast.BlockStmt, owne
 }
 
 func (w *bpWalker) report(pos token.Pos, format string, args ...any) {
-	key := fmt.Sprintf("%d|%s", pos, format)
+	msg := fmt.Sprintf(format, args...)
+	key := fmt.Sprintf("%d|%s", pos, msg)
 	if w.reported[key] {
 		return
 	}
 	w.reported[key] = true
-	w.pass.Reportf(pos, format, args...)
+	w.pass.Reportf(pos, "%s", msg)
 }
 
-// poolCallMethod returns "Get", "Snapshot" or "Put" when call invokes the
-// corresponding BufPool method, else "".
-func (w *bpWalker) poolCallMethod(e ast.Expr) (string, *ast.CallExpr) {
+func isByteSlice(t types.Type) bool {
+	sl, ok := t.Underlying().(*types.Slice)
+	if !ok {
+		return false
+	}
+	b, ok := sl.Elem().Underlying().(*types.Basic)
+	return ok && b.Kind() == types.Uint8
+}
+
+func structUnder(t types.Type) *types.Struct {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	str, _ := t.Underlying().(*types.Struct)
+	return str
+}
+
+// recvTypeName returns the name of a method's receiver type (through one
+// level of pointer), or "" for non-named receivers.
+func recvTypeName(sig *types.Signature) string {
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name()
+	}
+	return ""
+}
+
+func unparen(e ast.Expr) ast.Expr {
+	for {
+		p, ok := e.(*ast.ParenExpr)
+		if !ok {
+			return e
+		}
+		e = p.X
+	}
+}
+
+// method returns the name of the method e calls when its receiver type is
+// recv in the package whose last path element is pkg (any receiver type
+// there when recv is ""), else "".
+func (w *bpWalker) method(e ast.Expr, pkg, recv string) (string, *ast.CallExpr) {
 	call, ok := unparen(e).(*ast.CallExpr)
 	if !ok {
 		return "", nil
@@ -229,44 +298,14 @@ func (w *bpWalker) poolCallMethod(e ast.Expr) (string, *ast.CallExpr) {
 		return "", nil
 	}
 	fn, ok := w.info.Uses[se.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || lastPathElem(fn.Pkg().Path()) != "sim" {
+	if !ok || fn.Pkg() == nil || lastPathElem(fn.Pkg().Path()) != pkg {
 		return "", nil
 	}
 	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil || recvTypeName(sig) != "BufPool" {
+	if !ok || sig.Recv() == nil || (recv != "" && recvTypeName(sig) != recv) {
 		return "", nil
 	}
-	switch fn.Name() {
-	case "Get", "Snapshot", "Put":
-		return fn.Name(), call
-	}
-	return "", nil
-}
-
-// rdmaCallMethod returns "RegisterRegion" or "Deregister" when call
-// invokes the corresponding hal.RdmaEngine method, else "".
-func (w *bpWalker) rdmaCallMethod(e ast.Expr) (string, *ast.CallExpr) {
-	call, ok := unparen(e).(*ast.CallExpr)
-	if !ok {
-		return "", nil
-	}
-	se, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", nil
-	}
-	fn, ok := w.info.Uses[se.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || lastPathElem(fn.Pkg().Path()) != "hal" {
-		return "", nil
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil || recvTypeName(sig) != "RdmaEngine" {
-		return "", nil
-	}
-	switch fn.Name() {
-	case "RegisterRegion", "Deregister":
-		return fn.Name(), call
-	}
-	return "", nil
+	return fn.Name(), call
 }
 
 // bindRegion records `rkey, ready := eng.RegisterRegion(buf)`: uses of buf
@@ -317,53 +356,81 @@ func capChanging(s *ast.SliceExpr) bool {
 	return true
 }
 
+// sliceRoot strips what yields the same backing array as its operand —
+// parentheses, reslices, slice-to-[]byte conversions and append's first
+// argument (append within capacity is in place; a growing append makes a
+// Put harmless, since foreign capacity is dropped) — and reports whether
+// a reslice on the way changed the capacity.
+func (w *bpWalker) sliceRoot(e ast.Expr) (root ast.Expr, capChanged bool) {
+	for {
+		switch x := unparen(e).(type) {
+		case *ast.SliceExpr:
+			capChanged = capChanged || capChanging(x)
+			e = x.X
+		case *ast.CallExpr:
+			if !w.sharesFirstArg(x) {
+				return x, capChanged // function results are freshly owned
+			}
+			e = x.Args[0]
+		default:
+			return x, capChanged
+		}
+	}
+}
+
+// sharesFirstArg reports whether call's result may share its first
+// argument's backing array: append, or a slice-to-[]byte conversion
+// (string->[]byte allocates).
+func (w *bpWalker) sharesFirstArg(call *ast.CallExpr) bool {
+	if len(call.Args) == 0 {
+		return false
+	}
+	if tv, ok := w.info.Types[call.Fun]; ok && tv.IsType() {
+		at := w.info.TypeOf(call.Args[0])
+		if at == nil || !isByteSlice(tv.Type) {
+			return false
+		}
+		_, fromSlice := at.Underlying().(*types.Slice)
+		return fromSlice
+	}
+	id, ok := unparen(call.Fun).(*ast.Ident)
+	return ok && isBuiltin(w.info, id, "append")
+}
+
+func isBuiltin(info *types.Info, id *ast.Ident, name string) bool {
+	b, ok := info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == name
+}
+
 // aliasOf resolves an expression to the pooled buffer it aliases, and
-// whether the alias is capacity-changing (sub). Conversions and append
-// results follow their operand: append within capacity is in-place, and a
-// growing append makes Put harmless (foreign capacity is dropped).
+// whether the alias is capacity-changing (sub).
 func (w *bpWalker) aliasOf(e ast.Expr) (rec *bpRecord, sub bool) {
-	switch e := unparen(e).(type) {
-	case *ast.Ident:
-		obj := w.info.Uses[e]
-		if obj == nil {
-			return nil, false
-		}
-		if r := w.vars[obj]; r != nil {
-			return r, false
-		}
-		if r := w.subs[obj]; r != nil {
-			return r, true
-		}
-	case *ast.SliceExpr:
-		r, s := w.aliasOf(e.X)
-		if r != nil {
-			return r, s || capChanging(e)
-		}
-	case *ast.CallExpr:
-		if tv, ok := w.info.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 {
-			if isByteSlice(tv.Type) {
-				return w.aliasOf(e.Args[0])
-			}
-			return nil, false
-		}
-		if id, ok := unparen(e.Fun).(*ast.Ident); ok && len(e.Args) > 0 {
-			if b, ok := w.info.Uses[id].(*types.Builtin); ok && b.Name() == "append" {
-				return w.aliasOf(e.Args[0])
-			}
-		}
+	root, sub := w.sliceRoot(e)
+	id, ok := root.(*ast.Ident)
+	if !ok {
+		return nil, false
+	}
+	obj := w.info.Uses[id]
+	if obj == nil {
+		return nil, false
+	}
+	if r := w.vars[obj]; r != nil {
+		return r, sub
+	}
+	if r := w.subs[obj]; r != nil {
+		return r, true
 	}
 	return nil, false
 }
 
-// callerRetains mirrors payloadretain's ownership test for the Put rule:
-// the expression yields bytes the caller of this function still owns.
+// callerRetains reports whether e yields bytes the caller of this function
+// still owns.
 func (w *bpWalker) callerRetains(e ast.Expr) bool {
-	switch e := unparen(e).(type) {
+	root, _ := w.sliceRoot(e)
+	switch e := root.(type) {
 	case *ast.Ident:
 		obj := w.info.Uses[e]
 		return obj != nil && w.callerTainted[obj]
-	case *ast.SliceExpr:
-		return w.callerRetains(e.X)
 	case *ast.SelectorExpr:
 		sel := w.info.Selections[e]
 		if sel == nil || sel.Kind() != types.FieldVal {
@@ -388,6 +455,35 @@ func (w *bpWalker) escape(rec *bpRecord, env bpEnv) {
 	env[rec] = bpEscaped
 }
 
+// keep judges a site where the value of e outlives the statement: a pooled
+// alias escapes, and on the injection boundary a caller-owned alias is
+// flagged at pos as retained (what says how). An empty what marks a site
+// where keeping caller bytes is fine, e.g. a return hands them back.
+func (w *bpWalker) keep(e ast.Expr, env bpEnv, pos token.Pos, what string) {
+	if rec, _ := w.aliasOf(e); rec != nil {
+		w.escape(rec, env)
+	} else if w.boundary && what != "" && w.callerRetains(e) {
+		w.report(pos,
+			"caller-owned payload %s %s without a copy: the caller may rewrite the bytes while they are in flight (snapshot with append([]byte(nil), b...))",
+			types.ExprString(e), what)
+	}
+}
+
+// capture handles a closure literal, which outlives this walk: each
+// identifier and selector in it is kept, what as in keep (empty unless the
+// closure goes to the event scheduler). Its body is analyzed separately.
+func (w *bpWalker) capture(lit *ast.FuncLit, env bpEnv, what string) {
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Ident:
+			w.keep(n, env, n.Pos(), what)
+		case *ast.SelectorExpr:
+			w.keep(n, env, n.Pos(), what)
+		}
+		return true
+	})
+}
+
 // checkUse flags a read of a buffer that has definitely been returned.
 func (w *bpWalker) checkUse(id *ast.Ident, env bpEnv) {
 	obj := w.info.Uses[id]
@@ -407,7 +503,7 @@ func (w *bpWalker) checkUse(id *ast.Ident, env bpEnv) {
 }
 
 // scanExpr walks an expression on the current path: it checks buffer uses,
-// handles Put/escape sites, and records closures capturing buffers.
+// handles Put and keep sites, and records closures capturing buffers.
 func (w *bpWalker) scanExpr(e ast.Expr, env bpEnv) {
 	switch e := e.(type) {
 	case nil:
@@ -446,30 +542,15 @@ func (w *bpWalker) scanExpr(e ast.Expr, env bpEnv) {
 				v = kv.Value
 			}
 			w.scanExpr(v, env)
-			if rec, _ := w.aliasOf(v); rec != nil {
-				w.escape(rec, env)
-			}
+			w.keep(v, env, v.Pos(), "aliased into a composite literal")
 		}
 	case *ast.FuncLit:
-		// A closure capturing a buffer outlives this walk: the buffer
-		// escapes. The closure's own body is analyzed separately.
-		ast.Inspect(e.Body, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if obj := w.info.Uses[id]; obj != nil {
-					if rec := w.vars[obj]; rec != nil {
-						w.escape(rec, env)
-					} else if rec := w.subs[obj]; rec != nil {
-						w.escape(rec, env)
-					}
-				}
-			}
-			return true
-		})
+		w.capture(e, env, "")
 	}
 }
 
 func (w *bpWalker) scanCall(call *ast.CallExpr, env bpEnv) {
-	switch m, pc := w.rdmaCallMethod(call); m {
+	switch m, pc := w.method(call, "hal", "RdmaEngine"); m {
 	case "Deregister":
 		w.scanExpr(selBase(call.Fun), env)
 		for _, arg := range pc.Args {
@@ -500,12 +581,13 @@ func (w *bpWalker) scanCall(call *ast.CallExpr, env bpEnv) {
 		}
 		return
 	}
-	if m, pc := w.poolCallMethod(call); pc != nil {
+	switch m, _ := w.method(call, "sim", "BufPool"); m {
+	case "Put":
 		w.scanExpr(selBase(call.Fun), env)
-		if m == "Put" && len(call.Args) == 1 {
-			w.putArg(call.Args[0], env)
-			return
-		}
+		w.putArg(call.Args[0], env)
+		return
+	case "Get", "Snapshot":
+		w.scanExpr(selBase(call.Fun), env)
 		for _, arg := range call.Args {
 			w.scanExpr(arg, env)
 		}
@@ -519,24 +601,32 @@ func (w *bpWalker) scanCall(call *ast.CallExpr, env bpEnv) {
 		return
 	}
 	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := w.info.Uses[id].(*types.Builtin); ok {
+		if _, ok := w.info.Uses[id].(*types.Builtin); ok {
 			for _, arg := range call.Args {
 				w.scanExpr(arg, env)
 			}
-			if b.Name() == "append" && !call.Ellipsis.IsValid() {
+			if isBuiltin(w.info, id, "append") && !call.Ellipsis.IsValid() {
 				// append(q, b): b becomes an element of a longer-lived
-				// slice.
+				// slice; append(q, b...) copies the bytes.
 				for _, arg := range call.Args[1:] {
-					if rec, _ := w.aliasOf(arg); rec != nil {
-						w.escape(rec, env)
-					}
+					w.keep(arg, env, arg.Pos(), "appended as an element of a longer-lived slice")
 				}
 			}
 			return
 		}
 	}
 	w.scanExpr(call.Fun, env)
+	// A closure handed to the event scheduler runs at a future virtual
+	// time: caller bytes it captures can change before the event fires.
+	captured := ""
+	if m, _ := w.method(call, "sim", ""); m == "At" || m == "After" || m == "Spawn" {
+		captured = "captured by a deferred " + m + " callback"
+	}
 	for _, arg := range call.Args {
+		if lit, ok := arg.(*ast.FuncLit); ok {
+			w.capture(lit, env, captured)
+			continue
+		}
 		w.scanExpr(arg, env)
 		if rec, _ := w.aliasOf(arg); rec != nil {
 			// The callee may keep the buffer: the leak obligation is
@@ -635,7 +725,7 @@ func (w *bpWalker) walkStmt(s ast.Stmt, env bpEnv) (bpEnv, bool) {
 			w.unbind(lhs, s.Tok)
 		}
 		if len(s.Rhs) == 1 && len(s.Lhs) == 2 {
-			if m, pc := w.rdmaCallMethod(s.Rhs[0]); m == "RegisterRegion" && len(pc.Args) == 1 {
+			if m, pc := w.method(s.Rhs[0], "hal", "RdmaEngine"); m == "RegisterRegion" && len(pc.Args) == 1 {
 				w.bindRegion(s.Lhs[0], pc.Args[0], s.Tok)
 			}
 		}
@@ -647,12 +737,14 @@ func (w *bpWalker) walkStmt(s ast.Stmt, env bpEnv) (bpEnv, bool) {
 		}
 		for _, spec := range gd.Specs {
 			vs, ok := spec.(*ast.ValueSpec)
-			if !ok || len(vs.Names) != len(vs.Values) {
+			if !ok {
 				continue
 			}
-			for i, nm := range vs.Names {
-				w.scanExpr(vs.Values[i], env)
-				w.handleAssignObj(w.info.Defs[nm], nm.Name, vs.Values[i], env)
+			for i, v := range vs.Values {
+				w.scanExpr(v, env)
+				if len(vs.Names) == len(vs.Values) {
+					w.handleAssignObj(w.info.Defs[vs.Names[i]], vs.Names[i].Name, v, env)
+				}
 			}
 		}
 		return env, false
@@ -665,23 +757,19 @@ func (w *bpWalker) walkStmt(s ast.Stmt, env bpEnv) (bpEnv, bool) {
 	case *ast.SendStmt:
 		w.scanExpr(s.Chan, env)
 		w.scanExpr(s.Value, env)
-		if rec, _ := w.aliasOf(s.Value); rec != nil {
-			w.escape(rec, env)
-		}
+		w.keep(s.Value, env, s.Arrow, "sent on a channel")
 		return env, false
 	case *ast.ReturnStmt:
 		for _, r := range s.Results {
 			w.scanExpr(r, env)
-			if rec, _ := w.aliasOf(r); rec != nil {
-				w.escape(rec, env)
-			}
+			w.keep(r, env, r.Pos(), "")
 		}
 		return env, true
 	case *ast.BranchStmt:
 		// break/continue/goto: stop tracking this path conservatively.
 		return env, true
 	case *ast.DeferStmt:
-		if m, pc := w.poolCallMethod(s.Call); m == "Put" && len(pc.Args) == 1 {
+		if m, pc := w.method(s.Call, "sim", "BufPool"); m == "Put" {
 			// Deferred Put runs at function exit: it satisfies the leak
 			// obligation without changing the state here.
 			if rec, sub := w.aliasOf(pc.Args[0]); rec != nil && !sub {
@@ -814,35 +902,36 @@ func (w *bpWalker) handleAssign(lhs, rhs ast.Expr, tok token.Token, env bpEnv) {
 	case *ast.IndexExpr:
 		w.scanExpr(l.X, env)
 		w.scanExpr(l.Index, env)
-		if rec, _ := w.aliasOf(rhs); rec != nil {
-			w.escape(rec, env)
-		}
+		w.keep(rhs, env, l.Pos(), "stored into a map or slice element")
 	case *ast.SelectorExpr:
 		w.scanExpr(l.X, env)
-		if rec, _ := w.aliasOf(rhs); rec != nil {
-			w.escape(rec, env)
+		sel := w.info.Selections[l]
+		if sel == nil {
+			// Another package's variable (a qualified identifier): a
+			// pooled buffer escapes; the retention rules judge this
+			// package's stores only.
+			w.keep(rhs, env, l.Pos(), "")
+			return
 		}
+		w.keep(rhs, env, l.Pos(), "stored into field "+types.ExprString(l))
 		// The snapshot idiom: assigning an owned value over a carrier
-		// field (fr.Payload = pool.Snapshot(fr.Payload)) makes the field
-		// this function's property for the rest of it.
+		// field (pkt.Payload = append([]byte(nil), pkt.Payload...), or
+		// fr.Payload = pool.Snapshot(fr.Payload)) makes the field this
+		// function's property for the rest of it.
 		if base, ok := unparen(l.X).(*ast.Ident); ok {
 			if fields := w.carrier[w.info.Uses[base]]; fields != nil {
-				if sel := w.info.Selections[l]; sel != nil && sel.Kind() == types.FieldVal {
-					if fv, ok := sel.Obj().(*types.Var); ok {
-						if w.callerRetains(rhs) {
-							fields[fv] = true
-						} else {
-							delete(fields, fv)
-						}
+				if fv, ok := sel.Obj().(*types.Var); ok {
+					if w.callerRetains(rhs) {
+						fields[fv] = true
+					} else {
+						delete(fields, fv)
 					}
 				}
 			}
 		}
 	case *ast.StarExpr:
 		w.scanExpr(l.X, env)
-		if rec, _ := w.aliasOf(rhs); rec != nil {
-			w.escape(rec, env)
-		}
+		w.keep(rhs, env, l.Pos(), "")
 	case *ast.Ident:
 		if l.Name == "_" {
 			return
@@ -862,10 +951,7 @@ func (w *bpWalker) handleAssign(lhs, rhs ast.Expr, tok token.Token, env bpEnv) {
 			return
 		}
 		if tok != token.DEFINE && obj.Parent() == w.pass.Unit.Pkg.Scope() {
-			// Stored in a package-level variable: escapes.
-			if rec, _ := w.aliasOf(rhs); rec != nil {
-				w.escape(rec, env)
-			}
+			w.keep(rhs, env, l.Pos(), "stored in package-level variable "+l.Name)
 			return
 		}
 		w.handleAssignObj(obj, l.Name, rhs, env)
@@ -882,7 +968,7 @@ func (w *bpWalker) handleAssignObj(obj types.Object, name string, rhs ast.Expr, 
 	delete(w.callerTainted, obj)
 	delete(w.regKeys, obj)
 	delete(w.regBufs, obj)
-	if m, pc := w.poolCallMethod(rhs); m == "Get" || m == "Snapshot" {
+	if m, pc := w.method(rhs, "sim", "BufPool"); m == "Get" || m == "Snapshot" {
 		rec := &bpRecord{name: name, src: m, getPos: pc.Pos()}
 		w.recs = append(w.recs, rec)
 		w.vars[obj] = rec

@@ -101,9 +101,9 @@ type Program struct {
 	// deliveryOwners are functions registered as packet-delivery handlers
 	// (Fabric.AttachPort, Adapter.SetBypass): the fabric snapshotted the
 	// payload at injection, so by delivery the handler owns the pooled
-	// bytes — its *Packet parameter is not caller-owned. payloadretain and
-	// bufpoolown consult this instead of taxing every delivery path with
-	// allow directives.
+	// bytes — its *Packet parameter is not caller-owned. bufpoolown
+	// consults this instead of taxing every delivery path with allow
+	// directives.
 	deliveryOwners map[string]bool
 }
 

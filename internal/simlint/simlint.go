@@ -12,9 +12,6 @@
 //	walltime      — no time.Now/Sleep/Since/... in simulation packages
 //	globalrand    — no package-level math/rand; randomness flows through
 //	                sim.Engine.Rand()
-//	payloadretain — no retaining a caller-owned []byte across the
-//	                switchnet/adapter/hal/lapi injection boundary without
-//	                a copy
 //	maporder      — no map iteration that schedules events, sends packets,
 //	                or accumulates into an ordered slice
 //	baregoroutine — no `go` statements in simulation packages; use
@@ -23,9 +20,11 @@
 //	                (or an Enhanced-regime completion handler) must not
 //	                block, re-enter LAPI, or Spawn; interprocedural, with
 //	                effect summaries propagated across packages (facts.go)
-//	bufpoolown    — flow-sensitive BufPool ownership: no use-after-Put,
-//	                double-Put, Put-of-subslice, caller-owned Put, or
-//	                leak-on-all-paths
+//	bufpoolown    — payload ownership: no use-after-Put, double-Put,
+//	                Put-of-subslice, caller-owned Put, or leak-on-all-paths
+//	                of BufPool buffers; on the injection boundary
+//	                (switchnet, adapter, hal, lapi, tracelog, faults), no
+//	                retaining a caller-owned []byte without a copy
 //
 // A finding that is intentional is suppressed in source with a directive on
 // the same line or the line directly above:
@@ -245,7 +244,7 @@ func RunUnit(u *Unit, analyzers []*Analyzer) []Diagnostic {
 
 // All returns the full analyzer suite.
 func All() []*Analyzer {
-	return []*Analyzer{Walltime, Globalrand, Payloadretain, Maporder, Baregoroutine, Handlerctx, Bufpoolown}
+	return []*Analyzer{Walltime, Globalrand, Maporder, Baregoroutine, Handlerctx, Bufpoolown}
 }
 
 // simDomain names the packages (by final import-path element) that run in

@@ -22,6 +22,7 @@ func TestStaleAllows(t *testing.T) {
 	want := []simlint.StaleAllow{
 		{File: "internal/simlint/testdata/src/staleallow/adapter/fixture.go", Line: 17, Analyzer: "walltime"},
 		{File: "internal/simlint/testdata/src/staleallow/adapter/fixture.go", Line: 23, Analyzer: "wallclock", Unknown: true},
+		{File: "internal/simlint/testdata/src/staleallow/adapter/fixture.go", Line: 29, Analyzer: "payloadretain", Unknown: true},
 	}
 	if len(stale) != len(want) {
 		t.Fatalf("got %d stale allows, want %d:\n%v", len(stale), len(want), stale)

@@ -92,7 +92,7 @@ func (n *nic) Leak(eng *sim.Engine) int {
 }
 
 // Stash transfers ownership into the struct: not a leak, and (because the
-// buffer is pool-owned, not caller-owned) not a payloadretain violation.
+// buffer is pool-owned, not caller-owned) not a retention violation.
 func (n *nic) Stash(eng *sim.Engine) {
 	b := eng.Pool().Get(64)
 	n.scratch = b

@@ -32,10 +32,8 @@ func (in *injector) CorruptAndKeep(b []byte) {
 	in.lastCorrupted = b // want `stored into field`
 }
 
-// DropToPool pools caller-owned bytes. That rule now belongs to the
-// bufpoolown analyzer (see its fixtures), so payloadretain must stay
-// silent here — the shape is kept to prove the rule moved rather than
-// being double-reported.
+// DropToPool pools caller-owned bytes: a later Get may rewrite a packet
+// the fabric still owns.
 func (in *injector) DropToPool(b []byte) {
-	in.eng.Pool().Put(b)
+	in.eng.Pool().Put(b) // want `returned to the buffer pool`
 }

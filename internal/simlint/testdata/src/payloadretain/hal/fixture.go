@@ -56,7 +56,7 @@ func (r *ring) StashCopied(eng *sim.Engine, slot int, pkt []byte) {
 // StashAllowed demonstrates the directive for an intentional retention
 // (e.g. bytes known to be a fresh per-packet snapshot already).
 func (r *ring) StashAllowed(pkt []byte) {
-	r.last = pkt //simlint:allow payloadretain fixture demonstrating the directive
+	r.last = pkt //simlint:allow bufpoolown fixture demonstrating the directive
 }
 
 func (r *ring) handle([]byte) {}

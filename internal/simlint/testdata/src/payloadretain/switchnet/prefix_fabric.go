@@ -3,7 +3,7 @@
 // without a snapshot, and the DupProb duplicate shared the original's
 // backing array — so a retransmitting sender re-stamping piggybacked acks
 // could retroactively rewrite a packet already transiting the switch.
-// payloadretain must flag the aliasing duplicate.
+// bufpoolown must flag the aliasing duplicate.
 package switchnet
 
 import "splapi/internal/sim"

@@ -1,7 +1,7 @@
 // Fixture: stale //simlint:allow detection. The first directive earns its
 // keep by suppressing a real walltime finding; the second waives a finding
-// that no longer exists; the third names an analyzer that does not exist.
-// The last two must be reported as stale (see TestStaleAllows).
+// that no longer exists; the last two name analyzers that do not exist.
+// The last three must be reported as stale (see TestStaleAllows).
 package adapter
 
 import "time"
@@ -22,3 +22,9 @@ func staleBlock() {}
 //
 //simlint:allow wallclock suppressing a wall-clock read
 func typoBlock() {}
+
+// retiredBlock names an analyzer whose rules were folded into bufpoolown:
+// the old name is unknown now, so the directive suppresses nothing.
+//
+//simlint:allow payloadretain retention across the injection boundary
+func retiredBlock() {}

@@ -198,7 +198,7 @@ func (f *Fabric) NewPacket(src, dst int, payload []byte) *Packet {
 		f.fresh++
 		pk = new(Packet)
 	}
-	//simlint:allow payloadretain the record carries payload only into Send, which snapshots it at injection
+	//simlint:allow bufpoolown the record carries payload only into Send, which snapshots it at injection
 	pk.Src, pk.Dst, pk.Payload = src, dst, payload
 	return pk
 }
