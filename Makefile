@@ -28,7 +28,8 @@ test:
 # (its bucket table travels with the arena), a warm fabric making no
 # packet record, the pointer-free event keys, the HAL packet path, a Pipes
 # stream, the LAPI send window and receive records, a memoised NAS serial
-# reference, a memoised chaos payload fold (chaos.TestFoldHitZeroAlloc))
+# reference, a memoised chaos payload fold (chaos.TestFoldHitZeroAlloc), a
+# planned NAS FFT (nas.TestFFTPlanZeroAlloc))
 # without the race detector: its instrumentation allocates, so `make test`
 # skips those it perturbs.
 alloc-check:
@@ -81,7 +82,7 @@ loc:
 # loc-check is the ratchet on that number: it fails when the total exceeds
 # LOC_MAX. A PR that shrinks the tree lowers LOC_MAX to its own result; a PR
 # that must grow it raises LOC_MAX in the same diff, where a reviewer sees it.
-LOC_MAX = 19580
+LOC_MAX = 19685
 loc-check:
 	@total=$$($(MAKE) -s --no-print-directory loc | awk '$$2 == "total" { print $$1 }'); \
 	echo "loc-check: $$total non-test Go lines (LOC_MAX $(LOC_MAX))"; \

@@ -41,10 +41,10 @@ func RunNASKernel(k nas.Kernel, stack cluster.Stack) NASResult {
 // Tracing an LU run makes the wavefront communication pattern visible as
 // flow arrows in Perfetto.
 func RunNASKernelOpts(k nas.Kernel, stack cluster.Stack, par machine.Params, seed int64, tl *tracelog.Log) NASResult {
-	c := cluster.New(cluster.Config{Nodes: 4, Stack: stack, Seed: seed, Params: &par, Trace: tl})
+	const nodes = 4
+	c := cluster.New(cluster.Config{Nodes: nodes, Stack: stack, Seed: seed, Params: &par, Trace: tl})
 	var end sim.Time
-	var sum float64
-	ok := true
+	var vals [nodes]float64 // each rank's checksum, by rank
 	c.RunMPI(0, func(p *sim.Proc, prov mpci.Provider) {
 		w := mpi.NewWorld(prov)
 		env := &nas.Env{
@@ -71,12 +71,18 @@ func RunNASKernelOpts(k nas.Kernel, stack cluster.Stack, par machine.Params, see
 		if p.Now() > end {
 			end = p.Now()
 		}
-		if w.Rank() == 0 {
-			sum = v
-		} else if math.Abs(v-sum) > k.Tol && sum != 0 {
+		vals[w.Rank()] = v
+	})
+	// Every rank must agree with rank 0, and rank 0 with the serial
+	// reference. The ranks leave the final barrier in any order, so the
+	// comparison waits until all of them have finished.
+	sum := vals[0]
+	ok := true
+	for _, v := range vals[1:] {
+		if math.Abs(v-sum) > k.Tol {
 			ok = false
 		}
-	})
+	}
 	want := serialRef(k)
 	if math.Abs(sum-want) > k.Tol*(1+math.Abs(want)) {
 		ok = false

@@ -65,3 +65,24 @@ func TestSerialRefOncePerProcess(t *testing.T) {
 		t.Fatalf("Serial ran %d times across 8 concurrent runs, want 1", n)
 	}
 }
+
+// TestRunNASKernelChecksEveryRank gives one rank at a time a checksum that
+// disagrees with the others: every rank's value is compared, whichever
+// leaves the final barrier first.
+func TestRunNASKernelChecksEveryRank(t *testing.T) {
+	for bad := 0; bad < 4; bad++ {
+		k := nas.Kernel{
+			Name: fmt.Sprintf("checks-every-rank-%d", bad),
+			Run: func(_ *sim.Proc, env *nas.Env) float64 {
+				if env.W.Rank() == bad {
+					return 43
+				}
+				return 42
+			},
+			Serial: func() float64 { return 42 },
+		}
+		if res := RunNASKernel(k, cluster.Native); res.Verified {
+			t.Errorf("rank %d returned 43, the others 42: verified with checksum %v", bad, res.Checksum)
+		}
+	}
+}

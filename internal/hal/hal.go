@@ -36,6 +36,11 @@ const (
 	ProtoLAPI  byte = 2
 )
 
+// protoSlots bounds the protocol ids the dispatcher serves. A table this
+// small costs a HAL less than the map it replaced, and a lookup is one
+// index rather than a map hash per packet.
+const protoSlots = 16
+
 // Handler processes one received packet. It runs in the context of whichever
 // process drives the dispatcher (a polling caller or the interrupt thread);
 // it may sleep and send packets.
@@ -63,7 +68,7 @@ type HAL struct {
 	fab  *switchnet.Fabric
 	node int
 
-	protos         map[byte]Handler
+	protos         [protoSlots]Handler // by protocol id, the first payload byte
 	sendBufs       *sim.Resource
 	releaseSendBuf func() // sendBufs.Release, bound once rather than per packet
 	// cpu serializes all protocol processing on this node: per-packet
@@ -99,7 +104,6 @@ func New(eng *sim.Engine, par *machine.Params, ad *adapter.Adapter) *HAL {
 		ad:       ad,
 		fab:      ad.Fabric(),
 		node:     ad.Node(),
-		protos:   make(map[byte]Handler),
 		sendBufs: sim.NewResource(par.SendBuffers),
 		cpu:      sim.NewResource(1),
 	}
@@ -128,7 +132,10 @@ func (h *HAL) Trace() *tracelog.Log { return h.tr }
 
 // RegisterProto installs the handler for a protocol id.
 func (h *HAL) RegisterProto(id byte, fn Handler) {
-	if _, dup := h.protos[id]; dup {
+	if id >= protoSlots {
+		panic(fmt.Sprintf("hal: protocol id %d out of range on node %d", id, h.node))
+	}
+	if h.protos[id] != nil {
 		panic(fmt.Sprintf("hal: protocol %d registered twice on node %d", id, h.node))
 	}
 	h.protos[id] = fn
@@ -227,7 +234,10 @@ func (h *HAL) dispatch(p *sim.Proc, src int, payload []byte) {
 	h.stats.PacketsRecvd++
 	h.ChargeCPU(p, h.par.PacketDispatch)
 	h.tr.Emit(p.Now(), tracelog.LHAL, tracelog.KHALDispatch, h.node, src, 0, len(payload), int64(h.par.PacketDispatch))
-	fn := h.protos[payload[0]]
+	var fn Handler
+	if id := payload[0]; id < protoSlots {
+		fn = h.protos[id]
+	}
 	if fn == nil {
 		panic(fmt.Sprintf("hal: node %d: no handler for protocol %d", h.node, payload[0]))
 	}

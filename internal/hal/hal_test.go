@@ -256,3 +256,21 @@ func TestPacketPathZeroAlloc(t *testing.T) {
 		t.Errorf("Send→Poll round allocates %.1f objects/op, want 0", allocs)
 	}
 }
+
+// TestRegisterProtoPanics: a protocol id registered twice, or one outside
+// the dispatcher's table, is a wiring bug and panics at registration.
+func TestRegisterProtoPanics(t *testing.T) {
+	_, _, hs, _ := rig(t, nil)
+	noop := func(p *sim.Proc, src int, pkt []byte) {}
+	hs[0].RegisterProto(ProtoLAPI, noop)
+	for _, id := range []byte{ProtoLAPI, protoSlots, 255} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("RegisterProto(%d) did not panic", id)
+				}
+			}()
+			hs[0].RegisterProto(id, noop)
+		}()
+	}
+}

@@ -30,24 +30,20 @@ type adiGrid struct {
 func newADIGrid(rank, nranks, m int, seed float64) *adiGrid {
 	rows := adiNY / nranks
 	g := &adiGrid{m: m, rows: rows, jlo: rank * rows}
+	// Component c of cell (k, j, i) holds seed * ((k+jlo+j+i+c) % 19), so
+	// the row whose first cell has residue r is the pattern from cell r on.
+	n := adiNX * m
+	pat := make([]float64, n+19*m)
+	for i := 0; i < adiNX+19; i++ {
+		for c := 0; c < m; c++ {
+			pat[i*m+c] = seed * float64((i+c)%19)
+		}
+	}
 	g.u = make([][]float64, adiNZ)
 	for k := range g.u {
-		g.u[k] = make([]float64, rows*adiNX*m)
-		x := 0
+		g.u[k] = make([]float64, rows*n)
 		for j := 0; j < rows; j++ {
-			r := (k + g.jlo + j) % 19 // (k+jlo+j+i) % 19 as a running residue; rc adds c
-			for i := 0; i < adiNX; i++ {
-				for c, rc := 0, r; c < m; c++ {
-					g.u[k][x] = seed * float64(rc)
-					x++
-					if rc++; rc == 19 {
-						rc = 0
-					}
-				}
-				if r++; r == 19 {
-					r = 0
-				}
-			}
+			copy(g.u[k][j*n:(j+1)*n], pat[(k+g.jlo+j)%19*m:])
 		}
 	}
 	return g
@@ -57,27 +53,35 @@ func newADIGrid(rank, nranks, m int, seed float64) *adiGrid {
 // each row): per component, u = 0.9*u + 0.05*left + 0.001 forward, then
 // u -= 0.04*right backward. Components never mix and rows are independent,
 // so each recurrence carries its neighbour in a register and rows go in
-// pairs as two dependency chains.
+// fours as four dependency chains. A short last group repeats its last row:
+// the chains run in step, so they read the same values and store the same
+// results.
 func (g *adiGrid) xSweep(k int, flopsPerCell float64) float64 {
 	m := g.m
 	n := adiNX * m
-	for j := 0; j < g.rows; j += 2 {
-		a := g.u[k][j*n : (j+1)*n]
-		b := a // an odd last row pairs with itself: both chains agree
-		if j+1 < g.rows {
-			b = g.u[k][(j+1)*n : (j+2)*n]
-		}
-		for c := 0; c < m; c++ {
-			pa, pb := a[c], b[c]
-			for x := c + m; x < n; x += m {
+	u := g.u[k]
+	row := func(j int) []float64 {
+		j = min(j, g.rows-1)
+		return u[j*n : (j+1)*n]
+	}
+	for j := 0; j < g.rows; j += 4 {
+		a, b, c, d := row(j), row(j+1), row(j+2), row(j+3)
+		b, c, d = b[:len(a)], c[:len(a)], d[:len(a)]
+		for s := 0; s < m; s++ {
+			pa, pb, pc, pd := a[s], b[s], c[s], d[s]
+			for x := s + m; x < len(a); x += m {
 				pa = 0.9*a[x] + 0.05*pa + 0.001
 				pb = 0.9*b[x] + 0.05*pb + 0.001
-				a[x], b[x] = pa, pb
+				pc = 0.9*c[x] + 0.05*pc + 0.001
+				pd = 0.9*d[x] + 0.05*pd + 0.001
+				a[x], b[x], c[x], d[x] = pa, pb, pc, pd
 			}
-			for x := n - 2*m + c; x >= 0; x -= m {
+			for x := n - 2*m + s; x >= 0; x -= m {
 				pa = a[x] - 0.04*pa
 				pb = b[x] - 0.04*pb
-				a[x], b[x] = pa, pb
+				pc = c[x] - 0.04*pc
+				pd = d[x] - 0.04*pd
+				a[x], b[x], c[x], d[x] = pa, pb, pc, pd
 			}
 		}
 	}
@@ -88,46 +92,42 @@ func (g *adiGrid) xSweep(k int, flopsPerCell float64) float64 {
 // global row jlo-1 (zeros at the boundary).
 func (g *adiGrid) yForward(k int, halo []float64) float64 {
 	u := g.u[k]
-	m := g.m
-	stride := adiNX * m
+	stride := adiNX * g.m
+	below := halo
 	for j := 0; j < g.rows; j++ {
-		var below []float64
-		if j == 0 {
-			below = halo
-		} else {
-			below = u[(j-1)*stride : j*stride]
+		row := u[j*stride : (j+1)*stride]
+		below = below[:len(row)]
+		for x := range row {
+			row[x] = 0.92*row[x] + 0.04*below[x] + 0.0002
 		}
-		for x := 0; x < stride; x++ {
-			u[j*stride+x] = 0.92*u[j*stride+x] + 0.04*below[x] + 0.0002
-		}
+		below = row
 	}
-	return float64(g.rows*adiNX*m) * 3
+	return float64(g.rows*stride) * 3
 }
 
 // yBackward applies the back substitution along y; halo is global row jhi.
 func (g *adiGrid) yBackward(k int, halo []float64) float64 {
 	u := g.u[k]
-	m := g.m
-	stride := adiNX * m
+	stride := adiNX * g.m
+	above := halo
 	for j := g.rows - 1; j >= 0; j-- {
-		var above []float64
-		if j == g.rows-1 {
-			above = halo
-		} else {
-			above = u[(j+1)*stride : (j+2)*stride]
+		row := u[j*stride : (j+1)*stride]
+		above = above[:len(row)]
+		for x := range row {
+			row[x] -= 0.03 * above[x]
 		}
-		for x := 0; x < stride; x++ {
-			u[j*stride+x] -= 0.03 * above[x]
-		}
+		above = row
 	}
-	return float64(g.rows*adiNX*m) * 2
+	return float64(g.rows*stride) * 2
 }
 
 // zSweep is the local z-direction recurrence across planes.
 func (g *adiGrid) zSweep() float64 {
 	for k := 1; k < adiNZ; k++ {
-		for x := range g.u[k] {
-			g.u[k][x] = 0.94*g.u[k][x] + 0.03*g.u[k-1][x]
+		cur := g.u[k]
+		prev := g.u[k-1][:len(cur)]
+		for x := range cur {
+			cur[x] = 0.94*cur[x] + 0.03*prev[x]
 		}
 	}
 	return float64((adiNZ - 1) * g.rows * adiNX * g.m * 3)

@@ -15,19 +15,20 @@ const (
 	cgIters = 12
 )
 
-// cgMatvec computes y = A x for the symmetric banded test matrix
+// cgMatvecDot computes y = A x for the symmetric banded test matrix
 //
 //	A[i][i] = 2.5 + (i mod 7) * 0.01,  A[i][i±band] = -1
 //
-// over global rows [lo, hi). x must cover [lo-band, hi+band) clamped to the
-// domain, indexed so that x[i-lo+band] is global element i.
-func cgMatvec(y, x []float64, lo, hi int) float64 {
+// over global rows [lo, hi), and the dot product of x's owned window with
+// y, accumulated in cgDot's order. x must cover [lo-band, hi+band) clamped
+// to the domain, indexed so that x[i-lo+band] is global element i.
+func cgMatvecDot(y, x []float64, lo, hi int) (dot, flops float64) {
 	a := min(max(lo, cgBand), hi)    // rows [lo, a) lack x[i-band]
 	b := max(min(hi, cgN-cgBand), a) // rows [b, hi) lack x[i+band]
-	cgRows(y[:a-lo], cgZeros, x[cgBand:], x[2*cgBand:], lo)
-	cgRows(y[a-lo:b-lo], x[a-lo:], x[a-lo+cgBand:], x[a-lo+2*cgBand:], a)
-	cgRows(y[b-lo:hi-lo], x[b-lo:], x[b-lo+cgBand:], cgZeros, b)
-	return float64(hi-lo) * 6
+	dot = cgRows(y[:a-lo], cgZeros, x[cgBand:], x[2*cgBand:], lo, 0)
+	dot = cgRows(y[a-lo:b-lo], x[a-lo:], x[a-lo+cgBand:], x[a-lo+2*cgBand:], a, dot)
+	dot = cgRows(y[b-lo:hi-lo], x[b-lo:], x[b-lo+cgBand:], cgZeros, b, dot)
+	return dot, float64(hi-lo) * 6
 }
 
 // cgZeros stands in for a missing neighbour: v - 0 is v exactly, so a row
@@ -35,9 +36,10 @@ func cgMatvec(y, x []float64, lo, hi int) float64 {
 var cgZeros = make([]float64, cgBand)
 
 // cgRows sets y[j] = (diag*xc[j] - xl[j]) - xr[j] for global rows row,
-// row+1, ... The diagonal repeats every 7 rows, so it runs blocks of 7 rows
-// against a table rotated to row: no branch or bounds check inside a block.
-func cgRows(y, xl, xc, xr []float64, row int) {
+// row+1, ... and returns dot + the sum of xc[j]*y[j], added in row order.
+// The diagonal repeats every 7 rows, so it runs blocks of 7 rows against a
+// table rotated to row: no branch or bounds check inside a block.
+func cgRows(y, xl, xc, xr []float64, row int, dot float64) float64 {
 	var d [7]float64
 	for k := range d {
 		d[k] = 2.5 + float64((row+k)%7)*0.01
@@ -47,20 +49,27 @@ func cgRows(y, xl, xc, xr []float64, row int) {
 		y7, l7, c7, r7 := (*[7]float64)(y), (*[7]float64)(xl), (*[7]float64)(xc), (*[7]float64)(xr)
 		for k := range y7 {
 			y7[k] = d[k]*c7[k] - l7[k] - r7[k]
+			dot += c7[k] * y7[k]
 		}
 	}
 	for k := range y {
 		y[k] = d[k]*xc[k] - xl[k] - xr[k]
+		dot += xc[k] * y[k]
 	}
+	return dot
 }
 
-// cgUpdate applies x += alpha*d and r -= alpha*q; x and d are owned windows.
-func cgUpdate(x, r, d, q []float64, alpha float64) {
+// cgUpdateDot applies x += alpha*d and r -= alpha*q, and returns r·r
+// accumulated in cgDot's order; x and d are owned windows.
+func cgUpdateDot(x, r, d, q []float64, alpha float64) float64 {
 	r, d, q = r[:len(x)], d[:len(x)], q[:len(x)]
+	rr := 0.0
 	for i := range x {
 		x[i] += alpha * d[i]
 		r[i] -= alpha * q[i]
+		rr += r[i] * r[i]
 	}
+	return rr
 }
 
 // cgDirection sets d = r + beta*d; d is an owned window.
@@ -129,15 +138,15 @@ func CG() Kernel {
 		rho = allreduce1(rho)
 		for it := 0; it < cgIters; it++ {
 			exchangeHalo(d)
-			fl = cgMatvec(q, d, lo, hi)
+			// The dot products ride in the loops that produce q and r; their
+			// flops are still charged apart, as separate steps.
+			dq, fl := cgMatvecDot(q, d, lo, hi)
 			env.Compute(p, fl)
-			dq, fl2 := cgDot(d[cgBand:cgBand+rows], q)
-			env.Compute(p, fl2)
+			env.Compute(p, float64(2*rows))
 			alpha := rho / allreduce1(dq)
-			cgUpdate(x[cgBand:cgBand+rows], r, d[cgBand:cgBand+rows], q, alpha)
+			rhoNew := cgUpdateDot(x[cgBand:cgBand+rows], r, d[cgBand:cgBand+rows], q, alpha)
 			env.Compute(p, float64(4*rows))
-			rhoNew, fl3 := cgDot(r, r)
-			env.Compute(p, fl3)
+			env.Compute(p, float64(2*rows))
 			rhoNew = allreduce1(rhoNew)
 			beta := rhoNew / rho
 			rho = rhoNew
@@ -162,11 +171,9 @@ func CG() Kernel {
 			}
 			rho, _ := cgDot(r, r)
 			for it := 0; it < cgIters; it++ {
-				cgMatvec(q, d, 0, cgN)
-				dq, _ := cgDot(d[cgBand:cgBand+cgN], q)
+				dq, _ := cgMatvecDot(q, d, 0, cgN)
 				alpha := rho / dq
-				cgUpdate(x[cgBand:cgBand+cgN], r, d[cgBand:cgBand+cgN], q, alpha)
-				rhoNew, _ := cgDot(r, r)
+				rhoNew := cgUpdateDot(x[cgBand:cgBand+cgN], r, d[cgBand:cgBand+cgN], q, alpha)
 				beta := rhoNew / rho
 				rho = rhoNew
 				cgDirection(d[cgBand:cgBand+cgN], r, beta)

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// plainCGMatvec is cgMatvec written one row at a time, testing both
+// plainCGMatvec is cgMatvecDot's product written one row at a time, testing both
 // neighbours against the domain on every row. It exists only here: the
 // kernel's split matvec must match it bit for bit on any row range.
 func plainCGMatvec(y, x []float64, lo, hi int) {
@@ -48,14 +48,45 @@ func TestCGMatvecMatchesPlainLoop(t *testing.T) {
 		// the matvec must never read into y.
 		x := field(hi-lo+2*cgBand, uint64(lo*31+hi))
 		got, want := field(hi-lo, 1), field(hi-lo, 1)
-		cgMatvec(got, x, lo, hi)
+		cgMatvecDot(got, x, lo, hi)
 		plainCGMatvec(want, x, lo, hi)
 		sameBits(t, fmt.Sprintf("rows [%d, %d)", lo, hi), got, want)
 	}
 }
 
+// TestCGFusedDotsMatchSeparateLoops holds the dot products folded into the
+// matvec and the update to cgDot over the vectors the plain loops produce,
+// bit for bit, on every rank's rows for 1, 2, 4, 8 and 16 ranks.
+func TestCGFusedDotsMatchSeparateLoops(t *testing.T) {
+	for _, nr := range []int{1, 2, 4, 8, 16} {
+		rows := cgN / nr
+		for rank := 0; rank < nr; rank++ {
+			lo, hi := rank*rows, (rank+1)*rows
+			what := fmt.Sprintf("%d ranks, rows [%d, %d)", nr, lo, hi)
+			x := field(rows+2*cgBand, uint64(lo*31+hi))
+			q, want := make([]float64, rows), make([]float64, rows)
+			dq, _ := cgMatvecDot(q, x, lo, hi)
+			plainCGMatvec(want, x, lo, hi)
+			wantDQ, _ := cgDot(x[cgBand:cgBand+rows], want)
+			sameBits(t, what+": d·q", []float64{dq}, []float64{wantDQ})
+
+			xs, r, d := field(rows, 3), field(rows, 4), field(rows, 5)
+			xs2, r2 := append([]float64(nil), xs...), append([]float64(nil), r...)
+			rr := cgUpdateDot(xs, r, d, q, 0.37)
+			for i := range xs2 {
+				xs2[i] += 0.37 * d[i]
+				r2[i] -= 0.37 * q[i]
+			}
+			wantRR, _ := cgDot(r2, r2)
+			sameBits(t, what+": x", xs, xs2)
+			sameBits(t, what+": r", r, r2)
+			sameBits(t, what+": r·r", []float64{rr}, []float64{wantRR})
+		}
+	}
+}
+
 // BenchmarkCGMatvec is one whole-domain product, as the serial reference
-// computes it, against the one-row loop it replaced.
+// computes it (with its fused d·q), against the one-row loop it replaced.
 func BenchmarkCGMatvec(b *testing.B) {
 	x := field(cgN+2*cgBand, 7)
 	y := make([]float64, cgN)
@@ -63,7 +94,7 @@ func BenchmarkCGMatvec(b *testing.B) {
 		name string
 		mv   func(y, x []float64, lo, hi int)
 	}{
-		{"split", func(y, x []float64, lo, hi int) { cgMatvec(y, x, lo, hi) }},
+		{"split", func(y, x []float64, lo, hi int) { cgMatvecDot(y, x, lo, hi) }},
 		{"plain", plainCGMatvec},
 	} {
 		b.Run(c.name, func(b *testing.B) {

@@ -1,6 +1,7 @@
 package nas
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -153,5 +154,88 @@ func TestSerialChecksumsStable(t *testing.T) {
 		if math.IsNaN(a) || math.IsInf(a, 0) {
 			t.Fatalf("%s serial checksum is %g", k.Name, a)
 		}
+	}
+}
+
+// recurrenceFFT is fft with its twiddles computed inline by the cwr, cwi
+// recurrence, restarted for every block. It exists only here: the planned
+// transform must match it bit for bit.
+func recurrenceFFT(data []float64, inverse bool) {
+	n := len(data) / 2
+	for i, j := 1, 0; i < n; i++ {
+		bit := n >> 1
+		for ; j&bit != 0; bit >>= 1 {
+			j ^= bit
+		}
+		j ^= bit
+		if i < j {
+			data[2*i], data[2*j] = data[2*j], data[2*i]
+			data[2*i+1], data[2*j+1] = data[2*j+1], data[2*i+1]
+		}
+	}
+	sign := -1.0
+	if inverse {
+		sign = 1.0
+	}
+	for length := 2; length <= n; length <<= 1 {
+		ang := sign * 2 * math.Pi / float64(length)
+		wr, wi := math.Cos(ang), math.Sin(ang)
+		for start := 0; start < n; start += length {
+			cwr, cwi := 1.0, 0.0
+			for k := 0; k < length/2; k++ {
+				a, b := start+k, start+k+length/2
+				ur, ui := data[2*a], data[2*a+1]
+				vr := data[2*b]*cwr - data[2*b+1]*cwi
+				vi := data[2*b]*cwi + data[2*b+1]*cwr
+				data[2*a], data[2*a+1] = ur+vr, ui+vi
+				data[2*b], data[2*b+1] = ur-vr, ui-vi
+				cwr, cwi = cwr*wr-cwi*wi, cwr*wi+cwi*wr
+			}
+		}
+	}
+	if inverse {
+		inv := 1 / float64(n)
+		for i := range data {
+			data[i] *= inv
+		}
+	}
+}
+
+// TestFFTMatchesRecurrence holds the planned transform to the inline
+// recurrence bit for bit, for every power of two up to 256, both ways.
+func TestFFTMatchesRecurrence(t *testing.T) {
+	for n := 1; n <= 256; n *= 2 {
+		for _, inverse := range []bool{false, true} {
+			data := field(2*n, uint64(n)*3+1)
+			want := append([]float64(nil), data...)
+			fft(data, inverse)
+			recurrenceFFT(want, inverse)
+			sameBits(t, fmt.Sprintf("n=%d inverse=%v", n, inverse), data, want)
+		}
+	}
+}
+
+// TestFFTPlanZeroAlloc: once its plan is built, a transform allocates
+// nothing.
+func TestFFTPlanZeroAlloc(t *testing.T) {
+	data := field(2*ftN, 5)
+	fft(data, false)
+	if a := testing.AllocsPerRun(100, func() { fft(data, false); fft(data, true) }); a != 0 {
+		t.Fatalf("planned fft allocates %v objects per forward+inverse pair", a)
+	}
+}
+
+// BenchmarkFFT times one forward transform, planned and inline-recurrence.
+func BenchmarkFFT(b *testing.B) {
+	data := field(2*ftN, 9)
+	for _, c := range []struct {
+		name string
+		fn   func([]float64, bool)
+	}{{"128", fft}, {"recurrence_128", recurrenceFFT}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.fn(data, false)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package nas
 
 import (
+	"encoding/binary"
 	"math"
 
 	"splapi/internal/mpi"
@@ -68,7 +69,8 @@ func ftChecksum(rows []float64, rlo, rhi int) float64 {
 
 // ftTranspose redistributes the row-distributed matrix to its transpose via
 // Alltoall: rank r sends the block of columns owned by rank q and locally
-// transposes each received block.
+// transposes each received block. Blocks are encoded straight into the send
+// bytes and decoded straight from the received ones.
 func ftTranspose(p *sim.Proc, env *Env, rows []float64, nrows int) {
 	w := env.W
 	nr := w.Size()
@@ -76,35 +78,31 @@ func ftTranspose(p *sim.Proc, env *Env, rows []float64, nrows int) {
 	blockBytes := blockElems * 16
 	send := make([]byte, nr*blockBytes)
 	for q := 0; q < nr; q++ {
-		// Block destined to rank q: columns [q*nrows, (q+1)*nrows).
-		blk := make([]float64, blockElems*2)
+		// Block destined to rank q: columns [q*nrows, (q+1)*nrows), row by
+		// row.
+		blk := send[q*blockBytes : (q+1)*blockBytes]
 		for r := 0; r < nrows; r++ {
-			for c := 0; c < nrows; c++ {
-				src := (r*ftN + q*nrows + c) * 2
-				dst := (r*nrows + c) * 2
-				blk[dst] = rows[src]
-				blk[dst+1] = rows[src+1]
+			src := rows[(r*ftN+q*nrows)*2 : (r*ftN+(q+1)*nrows)*2]
+			out := blk[r*nrows*16 : (r+1)*nrows*16]
+			for i, v := range src {
+				binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
 			}
 		}
-		copy(send[q*blockBytes:], mpi.Float64Slice(blk))
 	}
 	env.Compute(p, float64(nr*blockElems)*2)
 	recv := make([]byte, nr*blockBytes)
 	w.Alltoall(p, send, recv, blockBytes)
-	// Reassemble transposed: block from rank q provides columns of the
-	// original, i.e. rows [q*nrows..] of the transpose... laid out so that
-	// new row r holds old column (rlo + r).
-	blk := make([]float64, blockElems*2)
+	// Reassemble transposed: element (row q*nrows+r of the original, our
+	// column c) of the block from rank q lands at transpose position
+	// (c, q*nrows+r), so new row c holds old column rlo+c.
 	for q := 0; q < nr; q++ {
-		mpi.PutFloat64Slice(blk, recv[q*blockBytes:(q+1)*blockBytes])
+		blk := recv[q*blockBytes : (q+1)*blockBytes]
 		for r := 0; r < nrows; r++ {
+			in := blk[r*nrows*16 : (r+1)*nrows*16]
 			for c := 0; c < nrows; c++ {
-				// Element (row q*nrows+r of original, our column c) lands
-				// at transpose position (c, q*nrows+r).
 				dst := (c*ftN + q*nrows + r) * 2
-				src := (r*nrows + c) * 2
-				rows[dst] = blk[src]
-				rows[dst+1] = blk[src+1]
+				rows[dst] = math.Float64frombits(binary.LittleEndian.Uint64(in[16*c:]))
+				rows[dst+1] = math.Float64frombits(binary.LittleEndian.Uint64(in[16*c+8:]))
 			}
 		}
 	}

@@ -31,17 +31,17 @@ type luGrid struct {
 func newLUGrid(rank, nranks int) *luGrid {
 	rows := luNY / nranks
 	g := &luGrid{rows: rows, jlo: rank * rows, haloBottom: make([]float64, luNX), haloTop: make([]float64, luNX)}
+	// Cell (k, j, i) holds ((k+jlo+j+i) % 17) * 0.1, so the row whose first
+	// cell has residue r is the pattern from r on.
+	var pat [luNX + 17]float64
+	for x := range pat {
+		pat[x] = float64(x%17) * 0.1
+	}
 	g.u = make([][]float64, luNZ)
 	for k := range g.u {
 		g.u[k] = make([]float64, rows*luNX)
 		for j := 0; j < rows; j++ {
-			r := (k + g.jlo + j) % 17 // (k+jlo+j+i) % 17 as a running residue
-			for x := j * luNX; x < (j+1)*luNX; x++ {
-				g.u[k][x] = float64(r) * 0.1
-				if r++; r == 17 {
-					r = 0
-				}
-			}
+			copy(g.u[k][j*luNX:(j+1)*luNX], pat[(k+g.jlo+j)%17:])
 		}
 	}
 	return g
@@ -50,31 +50,54 @@ func newLUGrid(rank, nranks int) *luGrid {
 // row is row j of plane k.
 func (g *luGrid) row(k, j int) *[luNX]float64 { return (*[luNX]float64)(g.u[k][j*luNX:]) }
 
+// rows4 returns the four rows j, j+dj, j+2dj, j+3dj of plane k; rows
+// outside the block are the throwaway rows of spare.
+func (g *luGrid) rows4(k, j, dj int, spare *[3][luNX]float64) (r [4]*[luNX]float64) {
+	for c := range r {
+		if jc := j + c*dj; jc >= 0 && jc < g.rows {
+			r[c] = g.row(k, jc)
+		} else {
+			r[c] = &spare[c-1]
+		}
+	}
+	return r
+}
+
+// lower and upper are the LU sweeps' element updates over final neighbours.
+func lower(u, below, left float64) float64  { return 0.96*u + 0.02*(below+left) + 0.001 }
+func upper(u, above, right float64) float64 { return 0.96*u + 0.02*(above+right) - 0.0005 }
+
 // luLower applies the lower-triangular SSOR sweep to plane k of the block.
 // halo is global row jlo-1 of the plane (zeros at the domain boundary).
-// Each element is 0.96*u + 0.02*(below+left) + 0.001 over final neighbours.
-// Rows go in pairs as two dependency chains, the upper one a column behind
-// (element (j+1, i-1) needs only (j, i-1) and (j+1, i-2)), and each chain
-// carries its left neighbour in a register.
+// Element (j, i) needs only final (j-1, i) and (j, i-1), so rows go in
+// fours as four dependency chains, each one column behind the row below it
+// and carrying its left neighbour in a register. Every step advances all
+// chains from the previous step's values, then stores. A short last group
+// runs its missing rows as throwaway rows.
 func (g *luGrid) luLower(k int, halo []float64) float64 {
 	below := (*[luNX]float64)(halo)
-	var spare [luNX]float64 // an odd last row pairs with a throwaway row
-	for j := 0; j < g.rows; j += 2 {
-		r0, r1 := g.row(k, j), &spare
-		if j+1 < g.rows {
-			r1 = g.row(k, j+1)
+	var spare [3][luNX]float64
+	const e = luNX - 1
+	for j := 0; j < g.rows; j += 4 {
+		r := g.rows4(k, j, 1, &spare)
+		r0, r1, r2, r3 := r[0], r[1], r[2], r[3]
+		l0, l1, l2, l3 := 0.0, 0.0, 0.0, 0.0
+		l0 = lower(r0[0], below[0], l0)
+		r0[0] = l0
+		l1, l0 = lower(r1[0], l0, l1), lower(r0[1], below[1], l0)
+		r1[0], r0[1] = l1, l0
+		l2, l1, l0 = lower(r2[0], l1, l2), lower(r1[1], l0, l1), lower(r0[2], below[2], l0)
+		r2[0], r1[1], r0[2] = l2, l1, l0
+		for i := 3; i < luNX; i++ {
+			l3, l2, l1, l0 = lower(r3[i-3], l2, l3), lower(r2[i-2], l1, l2), lower(r1[i-1], l0, l1), lower(r0[i], below[i], l0)
+			r3[i-3], r2[i-2], r1[i-1], r0[i] = l3, l2, l1, l0
 		}
-		l0, l1 := 0.0, 0.0
-		for i := 0; i < luNX; i++ {
-			if i > 0 {
-				l1 = 0.96*r1[i-1] + 0.02*(l0+l1) + 0.001
-				r1[i-1] = l1
-			}
-			l0 = 0.96*r0[i] + 0.02*(below[i]+l0) + 0.001
-			r0[i] = l0
-		}
-		r1[luNX-1] = 0.96*r1[luNX-1] + 0.02*(l0+l1) + 0.001
-		below = r1
+		l3, l2, l1 = lower(r3[e-2], l2, l3), lower(r2[e-1], l1, l2), lower(r1[e], l0, l1)
+		r3[e-2], r2[e-1], r1[e] = l3, l2, l1
+		l3, l2 = lower(r3[e-1], l2, l3), lower(r2[e], l1, l2)
+		r3[e-1], r2[e] = l3, l2
+		r3[e] = lower(r3[e], l2, l3)
+		below = r3
 	}
 	return float64(g.rows * luNX * 5)
 }
@@ -83,23 +106,28 @@ func (g *luGrid) luLower(k int, halo []float64) float64 {
 // is 0.96*u + 0.02*(above+right) - 0.0005; halo is global row jhi.
 func (g *luGrid) luUpper(k int, halo []float64) float64 {
 	above := (*[luNX]float64)(halo)
-	var spare [luNX]float64
-	for j := g.rows - 1; j >= 0; j -= 2 {
-		r0, r1 := g.row(k, j), &spare
-		if j > 0 {
-			r1 = g.row(k, j-1)
+	var spare [3][luNX]float64
+	const e = luNX - 1
+	for j := g.rows - 1; j >= 0; j -= 4 {
+		r := g.rows4(k, j, -1, &spare)
+		r0, r1, r2, r3 := r[0], r[1], r[2], r[3]
+		l0, l1, l2, l3 := 0.0, 0.0, 0.0, 0.0
+		l0 = upper(r0[e], above[e], l0)
+		r0[e] = l0
+		l1, l0 = upper(r1[e], l0, l1), upper(r0[e-1], above[e-1], l0)
+		r1[e], r0[e-1] = l1, l0
+		l2, l1, l0 = upper(r2[e], l1, l2), upper(r1[e-1], l0, l1), upper(r0[e-2], above[e-2], l0)
+		r2[e], r1[e-1], r0[e-2] = l2, l1, l0
+		for i := e - 3; i >= 0; i-- {
+			l3, l2, l1, l0 = upper(r3[i+3], l2, l3), upper(r2[i+2], l1, l2), upper(r1[i+1], l0, l1), upper(r0[i], above[i], l0)
+			r3[i+3], r2[i+2], r1[i+1], r0[i] = l3, l2, l1, l0
 		}
-		l0, l1 := 0.0, 0.0
-		for i := luNX - 1; i >= 0; i-- {
-			if i < luNX-1 {
-				l1 = 0.96*r1[i+1] + 0.02*(l0+l1) - 0.0005
-				r1[i+1] = l1
-			}
-			l0 = 0.96*r0[i] + 0.02*(above[i]+l0) - 0.0005
-			r0[i] = l0
-		}
-		r1[0] = 0.96*r1[0] + 0.02*(l0+l1) - 0.0005
-		above = r1
+		l3, l2, l1 = upper(r3[2], l2, l3), upper(r2[1], l1, l2), upper(r1[0], l0, l1)
+		r3[2], r2[1], r1[0] = l3, l2, l1
+		l3, l2 = upper(r3[1], l2, l3), upper(r2[0], l1, l2)
+		r3[1], r2[0] = l3, l2
+		r3[0] = upper(r3[0], l2, l3)
+		above = r3
 	}
 	return float64(g.rows * luNX * 5)
 }

@@ -17,9 +17,9 @@ const (
 // mgSmooth performs one weighted-Jacobi sweep of the 1D Poisson operator
 // on u over interior global indices [lo, hi), reading the halo cells
 // u[0] (global lo-1) and u[len-1] (global hi). Arrays carry one halo cell
-// on each side.
-func mgSmooth(u, f []float64, gn int, lo, hi int) float64 {
-	prev := append([]float64(nil), u...)
+// on each side. prev is scratch of u's length that receives the old u.
+func mgSmooth(u, prev, f []float64, gn int, lo, hi int) float64 {
+	copy(prev, u)
 	for i := lo; i < hi; i++ {
 		j := i - lo + 1
 		l, r := prev[j-1], prev[j+1]
@@ -56,6 +56,8 @@ type mgGrid struct {
 	gn     int // global points at this level
 	lo, hi int // this rank's rows
 	u, f   []float64
+	prev   []float64 // mgSmooth's copy of u
+	r      []float64 // the residual
 }
 
 // MG runs V-cycles of a 1D multigrid solver. Its communication is halo
@@ -87,7 +89,9 @@ func MG() Kernel {
 			rows := gn / nr
 			g := &mgGrid{gn: gn, lo: w.Rank() * rows, hi: (w.Rank() + 1) * rows}
 			g.u = make([]float64, rows+2)
+			g.prev = make([]float64, rows+2)
 			g.f = make([]float64, rows)
+			g.r = make([]float64, rows)
 			grids[l] = g
 		}
 		for i := range grids[0].f {
@@ -100,10 +104,10 @@ func MG() Kernel {
 				g := grids[l]
 				for s := 0; s < mgSweeps; s++ {
 					exchange(p, env, g.u, g.lo, g.hi, g.gn)
-					env.Compute(p, mgSmooth(g.u, g.f, g.gn, g.lo, g.hi))
+					env.Compute(p, mgSmooth(g.u, g.prev, g.f, g.gn, g.lo, g.hi))
 				}
 				exchange(p, env, g.u, g.lo, g.hi, g.gn)
-				r := make([]float64, g.hi-g.lo)
+				r := g.r
 				env.Compute(p, mgResidual(r, g.u, g.f, g.gn, g.lo, g.hi))
 				// Full-weighting restriction to the next level (local:
 				// each rank's block halves in place).
@@ -120,7 +124,7 @@ func MG() Kernel {
 			g := grids[mgLevels-1]
 			for s := 0; s < 8; s++ {
 				exchange(p, env, g.u, g.lo, g.hi, g.gn)
-				env.Compute(p, mgSmooth(g.u, g.f, g.gn, g.lo, g.hi))
+				env.Compute(p, mgSmooth(g.u, g.prev, g.f, g.gn, g.lo, g.hi))
 			}
 			// Ascend: prolongate (local) and smooth.
 			for l := mgLevels - 2; l >= 0; l-- {
@@ -133,14 +137,14 @@ func MG() Kernel {
 				env.Compute(p, float64(cg.hi-cg.lo)*2)
 				for s := 0; s < mgSweeps; s++ {
 					exchange(p, env, g.u, g.lo, g.hi, g.gn)
-					env.Compute(p, mgSmooth(g.u, g.f, g.gn, g.lo, g.hi))
+					env.Compute(p, mgSmooth(g.u, g.prev, g.f, g.gn, g.lo, g.hi))
 				}
 			}
 		}
 		// Checksum: global residual norm on the fine grid.
 		g := grids[0]
 		exchange(p, env, g.u, g.lo, g.hi, g.gn)
-		r := make([]float64, g.hi-g.lo)
+		r := g.r
 		env.Compute(p, mgResidual(r, g.u, g.f, g.gn, g.lo, g.hi))
 		sum := 0.0
 		for _, v := range r {
@@ -158,13 +162,14 @@ func MG() Kernel {
 		Run:  run,
 		Serial: func() float64 {
 			type grid struct {
-				gn   int
-				u, f []float64
+				gn            int
+				u, f, prev, r []float64
 			}
 			grids := make([]*grid, mgLevels)
 			for l := 0; l < mgLevels; l++ {
 				gn := mgN >> l
-				grids[l] = &grid{gn: gn, u: make([]float64, gn+2), f: make([]float64, gn)}
+				grids[l] = &grid{gn: gn, u: make([]float64, gn+2), f: make([]float64, gn),
+					prev: make([]float64, gn+2), r: make([]float64, gn)}
 			}
 			for i := range grids[0].f {
 				grids[0].f[i] = float64(i%11) * 0.05
@@ -173,9 +178,9 @@ func MG() Kernel {
 				for l := 0; l < mgLevels-1; l++ {
 					g := grids[l]
 					for s := 0; s < mgSweeps; s++ {
-						mgSmooth(g.u, g.f, g.gn, 0, g.gn)
+						mgSmooth(g.u, g.prev, g.f, g.gn, 0, g.gn)
 					}
-					r := make([]float64, g.gn)
+					r := g.r
 					mgResidual(r, g.u, g.f, g.gn, 0, g.gn)
 					cg := grids[l+1]
 					for i := range cg.f {
@@ -187,7 +192,7 @@ func MG() Kernel {
 				}
 				g := grids[mgLevels-1]
 				for s := 0; s < 8; s++ {
-					mgSmooth(g.u, g.f, g.gn, 0, g.gn)
+					mgSmooth(g.u, g.prev, g.f, g.gn, 0, g.gn)
 				}
 				for l := mgLevels - 2; l >= 0; l-- {
 					g := grids[l]
@@ -197,12 +202,12 @@ func MG() Kernel {
 						g.u[2*i+2] += cg.u[i+1]
 					}
 					for s := 0; s < mgSweeps; s++ {
-						mgSmooth(g.u, g.f, g.gn, 0, g.gn)
+						mgSmooth(g.u, g.prev, g.f, g.gn, 0, g.gn)
 					}
 				}
 			}
 			g := grids[0]
-			r := make([]float64, g.gn)
+			r := g.r
 			mgResidual(r, g.u, g.f, g.gn, 0, g.gn)
 			sum := 0.0
 			for _, v := range r {

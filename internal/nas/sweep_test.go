@@ -81,21 +81,21 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 }
 
 // TestSweepsMatchPlainLoops runs the LU and ADI x sweeps against the plain
-// loops on row counts that exercise the paired rows and the odd-row tail:
-// with four ranks every block has 16 rows, so the kernels never reach the
-// tail themselves.
+// loops on row counts that exercise every remainder of the four-row groups
+// (1 to 9) and a whole and a ragged 16-row block: with four ranks every
+// block has 16 rows, so the kernels never reach a short group themselves.
 func TestSweepsMatchPlainLoops(t *testing.T) {
-	for _, rows := range []int{1, 2, 3, 16, 17} {
+	for _, rows := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17} {
 		u := field(rows*luNX, uint64(rows))
 		halo := field(luNX, 99)
 		a := &luGrid{u: [][]float64{u}, rows: rows}
 		b := &luGrid{u: [][]float64{append([]float64(nil), u...)}, rows: rows}
 		a.luLower(0, halo)
 		plainLULower(b, 0, halo)
-		sameBits(t, "luLower", a.u[0], b.u[0])
+		sameBits(t, "luLower rows="+strconv.Itoa(rows), a.u[0], b.u[0])
 		a.luUpper(0, halo)
 		plainLUUpper(b, 0, halo)
-		sameBits(t, "luUpper", a.u[0], b.u[0])
+		sameBits(t, "luUpper rows="+strconv.Itoa(rows), a.u[0], b.u[0])
 
 		for _, m := range []int{1, 5} {
 			u := field(rows*adiNX*m, uint64(100*m+rows))
@@ -103,33 +103,55 @@ func TestSweepsMatchPlainLoops(t *testing.T) {
 			b := &adiGrid{m: m, u: [][]float64{append([]float64(nil), u...)}, rows: rows}
 			a.xSweep(0, 1)
 			plainXSweep(b, 0)
-			sameBits(t, "xSweep", a.u[0], b.u[0])
+			sameBits(t, "xSweep m="+strconv.Itoa(m)+" rows="+strconv.Itoa(rows), a.u[0], b.u[0])
 		}
 	}
 }
 
 var sink float64
 
-// BenchmarkLUSweeps times one lower and one upper sweep of a 16-row plane,
-// the block one LU rank owns.
-func BenchmarkLUSweeps(b *testing.B) {
+// BenchmarkLUSweep times the lower and the upper sweep of a 16-row plane,
+// the block one LU rank owns, and the lower sweep as the plain loop.
+func BenchmarkLUSweep(b *testing.B) {
 	g := newLUGrid(1, luRanks)
 	halo := make([]float64, luNX)
-	for n := 0; n < b.N; n++ {
-		sink += g.luLower(0, halo) + g.luUpper(0, halo)
-	}
+	b.Run("lower", func(b *testing.B) {
+		for n := 0; n < b.N; n++ {
+			sink += g.luLower(0, halo)
+		}
+	})
+	b.Run("upper", func(b *testing.B) {
+		for n := 0; n < b.N; n++ {
+			sink += g.luUpper(0, halo)
+		}
+	})
+	b.Run("plain_lower", func(b *testing.B) {
+		for n := 0; n < b.N; n++ {
+			plainLULower(g, 0, halo)
+		}
+	})
 }
 
-// BenchmarkXSweep times the x-direction line solve of one 16-row plane for
-// SP (m=1) and BT (m=5).
-func BenchmarkXSweep(b *testing.B) {
+// BenchmarkADISweep times the x, y and z sweeps of one rank's grid for SP
+// (m=1) and BT (m=5): x and y over one 16-row plane, z over all planes.
+func BenchmarkADISweep(b *testing.B) {
 	for _, m := range []int{1, 5} {
-		b.Run("m="+strconv.Itoa(m), func(b *testing.B) {
-			g := newADIGrid(1, adiRanks, m, 0.02)
-			for n := 0; n < b.N; n++ {
-				sink += g.xSweep(0, 1)
-			}
-		})
+		g := newADIGrid(1, adiRanks, m, 0.02)
+		halo := make([]float64, adiNX*m)
+		for _, c := range []struct {
+			name  string
+			sweep func() float64
+		}{
+			{"x", func() float64 { return g.xSweep(0, 1) }},
+			{"y", func() float64 { return g.yForward(0, halo) + g.yBackward(0, halo) }},
+			{"z", g.zSweep},
+		} {
+			b.Run(c.name+"/m="+strconv.Itoa(m), func(b *testing.B) {
+				for n := 0; n < b.N; n++ {
+					sink += c.sweep()
+				}
+			})
+		}
 	}
 }
 
