@@ -1,11 +1,13 @@
 // Command simlint runs the determinism-invariant analyzer suite over the
-// repository (see internal/simlint). It is part of the tier-1 verify line:
+// repository (see internal/simlint), test files included. It is part of
+// the tier-1 verify line:
 //
 //	go run ./cmd/simlint ./...
 //
 // All requested packages are loaded into a single program before any
 // analyzer runs, so interprocedural effect summaries (handlerctx) cross
-// package boundaries exactly as the call graph does.
+// package boundaries exactly as the call graph does. -run names a subset
+// of the analyzers and -list prints them.
 //
 // Exit status:
 //
@@ -14,14 +16,9 @@
 //	2  load or type-check errors
 //	3  no findings, but stale //simlint:allow directives (unused, or
 //	   naming an unknown analyzer) — dead waivers must be deleted
-//
-// With -json the diagnostics are emitted as a JSON array on stdout so the
-// sweep tooling and CI can consume them; stale directives still go to
-// stderr.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -31,17 +28,15 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
-	tests := flag.Bool("tests", true, "also analyze _test.go files")
 	run := flag.String("run", "", "comma-separated subset of analyzers to run (default: all)")
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: simlint [flags] [packages]\n\n"+
 			"Runs the determinism-invariant analyzers over the given package\n"+
-			"patterns (default ./...). Suppress an intentional finding with a\n"+
-			"//simlint:allow <analyzer> <reason> directive on the same line or\n"+
-			"the line above. Exit status: 0 clean, 1 findings, 2 load errors,\n"+
-			"3 stale allow directives.\n\nFlags:\n")
+			"patterns (default ./...), test files included. Suppress an\n"+
+			"intentional finding with a //simlint:allow <analyzer> <reason>\n"+
+			"directive on the same line or the line above. Exit status: 0 clean,\n"+
+			"1 findings, 2 load errors, 3 stale allow directives.\n\nFlags:\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -80,7 +75,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "simlint: %v\n", err)
 		os.Exit(2)
 	}
-	ld.IncludeTests = *tests
 
 	dirs, err := simlint.Expand(patterns)
 	if err != nil {
@@ -100,23 +94,11 @@ func main() {
 		units = append(units, us...)
 	}
 	diags, stale := simlint.RunUnits(units, analyzers)
-	if diags == nil {
-		diags = []simlint.Diagnostic{}
-	}
 	simlint.Sort(diags)
 	simlint.SortStale(stale)
 
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(diags); err != nil {
-			fmt.Fprintf(os.Stderr, "simlint: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	for _, s := range stale {
 		fmt.Fprintln(os.Stderr, s)
@@ -126,9 +108,7 @@ func main() {
 	case loadFailed:
 		os.Exit(2)
 	case len(diags) > 0:
-		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "simlint: %d finding(s)\n", len(diags))
-		}
+		fmt.Fprintf(os.Stderr, "simlint: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	case len(stale) > 0:
 		fmt.Fprintf(os.Stderr, "simlint: %d stale allow directive(s)\n", len(stale))

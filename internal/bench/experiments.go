@@ -75,20 +75,6 @@ const (
 	HigherIsBetter Direction = "higher-better"
 )
 
-// DirectionForUnit maps the unit of an experiment that declares no
-// direction onto one when the sweep harness runs it. Unknown units are an
-// error: silently guessing a direction is how a msgs/s experiment would
-// have its regressions waved through.
-func DirectionForUnit(unit string) (Direction, error) {
-	switch unit {
-	case "us", "ns", "ms", "s":
-		return LowerIsBetter, nil
-	case "MB/s", "GB/s", "msgs/s", "ops/s":
-		return HigherIsBetter, nil
-	}
-	return "", fmt.Errorf("bench: unit %q has no known regression direction; declare Direction on the experiment", unit)
-}
-
 // ParseDirection validates a direction string from an artifact.
 func ParseDirection(s string) (Direction, error) {
 	switch Direction(s) {
@@ -104,8 +90,7 @@ type Experiment struct {
 	Title string
 	Unit  string
 	// Direction declares the harmful movement for the metric; the sweep
-	// harness persists it (filling it from DirectionForUnit when empty)
-	// and the regression gate requires it.
+	// harness requires it and persists it, and the regression gate reads it.
 	Direction Direction
 	Cells     []Cell
 }

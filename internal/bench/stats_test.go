@@ -143,22 +143,6 @@ func TestSignTestCoverageWidths(t *testing.T) {
 	}
 }
 
-func TestDirectionForUnit(t *testing.T) {
-	if d, err := DirectionForUnit("us"); err != nil || d != LowerIsBetter {
-		t.Fatalf("us: %v, %v", d, err)
-	}
-	if d, err := DirectionForUnit("MB/s"); err != nil || d != HigherIsBetter {
-		t.Fatalf("MB/s: %v, %v", d, err)
-	}
-	// Unknown units fail loudly: no silent higher-is-worse default.
-	if _, err := DirectionForUnit("frobs/fortnight"); err == nil {
-		t.Fatal("unknown unit should be an error")
-	}
-	if _, err := ParseDirection("sideways"); err == nil {
-		t.Fatal("unknown direction should be an error")
-	}
-}
-
 // TestBootstrapWithinRange: property over assorted samples — the interval
 // is inside [min, max], ordered, and contains the median.
 func TestBootstrapWithinRange(t *testing.T) {

@@ -47,8 +47,9 @@ type Request struct {
 
 	Seeds    int   `json:"seeds,omitempty"`
 	BaseSeed int64 `json:"baseSeed,omitempty"`
-	// Faults is a fault-plan spec (faults.Parse grammar). The digest is
-	// computed over the *parsed* plan, so equivalent spellings share a
+	// Faults is a fault-plan spec in the faults.Parse grammar, less its
+	// @file spelling: a service opens no file a client names. The digest
+	// is computed over the *parsed* plan, so equivalent spellings share a
 	// cache entry.
 	Faults string `json:"faults,omitempty"`
 }
@@ -90,10 +91,13 @@ func Canonicalize(req Request) (Request, error) {
 	if _, err := (sweep.Options{Seeds: req.Seeds}).Validate(); err != nil {
 		return req, err
 	}
+	req.Faults = strings.TrimSpace(req.Faults)
+	if strings.HasPrefix(req.Faults, "@") {
+		return req, fmt.Errorf("campaign: faults %q: a campaign names a preset or a uniform: spec; @file plans are read only by the command-line tools", req.Faults)
+	}
 	if _, err := faults.Parse(req.Faults); err != nil {
 		return req, err
 	}
-	req.Faults = strings.TrimSpace(req.Faults)
 	if req.Seeds <= 0 {
 		req.Seeds = 1
 	}
@@ -124,8 +128,8 @@ func Digest(req Request, code string) (string, error) {
 	// The fault-plan spec digests as its parsed plan: the JSON round-trip
 	// is the canonical form (omitted selectors default to -1 on the way
 	// in, field order is fixed by the struct on the way out), so two
-	// spellings of one plan — a preset name, an @file with explicit -1s,
-	// an equivalent inline uniform spec — share a digest.
+	// spellings of one plan — "uniform" and "none", or "uniform:drop=0.01"
+	// and "uniform:drop=1e-2,dup=0" — share a digest.
 	if req.Faults != "" {
 		p, err := faults.Parse(req.Faults)
 		if err != nil {

@@ -1,13 +1,6 @@
 package campaign
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-
-	"splapi/internal/faults"
-)
+import "testing"
 
 const testCode = "v1.2.3-g0123abc"
 
@@ -20,58 +13,6 @@ func mustDigest(t *testing.T, req Request) string {
 	return d
 }
 
-// planFile writes a plan as JSON and returns the @file spec for it.
-func planFile(t *testing.T, name string, content string) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), name)
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return "@" + path
-}
-
-// Two fault-plan spellings that parse to semantically equal plans after
-// the JSON round-trip must produce the same digest: the cache is
-// addressed by what the fabric will do, not by how the request spelled
-// it. The @file plan below omits the selector fields (they default to
-// -1 = match anything) while the preset spells them out.
-func TestDigestCanonicalizesFaultPlans(t *testing.T) {
-	preset, ok := faults.Preset("burst-loss")
-	if !ok {
-		t.Fatal("preset burst-loss missing")
-	}
-	data, err := json.Marshal(preset)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := Request{Kind: Sweep, Experiment: "fig10", Seeds: 2}
-
-	viaPreset := base
-	viaPreset.Faults = "burst-loss"
-	viaFile := base
-	viaFile.Faults = planFile(t, "burst.json", string(data))
-
-	if d1, d2 := mustDigest(t, viaPreset), mustDigest(t, viaFile); d1 != d2 {
-		t.Fatalf("preset and round-tripped @file plan digests differ:\n  %s\n  %s", d1, d2)
-	}
-}
-
-// A plan whose rules omit the selector fields must digest identically to
-// one that writes the -1 defaults out: UnmarshalJSON canonicalizes both
-// to the same Plan value.
-func TestDigestOmittedSelectorsEqualExplicit(t *testing.T) {
-	implicit := planFile(t, "implicit.json",
-		`{"name":"p","rules":[{"kind":"drop","prob":0.5}]}`)
-	explicit := planFile(t, "explicit.json",
-		`{"name":"p","rules":[{"kind":"drop","prob":0.5,"src":-1,"dst":-1,"route":-1}]}`)
-	base := Request{Kind: Sweep, Experiment: "fig10", Seeds: 2}
-	a, b := base, base
-	a.Faults, b.Faults = implicit, explicit
-	if d1, d2 := mustDigest(t, a), mustDigest(t, b); d1 != d2 {
-		t.Fatalf("omitted-selector and explicit-selector plans digest differently:\n  %s\n  %s", d1, d2)
-	}
-}
-
 // Default spellings normalize: an omitted seeds/baseSeed field is the
 // same request as the explicit default.
 func TestDigestNormalizesDefaults(t *testing.T) {
@@ -79,6 +20,14 @@ func TestDigestNormalizesDefaults(t *testing.T) {
 	explicit := Request{Kind: Sweep, Experiment: "fig10", Seeds: 1, BaseSeed: 1}
 	if d1, d2 := mustDigest(t, implicit), mustDigest(t, explicit); d1 != d2 {
 		t.Fatalf("default and explicit-default requests digest differently:\n  %s\n  %s", d1, d2)
+	}
+	// A fault plan digests as the plan it parses to, not as its spelling.
+	for _, pair := range [][2]string{{"uniform", "none"}, {"uniform:drop=0.01", " uniform:drop=1e-2,dup=0"}} {
+		a, b := implicit, implicit
+		a.Faults, b.Faults = pair[0], pair[1]
+		if d1, d2 := mustDigest(t, a), mustDigest(t, b); d1 != d2 {
+			t.Errorf("fault specs %q and %q digest differently:\n  %s\n  %s", pair[0], pair[1], d1, d2)
+		}
 	}
 }
 
@@ -109,24 +58,9 @@ func TestDigestPerturbationSensitivity(t *testing.T) {
 	r.Faults = ""
 	perturb["clean fabric"] = r
 
-	// A drop-burst perturbation inside an @file plan: same rule, longer
-	// burst window.
-	shortBurst, err := json.Marshal(faults.Plan{Name: "b", Rules: []faults.Rule{
-		{Kind: faults.Drop, From: 0, Until: 1000, Period: 2000, Src: -1, Dst: -1, Route: -1, Prob: 0.5}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	longBurst, err := json.Marshal(faults.Plan{Name: "b", Rules: []faults.Rule{
-		{Kind: faults.Drop, From: 0, Until: 1500, Period: 2000, Src: -1, Dst: -1, Route: -1, Prob: 0.5}}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	r = base
-	r.Faults = planFile(t, "short.json", string(shortBurst))
-	perturb["short burst"] = r
-	rb := base
-	rb.Faults = planFile(t, "long.json", string(longBurst))
-	perturb["long burst"] = rb
+	r.Faults = "uniform:dup=0.001"
+	perturb["uniform kind"] = r
 
 	seen := map[string]string{"": "base"}
 	_ = d0
@@ -172,6 +106,7 @@ func TestCanonicalizeRejectsContradictions(t *testing.T) {
 		{Kind: Sweep, Experiment: "no-such-exp"},
 		{Kind: Sweep, Experiment: "fig10", Seeds: -1},
 		{Kind: Sweep, Experiment: "fig10", Faults: "no-such-plan"},
+		{Kind: Sweep, Experiment: "fig10", Faults: "@/etc/hostname"},
 	}
 	for _, req := range bad {
 		if _, err := Canonicalize(req); err == nil {

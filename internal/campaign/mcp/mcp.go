@@ -122,7 +122,7 @@ func (s *Server) tools() []toolDef {
 				"experiment": str("experiment id (see list_experiments)"),
 				"seeds":      num("repetitions per cell (default 1)"),
 				"baseSeed":   num("base seed perturbing every derived seed (default 1)"),
-				"faults":     str("fault-plan spec: preset name, uniform:drop=..., or @file.json"),
+				"faults":     str("fault-plan spec: preset name or uniform:drop=P,dup=P,corrupt=P (no @file)"),
 			}, "kind", "experiment"),
 		},
 		{

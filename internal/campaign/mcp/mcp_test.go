@@ -214,6 +214,7 @@ func TestSubmitCampaignRejects(t *testing.T) {
 		{`{"kind":"sweep","experiment":"fig10","seed":2}`, `"seed"`},
 		{`{"kind":"sweep","experiment":"fig10","seedsMax":8}`, `"seedsMax"`},
 		{`{"kind":"sweep","experiment":"fig10","relCIPct":2}`, `"relCIPct"`},
+		{`{"kind":"sweep","experiment":"fig10","faults":"@/etc"}`, `@file plans are read only by the command-line tools`},
 	}
 	var input []string
 	for i, tc := range cases {

@@ -242,6 +242,7 @@ func TestSubmitRejectsContradictions(t *testing.T) {
 		{"chaos plans field", `{"kind":"sweep","experiment":"fig10","plans":["burst-loss"]}`, http.StatusBadRequest, `"plans"`},
 		{"trace series field", `{"kind":"sweep","experiment":"fig10","series":"RAW LAPI"}`, http.StatusBadRequest, `"series"`},
 		{"trace seed field", `{"kind":"sweep","experiment":"fig10","seed":2}`, http.StatusBadRequest, `"seed"`},
+		{"fault plan file", `{"kind":"sweep","experiment":"fig10","faults":"@/etc/hostname"}`, http.StatusUnprocessableEntity, "@file plans are read only by the command-line tools"},
 	} {
 		resp, err := ts.Client().Post(ts.URL+"/v1/campaigns?wait=1", "application/json", strings.NewReader(tc.body))
 		if err != nil {

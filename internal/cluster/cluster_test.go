@@ -9,17 +9,19 @@ import (
 )
 
 func TestStackStrings(t *testing.T) {
-	want := map[Stack]string{
-		Native:       "native",
-		LAPIBase:     "mpi-lapi-base",
-		LAPICounters: "mpi-lapi-counters",
-		LAPIEnhanced: "mpi-lapi-enhanced",
-		RDMA:         "rdma",
-		RawLAPI:      "raw-lapi",
-	}
-	for s, w := range want {
-		if s.String() != w {
-			t.Errorf("Stack(%q).String() = %q, want %q", string(s), s.String(), w)
+	for _, c := range []struct {
+		s    Stack
+		want string
+	}{
+		{Native, "native"},
+		{LAPIBase, "mpi-lapi-base"},
+		{LAPICounters, "mpi-lapi-counters"},
+		{LAPIEnhanced, "mpi-lapi-enhanced"},
+		{RDMA, "rdma"},
+		{RawLAPI, "raw-lapi"},
+	} {
+		if c.s.String() != c.want {
+			t.Errorf("Stack(%q).String() = %q, want %q", string(c.s), c.s.String(), c.want)
 		}
 	}
 }

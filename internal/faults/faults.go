@@ -19,7 +19,7 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"sort"
+	"strconv"
 	"strings"
 
 	"splapi/internal/sim"
@@ -179,8 +179,20 @@ func uniformPlan(drop, dup, corrupt float64) Plan {
 //	              — always-on uniform probabilities (keys optional)
 //	"burst-loss"  — a named preset (see Presets)
 //	"@plan.json"  — a Plan unmarshalled from a JSON file
+//
+// Every spelling's plan must pass validate.
 func Parse(spec string) (Plan, error) {
-	spec = strings.TrimSpace(spec)
+	p, err := parse(strings.TrimSpace(spec))
+	if err != nil {
+		return Plan{}, err
+	}
+	if err := p.validate(); err != nil {
+		return Plan{}, err
+	}
+	return p, nil
+}
+
+func parse(spec string) (Plan, error) {
 	switch {
 	case spec == "" || spec == "none":
 		return Plan{}, nil
@@ -205,12 +217,11 @@ func Parse(spec string) (Plan, error) {
 			if !ok {
 				return Plan{}, fmt.Errorf("faults: uniform spec needs key=value, got %q", kv)
 			}
-			var f float64
-			if _, err := fmt.Sscanf(v, "%g", &f); err != nil {
-				return Plan{}, fmt.Errorf("faults: bad probability %q: %w", kv, err)
-			}
-			if f < 0 || f > 1 {
-				return Plan{}, fmt.Errorf("faults: probability %q outside [0,1]", kv)
+			// A probability outside [0,1] must fail here: uniformPlan
+			// drops a rule whose probability is not positive.
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil || !(f >= 0 && f <= 1) {
+				return Plan{}, fmt.Errorf("faults: probability %q is not a number in [0,1]", kv)
 			}
 			switch k {
 			case "drop":
@@ -233,18 +244,42 @@ func Parse(spec string) (Plan, error) {
 	}
 }
 
+// validate rejects a plan the injector would read as something else: a
+// kind NewInjector does not know (it would ignore the rule), a probability
+// that is not a number in [0,1], or a selector below -1 (which would match
+// nothing).
+func (p Plan) validate() error {
+	for i, r := range p.Rules {
+		switch r.Kind {
+		case Drop, Dup, Corrupt, LinkDown, Stall:
+		default:
+			return fmt.Errorf("faults: rule %d: unknown kind %q (want drop, dup, corrupt, linkdown, stall)", i, r.Kind)
+		}
+		if !(r.Prob >= 0 && r.Prob <= 1) {
+			return fmt.Errorf("faults: rule %d: probability %v is not a number in [0,1]", i, r.Prob)
+		}
+		if r.Src < -1 || r.Dst < -1 || r.Route < -1 {
+			return fmt.Errorf("faults: rule %d: selectors src %d, dst %d, route %d: each must be -1 (any) or an index", i, r.Src, r.Dst, r.Route)
+		}
+	}
+	return nil
+}
+
 // Preset returns the named preset plan.
 func Preset(name string) (Plan, bool) {
-	p, ok := presets[name]
-	return p, ok
+	for _, p := range presets {
+		if p.Name == name {
+			return p, true
+		}
+	}
+	return Plan{}, false
 }
 
 // PresetNames lists the available preset plans, sorted.
 func PresetNames() []string {
-	names := make([]string, 0, len(presets))
-	for n := range presets {
-		names = append(names, n)
+	names := make([]string, len(presets))
+	for i, p := range presets {
+		names[i] = p.Name
 	}
-	sort.Strings(names)
 	return names
 }

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"splapi/internal/sim"
@@ -110,6 +112,9 @@ func TestParse(t *testing.T) {
 		t.Error("unknown preset accepted")
 	}
 
+	if names := PresetNames(); !slices.IsSorted(names) || len(names) != 4 {
+		t.Errorf("PresetNames() = %v, want the four presets sorted", names)
+	}
 	for _, name := range PresetNames() {
 		p, err := Parse(name)
 		if err != nil || p.Empty() {
@@ -130,6 +135,75 @@ func TestParse(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("@file plan differs:\n  got  %+v\n  want %+v", got, want)
 	}
+}
+
+// misreadSpecs are specs Parse must reject: each once parsed to a plan
+// that meant something else (the clean fabric, a truncated probability)
+// or to a rule the injector would silently ignore.
+var misreadSpecs = []string{
+	"uniform:drop=NaN",
+	"uniform:drop=0.01xyz",
+	"uniform:dup=-0.5",
+	"uniform:corrupt=Inf",
+}
+
+// misreadFiles are @file plans Parse must reject, for the same reasons.
+var misreadFiles = []string{
+	`{"rules":[{"kind":"drop","prob":7}]}`,
+	`{"rules":[{"kind":"drop","prob":-0.1}]}`,
+	`{"rules":[{"kind":"bogus","prob":0.5}]}`,
+	`{"rules":[{"kind":"stall","dst":-2}]}`,
+	`{"rules":[{"kind":"linkdown","route":-3}]}`,
+}
+
+func TestParseRejectsMisreadPlans(t *testing.T) {
+	for _, spec := range misreadSpecs {
+		if p, err := Parse(spec); err == nil {
+			t.Errorf("Parse(%q) accepted %+v", spec, p)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "plan.json")
+	for _, plan := range misreadFiles {
+		if err := os.WriteFile(path, []byte(plan), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if p, err := Parse("@" + path); err == nil {
+			t.Errorf("@file %s accepted as %+v", plan, p)
+		}
+	}
+}
+
+// FuzzParse: whatever Parse accepts from a flag spec is a valid plan that
+// round-trips through JSON unchanged. @file specs are left out: the fuzzer
+// must not open files.
+func FuzzParse(f *testing.F) {
+	for _, spec := range append(append(PresetNames(), misreadSpecs...),
+		"", "none", "uniform", "uniform:drop=0.01,dup=0.005,corrupt=0.001", "uniform:drop=1") {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		if strings.HasPrefix(strings.TrimSpace(spec), "@") {
+			return
+		}
+		p, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		if err := p.validate(); err != nil {
+			t.Fatalf("Parse(%q) accepted an invalid plan: %v", spec, err)
+		}
+		data, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Plan
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, p) {
+			t.Fatalf("Parse(%q) = %+v, JSON round trip %+v", spec, p, back)
+		}
+	})
 }
 
 func TestInjectorNilFastPath(t *testing.T) {

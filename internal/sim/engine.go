@@ -37,7 +37,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"sort"
 )
 
 // Time is virtual simulation time in nanoseconds.
@@ -144,11 +143,13 @@ type Engine struct {
 	executed uint64 // events run so far, over all Runs (Sleep's fast path counts too)
 	switches uint64 // coroutine switches, for tests
 	eventQueue
-	hand    *Proc // named by a proc yielding to the proc that entered it: the one due
-	seed    int64
-	rng     *rand.Rand         // built from seed by the first Rand call; nil until then
-	procs   map[*Proc]struct{} // live (spawned, not finished) processes
-	parked  int                // how many of them are parked on a primitive
+	hand *Proc // named by a proc yielding to the proc that entered it: the one due
+	seed int64
+	rng  *rand.Rand // built from seed by the first Rand call; nil until then
+	// procs lists the live (spawned, not finished) processes in spawn
+	// order, which is ascending id.
+	procs   procList
+	parked  int // how many of them are parked on a primitive
 	running bool
 	procSeq int
 	stopped bool // Stop was called; Run drains no further events
@@ -171,8 +172,7 @@ type Engine struct {
 // seed is read nowhere but Rand.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		seed:  seed,
-		procs: make(map[*Proc]struct{}),
+		seed: seed,
 	}
 }
 
@@ -424,7 +424,7 @@ func (e *Engine) shutdown(returned bool) {
 		e.procPanic = nil
 		panic(r)
 	}
-	if returned && e.empty() && len(e.procs) == 0 {
+	if returned && e.empty() && e.procs.n == 0 {
 		e.handOff()
 	}
 }
@@ -575,38 +575,66 @@ func (e *Engine) unparked(p *Proc) {
 }
 
 // killAll enters every parked process with the killed flag set so its
-// coroutine unwinds (see Proc.yield) and ends. Kill order is ascending proc
-// id; unwinding code may park again, so the scan repeats until no process
-// is parked.
+// coroutine unwinds (see Proc.yield) and ends. It walks the live list, so
+// the kill order is ascending proc id; unwinding code may park again, so
+// the walk repeats until no process is parked.
 func (e *Engine) killAll() {
-	var order []*Proc
 	for e.parked > 0 {
-		order = order[:0]
-		for q := range e.procs {
-			if q.parked {
-				order = append(order, q)
+		killed := false
+		for p := e.procs.head; p != nil; {
+			next := p.nextLive // p unlinks itself if it ends
+			if p.parked {
+				e.unparked(p)
+				p.killed = true
+				e.enter(p)
+				killed = true
 			}
+			p = next
 		}
-		if len(order) == 0 {
+		if !killed {
 			panic("sim: parked count out of step with the process table")
 		}
-		sort.Slice(order, func(i, j int) bool { return order[i].id < order[j].id })
-		for _, p := range order {
-			if !p.parked {
-				continue
-			}
-			e.unparked(p)
-			p.killed = true
-			e.enter(p)
-		}
 	}
+}
+
+// procList is the intrusive list of live processes. Spawn appends and a
+// process unlinks itself when it ends, so the list stays in spawn order.
+type procList struct {
+	head, tail *Proc
+	n          int
+}
+
+func (l *procList) push(p *Proc) {
+	p.prevLive = l.tail
+	if l.tail == nil {
+		l.head = p
+	} else {
+		l.tail.nextLive = p
+	}
+	l.tail = p
+	l.n++
+}
+
+func (l *procList) remove(p *Proc) {
+	if p.prevLive == nil {
+		l.head = p.nextLive
+	} else {
+		p.prevLive.nextLive = p.nextLive
+	}
+	if p.nextLive == nil {
+		l.tail = p.prevLive
+	} else {
+		p.nextLive.prevLive = p.prevLive
+	}
+	p.prevLive, p.nextLive = nil, nil
+	l.n--
 }
 
 // Idle reports whether no events are pending.
 func (e *Engine) Idle() bool { return e.empty() }
 
 // LiveProcs returns the number of spawned processes that have not finished.
-func (e *Engine) LiveProcs() int { return len(e.procs) }
+func (e *Engine) LiveProcs() int { return e.procs.n }
 
 // BlockedProcs returns the number of processes parked on a primitive.
 func (e *Engine) BlockedProcs() int { return e.parked }
@@ -631,6 +659,8 @@ type Proc struct {
 	// killed process's stale entry is harmless, as killAll ends the Run.
 	w      waiter
 	onExit []func()
+	// prevLive and nextLive link it into the engine's live list.
+	prevLive, nextLive *Proc
 }
 
 // Spawn creates a process named name running fn, starting at the current
@@ -638,7 +668,7 @@ type Proc struct {
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{eng: e, name: name, id: e.procSeq, fn: fn}
 	e.procSeq++
-	e.procs[p] = struct{}{}
+	e.procs.push(p)
 	e.schedule(e.now, evStart, nil, p)
 	return p
 }
@@ -656,7 +686,7 @@ func (p *Proc) run() {
 			}
 		}
 		p.done = true
-		delete(e.procs, p)
+		e.procs.remove(p)
 		for i := len(p.onExit) - 1; i >= 0; i-- {
 			p.onExit[i]()
 		}

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // The Timer handle pins nothing: once its event fires or is cancelled the
 // slot returns to the free stack and may be reused by an unrelated event,
@@ -133,5 +136,43 @@ func TestKillAllManyProcs(t *testing.T) {
 		if got != i {
 			t.Fatalf("kill order broke at %d: got proc %d (want ascending spawn order)", i, got)
 		}
+	}
+}
+
+// TestKillOrderAfterOutOfOrderExits: processes that end in an order other
+// than spawn order leave the live list in ascending id, so shutdown still
+// kills the parked rest in ascending id. A process spawned after the exits
+// is killed last, and one whose unwinding parks again is killed once more
+// after the first pass.
+func TestKillOrderAfterOutOfOrderExits(t *testing.T) {
+	e := NewEngine(1)
+	var c Cond
+	var killed []int
+	exitAt := [8]Time{5: 1, 1: 2, 6: 3} // 0: parks until killed
+	for i := 0; i < 8; i++ {
+		e.Spawn("p", func(p *Proc) {
+			if exitAt[i] > 0 {
+				p.Sleep(exitAt[i])
+				return
+			}
+			p.OnExit(func() { killed = append(killed, i) })
+			if i == 3 {
+				defer c.Wait(p) // the unwinding parks again
+			}
+			c.Wait(p)
+		})
+	}
+	e.At(4, func() {
+		e.Spawn("late", func(p *Proc) {
+			p.OnExit(func() { killed = append(killed, 8) })
+			c.Wait(p)
+		})
+	})
+	e.Run(0)
+	if want := []int{0, 2, 4, 7, 8, 3}; !reflect.DeepEqual(killed, want) {
+		t.Fatalf("kill order %v, want %v", killed, want)
+	}
+	if e.LiveProcs() != 0 || e.BlockedProcs() != 0 {
+		t.Fatalf("LiveProcs = %d, BlockedProcs = %d after Run, want 0, 0", e.LiveProcs(), e.BlockedProcs())
 	}
 }

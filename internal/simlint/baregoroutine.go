@@ -1,6 +1,9 @@
 package simlint
 
-import "go/ast"
+import (
+	"go/ast"
+	"path"
+)
 
 // Baregoroutine forbids `go` statements in simulation packages. The sim
 // kernel multiplexes all simulated control flow over a single token (one
@@ -28,7 +31,7 @@ func baregoroutineRun(pass *Pass) {
 		})
 	}
 	for id, obj := range pass.Unit.Info.Uses {
-		if obj.Pkg() != nil && obj.Pkg().Path() == "iter" && (obj.Name() == "Pull" || obj.Name() == "Pull2") && lastPathElem(pass.Unit.Path) != "sim" {
+		if obj.Pkg() != nil && obj.Pkg().Path() == "iter" && (obj.Name() == "Pull" || obj.Name() == "Pull2") && path.Base(pass.Unit.Path) != "sim" {
 			pass.Reportf(id.Pos(), "iter.%s in a simulation package: a coroutine is a goroutine the Proc scheduler does not own; use sim.Engine.Spawn", obj.Name())
 		}
 	}

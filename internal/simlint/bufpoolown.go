@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path"
 )
 
 // Bufpoolown enforces payload ownership within each function. In every
@@ -298,7 +299,7 @@ func (w *bpWalker) method(e ast.Expr, pkg, recv string) (string, *ast.CallExpr) 
 		return "", nil
 	}
 	fn, ok := w.info.Uses[se.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || lastPathElem(fn.Pkg().Path()) != pkg {
+	if !ok || fn.Pkg() == nil || path.Base(fn.Pkg().Path()) != pkg {
 		return "", nil
 	}
 	sig, ok := fn.Type().(*types.Signature)

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path"
 	"path/filepath"
 	"sort"
 )
@@ -236,7 +237,7 @@ func displayOfKey(key string) string {
 
 func displayLit(u *Unit, lit *ast.FuncLit) string {
 	p := u.Fset.Position(lit.Pos())
-	return fmt.Sprintf("%s.func@%s:%d", lastPathElem(u.Path), filepath.Base(p.Filename), p.Line)
+	return fmt.Sprintf("%s.func@%s:%d", path.Base(u.Path), filepath.Base(p.Filename), p.Line)
 }
 
 // scanBody collects the direct effects and call edges of one function
@@ -330,7 +331,7 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 func primKeyOf(fn *types.Func) primKey {
 	pk := primKey{name: fn.Name()}
 	if fn.Pkg() != nil {
-		pk.pkg = lastPathElem(fn.Pkg().Path())
+		pk.pkg = path.Base(fn.Pkg().Path())
 	}
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 		pk.recv = recvTypeName(sig)

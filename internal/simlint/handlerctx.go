@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path"
 	"strings"
 )
 
@@ -214,7 +215,7 @@ func handlerType(t types.Type) (cmpl, ok bool) {
 		return false, false
 	}
 	obj := n.Obj()
-	if obj.Pkg() == nil || lastPathElem(obj.Pkg().Path()) != "lapi" {
+	if obj.Pkg() == nil || path.Base(obj.Pkg().Path()) != "lapi" {
 		return false, false
 	}
 	switch obj.Name() {

@@ -49,16 +49,14 @@ func (u *Unit) RelFile(filename string) string {
 // resolved from the module tree itself and standard-library imports are
 // type-checked from GOROOT source (importer.ForCompiler "source"). The
 // repository has no third-party dependencies, so the two sources cover
-// every import.
+// every import. Test files are analyzed too: in-package test files are
+// type-checked together with the package, and an external foo_test
+// package becomes a unit of its own.
 //
 // A Loader is not safe for concurrent use.
 type Loader struct {
 	ModuleDir  string
 	ModulePath string
-	// IncludeTests also analyzes _test.go files: in-package test files are
-	// type-checked together with the package, external foo_test packages
-	// become their own unit.
-	IncludeTests bool
 
 	fset      *token.FileSet
 	std       types.Importer
@@ -190,9 +188,8 @@ func hasGoFiles(dir string) bool {
 }
 
 // LoadDir loads the package in dir, which must be inside the module. It
-// returns one unit for the package itself (plus in-package test files when
-// IncludeTests is set) and, when present and requested, a second unit for
-// the external _test package.
+// returns one unit for the package with its in-package test files and,
+// when present, a second unit for the external _test package.
 func (ld *Loader) LoadDir(dir string) ([]*Unit, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
@@ -226,18 +223,14 @@ func (ld *Loader) loadUnits(dir, path string) ([]*Unit, error) {
 		return nil, err
 	}
 	var units []*Unit
-	files := nonTest
-	if ld.IncludeTests {
-		files = append(append([]*ast.File(nil), nonTest...), inTest...)
-	}
-	if len(files) > 0 {
+	if files := append(nonTest, inTest...); len(files) > 0 {
 		u, err := ld.check(dir, path, files)
 		if err != nil {
 			return nil, err
 		}
 		units = append(units, u)
 	}
-	if ld.IncludeTests && len(extTest) > 0 {
+	if len(extTest) > 0 {
 		xld := ld
 		if len(inTest) > 0 && len(units) > 0 {
 			xld = ld.testVariant(path, units[0].Pkg)

@@ -37,7 +37,6 @@ func TestExternalTestSeesExportHooks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ld.IncludeTests = true
 	// c first, so that b and a sit in the dependency cache without the hook.
 	for _, dir := range []string{"c", "a", "b"} {
 		units, err := ld.LoadDir(filepath.Join(root, dir))

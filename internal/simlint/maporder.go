@@ -5,175 +5,41 @@ import (
 	"go/types"
 )
 
-// simSchedNames are the sim-package methods that schedule or wake work.
-// Calling one inside a map iteration makes the event schedule depend on Go
-// map order, which varies run to run.
-var simSchedNames = map[string]bool{
-	"At":        true,
-	"After":     true,
-	"Spawn":     true,
-	"Signal":    true,
-	"Broadcast": true,
-	"Put":       true,
-	"Wake":      true,
-}
-
-// packetSendNames are method names that inject traffic; order of injection
-// is order of delivery contention, so it must not come from map iteration.
-var packetSendNames = map[string]bool{
-	"Send":   true,
-	"Inject": true,
-}
-
-// Maporder flags `range` over a map whose body has order-dependent effects:
-// scheduling events (Engine.At/After/Spawn, Cond.Signal/Broadcast, ...),
-// sending packets, sending on a channel, or appending to a slice declared
-// outside the loop (unless that slice is subsequently sorted in the same
-// function, the collect-then-sort idiom). Go randomizes map iteration
-// order, so any of these leaks host randomness into the virtual-time
-// schedule.
+// Maporder bans map iteration in simulation packages, test files included:
+// every `range` over a map-typed expression and every use of a maps
+// function that visits a map in Go's order. Go randomizes that order, so a
+// map walk in simulated code is one edit away from feeding host entropy
+// into the event schedule. A ban is simpler to hold than a judgement of
+// which loop bodies are order-free, and the simulated packages need no map
+// walk: what they iterate, they keep in a slice.
 var Maporder = &Analyzer{
 	Name:      "maporder",
-	Doc:       "forbid map iteration that schedules events, sends packets, or builds ordered slices",
+	Doc:       "forbid map iteration (range over a map, maps.Keys/Values/All/DeleteFunc/EqualFunc) in simulation packages",
 	AppliesTo: InSimDomain,
 	Run:       maporderRun,
 }
 
+// mapWalkers are the maps functions that visit a map in Go's order: the
+// three iterators, and the two that call back per entry.
+var mapWalkers = map[string]bool{"Keys": true, "Values": true, "All": true, "DeleteFunc": true, "EqualFunc": true}
+
 func maporderRun(pass *Pass) {
-	for _, file := range pass.Unit.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				rng, ok := n.(*ast.RangeStmt)
-				if !ok {
-					return true
-				}
-				tv, ok := pass.Unit.Info.Types[rng.X]
-				if !ok {
-					return true
-				}
-				if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-					return true
-				}
-				if reason := mapOrderEffect(pass, rng, fd.Body); reason != "" {
-					pass.Reportf(rng.For,
-						"iteration over map %s %s: map order would leak into the event schedule; iterate over sorted keys or use a slice",
-						types.ExprString(rng.X), reason)
-				}
-				return true
-			})
-		}
-	}
-}
-
-// mapOrderEffect returns a description of the first order-dependent effect
-// in the range body, or "" if the body is order-insensitive.
-func mapOrderEffect(pass *Pass, rng *ast.RangeStmt, funcBody *ast.BlockStmt) string {
 	info := pass.Unit.Info
-	reason := ""
-	ast.Inspect(rng.Body, func(n ast.Node) bool {
-		if reason != "" {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.SendStmt:
-			reason = "sends on a channel in its body"
-		case *ast.CallExpr:
-			se, ok := n.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			fn, ok := info.Uses[se.Sel].(*types.Func)
-			if !ok {
-				return true
-			}
-			sig, ok := fn.Type().(*types.Signature)
-			if !ok || sig.Recv() == nil {
-				return true
-			}
-			if simSchedNames[fn.Name()] && fn.Pkg() != nil && lastPathElem(fn.Pkg().Path()) == "sim" {
-				reason = "schedules events (sim " + fn.Name() + ") in its body"
-			} else if packetSendNames[fn.Name()] {
-				reason = "sends packets (" + fn.Name() + ") in its body"
-			}
-		case *ast.AssignStmt:
-			for i, rhs := range n.Rhs {
-				call, ok := rhs.(*ast.CallExpr)
-				if !ok || i >= len(n.Lhs) {
-					continue
+	for _, file := range pass.Unit.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.RangeStmt:
+				if tv, ok := info.Types[n.X]; ok {
+					if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+						pass.Reportf(n.For, "range over map %s: map order is random; keep the entries in a slice", types.ExprString(n.X))
+					}
 				}
-				id, ok := call.Fun.(*ast.Ident)
-				if !ok {
-					continue
-				}
-				if b, ok := info.Uses[id].(*types.Builtin); !ok || b.Name() != "append" {
-					continue
-				}
-				lhs, ok := n.Lhs[i].(*ast.Ident)
-				if !ok {
-					continue
-				}
-				obj := info.Uses[lhs]
-				if obj == nil {
-					obj = info.Defs[lhs]
-				}
-				// Only accumulation into a slice that outlives the loop is
-				// order-dependent.
-				if obj == nil || (obj.Pos() >= rng.Pos() && obj.Pos() < rng.End()) {
-					continue
-				}
-				if !sortedAfter(info, funcBody, obj, rng) {
-					reason = "accumulates into slice " + lhs.Name + " in its body"
+			case *ast.SelectorExpr:
+				if fn, ok := info.Uses[n.Sel].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "maps" && mapWalkers[fn.Name()] {
+					pass.Reportf(n.Pos(), "maps.%s walks a map: map order is random; keep the entries in a slice", fn.Name())
 				}
 			}
-		}
-		return reason == ""
-	})
-	return reason
-}
-
-// sortedAfter reports whether obj is passed to a sort/slices call after pos
-// in the function body — the collect-keys-then-sort idiom, which restores
-// determinism.
-func sortedAfter(info *types.Info, funcBody *ast.BlockStmt, obj types.Object, pos ast.Node) bool {
-	sorted := false
-	ast.Inspect(funcBody, func(n ast.Node) bool {
-		if sorted {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Pos() < pos.End() {
 			return true
-		}
-		se, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		fn, ok := info.Uses[se.Sel].(*types.Func)
-		if !ok || fn.Pkg() == nil {
-			return true
-		}
-		if p := fn.Pkg().Path(); p != "sort" && p != "slices" {
-			return true
-		}
-		for _, arg := range call.Args {
-			if id, ok := arg.(*ast.Ident); ok && info.Uses[id] == obj {
-				sorted = true
-			}
-		}
-		return !sorted
-	})
-	return sorted
-}
-
-func lastPathElem(p string) string {
-	for i := len(p) - 1; i >= 0; i-- {
-		if p[i] == '/' {
-			return p[i+1:]
-		}
+		})
 	}
-	return p
 }

@@ -12,8 +12,8 @@
 //	walltime      — no time.Now/Sleep/Since/... in simulation packages
 //	globalrand    — no package-level math/rand; randomness flows through
 //	                sim.Engine.Rand()
-//	maporder      — no map iteration that schedules events, sends packets,
-//	                or accumulates into an ordered slice
+//	maporder      — no map iteration at all: no range over a map, no
+//	                maps.Keys/Values/All (or DeleteFunc/EqualFunc)
 //	baregoroutine — no `go` statements in simulation packages; use
 //	                sim.Engine.Spawn
 //	handlerctx    — code reachable from a registered LAPI header handler
@@ -61,11 +61,11 @@ type Analyzer struct {
 
 // A Diagnostic is one finding. File is module-relative when possible.
 type Diagnostic struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
+	Analyzer string
+	File     string
+	Line     int
+	Col      int
+	Message  string
 }
 
 func (d Diagnostic) String() string {
@@ -144,11 +144,11 @@ type allowDirective struct {
 // documentation — the invariant they claim to waive is no longer waived —
 // so cmd/simlint reports them on their own exit path.
 type StaleAllow struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Analyzer string `json:"analyzer"`
+	File     string
+	Line     int
+	Analyzer string
 	// Unknown is set when Analyzer names no registered analyzer.
-	Unknown bool `json:"unknown,omitempty"`
+	Unknown bool
 }
 
 func (s StaleAllow) String() string {

@@ -18,7 +18,6 @@ func TestTreeIsSimlintClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ld.IncludeTests = true
 	dirs, err := simlint.Expand([]string{filepath.Join(ld.ModuleDir, "...")})
 	if err != nil {
 		t.Fatal(err)

@@ -21,12 +21,16 @@ func mkPoint(series string, x int, samples ...float64) PointResult {
 	return p
 }
 
-// mkResult builds a v3 result over per-x sample sets, declaring the
-// direction the way Run does (from the unit when it is a known one).
+// mkResult builds a v3 result over per-x sample sets. Latencies ("us")
+// declare lower-better and rates higher-better; any other unit declares
+// no direction.
 func mkResult(unit string, pts map[int][]float64) *Result {
 	r := &Result{Schema: SchemaV3, Experiment: "x", Unit: unit, Seeds: 3}
-	if d, err := bench.DirectionForUnit(unit); err == nil {
-		r.Direction = string(d)
+	switch unit {
+	case "us":
+		r.Direction = string(bench.LowerIsBetter)
+	case "MB/s", "msgs/s":
+		r.Direction = string(bench.HigherIsBetter)
 	}
 	for x, samples := range pts {
 		r.Points = append(r.Points, mkPoint("s", x, samples...))

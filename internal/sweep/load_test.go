@@ -13,7 +13,7 @@ import (
 // seed-varying cell, stored with them.
 func constAndNoisy(t *testing.T) *Result {
 	t.Helper()
-	e := bench.Experiment{ID: "load", Title: "load", Unit: "us", Cells: []bench.Cell{
+	e := bench.Experiment{ID: "load", Title: "load", Unit: "us", Direction: bench.LowerIsBetter, Cells: []bench.Cell{
 		{Series: "flat", X: 0, Run: func(bench.RunSpec) bench.Measurement { return bench.Measurement{Value: 100} }},
 		{Series: "noisy", X: 0, Run: func(rc bench.RunSpec) bench.Measurement {
 			return bench.Measurement{Value: 100 + float64(rc.Seed%977)}

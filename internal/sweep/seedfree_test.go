@@ -51,7 +51,7 @@ func encode(t *testing.T, e bench.Experiment, o Options) []byte {
 func TestSeedFreeCellRunsOnce(t *testing.T) {
 	const cells, seeds = 3, 5
 	for _, free := range []bool{true, false} {
-		e := bench.Experiment{ID: "runs", Title: "runs", Unit: "us"}
+		e := bench.Experiment{ID: "runs", Title: "runs", Unit: "us", Direction: bench.LowerIsBetter}
 		for i := 0; i < cells; i++ {
 			e.Cells = append(e.Cells, bench.Cell{Series: "s", X: i, Run: func(bench.RunSpec) bench.Measurement {
 				return bench.Measurement{Value: 7, VirtualTime: 11, SeedFree: free}

@@ -186,16 +186,10 @@ func RunCtx(ctx context.Context, e bench.Experiment, o Options) (*Result, error)
 	if base == 0 {
 		base = 1
 	}
-	if e.Direction == "" {
-		// Fail loudly rather than persist an artifact the gate would have
-		// to guess a direction for.
-		d, err := bench.DirectionForUnit(e.Unit)
-		if err != nil {
-			return nil, err
-		}
-		e.Direction = d
-	} else if _, err := bench.ParseDirection(string(e.Direction)); err != nil {
-		return nil, err
+	// Fail loudly rather than persist an artifact the gate would have to
+	// guess a direction for.
+	if _, err := bench.ParseDirection(string(e.Direction)); err != nil {
+		return nil, fmt.Errorf("sweep: experiment %q: %w", e.ID, err)
 	}
 	plan, err := faults.Parse(o.Faults)
 	if err != nil {

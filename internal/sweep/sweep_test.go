@@ -16,7 +16,7 @@ import (
 // functions of (cell, seed), for harness tests that don't need a real
 // simulation.
 func syntheticExperiment(cells int) bench.Experiment {
-	e := bench.Experiment{ID: "synthetic", Title: "synthetic", Unit: "us"}
+	e := bench.Experiment{ID: "synthetic", Title: "synthetic", Unit: "us", Direction: bench.LowerIsBetter}
 	for i := 0; i < cells; i++ {
 		i := i
 		e.Cells = append(e.Cells, bench.Cell{
@@ -116,7 +116,7 @@ func TestCellSeedProperties(t *testing.T) {
 // real statistical work: with fabric faults on, different seeds must give
 // different values, and the summary must report nonzero spread.
 func TestFaultInjectionProducesDispersion(t *testing.T) {
-	e := bench.Experiment{ID: "disp", Title: "dispersion probe", Unit: "us"}
+	e := bench.Experiment{ID: "disp", Title: "dispersion probe", Unit: "us", Direction: bench.LowerIsBetter}
 	full, err := bench.FindExperiment("ablate-eager")
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 // TestRunPropagatesPanics: a panicking cell must surface as an error, not
 // kill the process or hang the pool.
 func TestRunPropagatesPanics(t *testing.T) {
-	e := bench.Experiment{ID: "boom", Unit: "us", Cells: []bench.Cell{{
+	e := bench.Experiment{ID: "boom", Unit: "us", Direction: bench.LowerIsBetter, Cells: []bench.Cell{{
 		Series: "s", X: 1,
 		Run: func(rc bench.RunSpec) bench.Measurement { panic("kaboom") },
 	}}}

@@ -1,7 +1,9 @@
 package sweep
 
 import (
+	"context"
 	"runtime"
+	"strings"
 	"testing"
 
 	"splapi/internal/bench"
@@ -17,8 +19,21 @@ func TestValidateRejectsNegatives(t *testing.T) {
 		if _, err := o.Validate(); err == nil {
 			t.Errorf("Validate accepted %+v", o)
 		}
-		if _, err := Run(bench.Experiment{ID: "x", Unit: "us"}, o); err == nil {
+		if _, err := Run(bench.Experiment{ID: "x", Unit: "us", Direction: bench.LowerIsBetter}, o); err == nil {
 			t.Errorf("Run accepted %+v", o)
+		}
+	}
+}
+
+// TestRunRequiresDirection: an experiment declares which way is better,
+// and RunCtx rejects one that declares none or an unknown one rather than
+// guess a direction from the unit.
+func TestRunRequiresDirection(t *testing.T) {
+	for _, d := range []bench.Direction{"", "sideways"} {
+		e := syntheticExperiment(1)
+		e.Direction = d
+		if _, err := RunCtx(context.Background(), e, Options{}); err == nil || !strings.Contains(err.Error(), "direction") {
+			t.Errorf("RunCtx(direction %q) = %v, want a direction error", d, err)
 		}
 	}
 }
