@@ -86,7 +86,7 @@ loc:
 # loc-check is the ratchet on that number: it fails when the total exceeds
 # LOC_MAX. A PR that shrinks the tree lowers LOC_MAX to its own result; a PR
 # that must grow it raises LOC_MAX in the same diff, where a reviewer sees it.
-LOC_MAX = 19578
+LOC_MAX = 19278
 loc-check:
 	@total=$$($(MAKE) -s --no-print-directory loc | awk '$$2 == "total" { print $$1 }'); \
 	echo "loc-check: $$total non-test Go lines (LOC_MAX $(LOC_MAX))"; \

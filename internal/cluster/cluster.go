@@ -77,7 +77,6 @@ type Cluster struct {
 	Pipes    []*pipes.Pipes
 	LAPIs    []*lapi.LAPI
 	Provs    []mpci.Provider
-	Barrier  *sim.Barrier
 }
 
 // New builds a cluster per cfg.
@@ -92,11 +91,10 @@ func New(cfg Config) *Cluster {
 	}
 	eng := sim.NewEngine(cfg.Seed)
 	c := &Cluster{
-		Eng:     eng,
-		Par:     par,
-		Stack:   cfg.Stack,
-		Fabric:  switchnet.New(eng, par, cfg.Nodes),
-		Barrier: sim.NewBarrier(cfg.Nodes),
+		Eng:    eng,
+		Par:    par,
+		Stack:  cfg.Stack,
+		Fabric: switchnet.New(eng, par, cfg.Nodes),
 	}
 	c.Fabric.SetTrace(cfg.Trace)
 
@@ -118,7 +116,7 @@ func New(cfg Config) *Cluster {
 			if !ok {
 				panic(fmt.Sprintf("cluster: unknown stack %q", cfg.Stack))
 			}
-			ns := f.Build(f.Caps, eng, par, h, cfg.Nodes, c.Barrier)
+			ns := f.Build(f.Caps, eng, par, h, cfg.Nodes)
 			if ns.Pipes != nil {
 				c.Pipes = append(c.Pipes, ns.Pipes)
 			}

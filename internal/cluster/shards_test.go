@@ -6,6 +6,7 @@ import (
 
 	"splapi/internal/cluster"
 	"splapi/internal/mpci"
+	"splapi/internal/mpi"
 	"splapi/internal/sim"
 	"splapi/internal/trace"
 	"splapi/internal/tracelog"
@@ -16,6 +17,7 @@ import (
 func ringProgram(p *sim.Proc, prov mpci.Provider) {
 	n := prov.Size()
 	me := prov.Rank()
+	w := mpi.NewWorld(prov)
 	for phase, size := range []int{64, 8192} {
 		sbuf := make([]byte, size)
 		rbuf := make([]byte, size)
@@ -23,7 +25,7 @@ func ringProgram(p *sim.Proc, prov mpci.Provider) {
 		sreq := prov.IsendBlocking(p, (me+1)%n, sbuf, phase, 0, mpci.ModeStandard)
 		prov.WaitUntil(p, sreq.Done)
 		prov.WaitUntil(p, rreq.Done)
-		prov.Barrier(p)
+		w.Barrier(p)
 	}
 }
 

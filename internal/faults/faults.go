@@ -15,8 +15,11 @@
 package faults
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strconv"
@@ -73,14 +76,31 @@ type Rule struct {
 }
 
 // UnmarshalJSON defaults the selector fields to -1 (match anything) so a
-// hand-written plan can omit them; node 0 must be selected explicitly.
+// hand-written plan can omit them; node 0 must be selected explicitly. An
+// unknown key is an error: a misspelled "prob" would otherwise leave a
+// rule that never fires.
 func (r *Rule) UnmarshalJSON(data []byte) error {
 	type alias Rule
 	a := alias{Src: -1, Dst: -1, Route: -1}
-	if err := json.Unmarshal(data, &a); err != nil {
+	if err := decodeStrict(data, &a); err != nil {
 		return err
 	}
 	*r = Rule(a)
+	return nil
+}
+
+// decodeStrict is json.Unmarshal that also rejects keys v has no field
+// for. A custom UnmarshalJSON does not inherit its caller's decoder
+// settings, so Rule's must ask again.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if dec.Decode(new(json.RawMessage)) != io.EOF {
+		return errors.New("data after the JSON value")
+	}
 	return nil
 }
 
@@ -202,7 +222,7 @@ func parse(spec string) (Plan, error) {
 			return Plan{}, fmt.Errorf("faults: %w", err)
 		}
 		var p Plan
-		if err := json.Unmarshal(data, &p); err != nil {
+		if err := decodeStrict(data, &p); err != nil {
 			return Plan{}, fmt.Errorf("faults: %s: %w", spec[1:], err)
 		}
 		return p, nil

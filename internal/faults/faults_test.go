@@ -173,6 +173,25 @@ func TestParseRejectsMisreadPlans(t *testing.T) {
 	}
 }
 
+// TestParseRejectsUnknownKeys: a misspelled key in an @file plan, at the
+// plan or the rule level, fails with an error that names it, instead of
+// leaving a field at its zero value (a drop rule with Prob 0 drops nothing).
+func TestParseRejectsUnknownKeys(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "plan.json")
+	for _, c := range []struct{ plan, key string }{
+		{`{"rules":[{"kind":"drop","probability":0.5}]}`, `"probability"`},
+		{`{"name":"x","rule":[{"kind":"drop","prob":0.5}]}`, `"rule"`},
+	} {
+		if err := os.WriteFile(path, []byte(c.plan), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Parse("@" + path)
+		if err == nil || !strings.Contains(err.Error(), c.key) {
+			t.Errorf("@file %s: err = %v, want one naming %s", c.plan, err, c.key)
+		}
+	}
+}
+
 // FuzzParse: whatever Parse accepts from a flag spec is a valid plan that
 // round-trips through JSON unchanged. @file specs are left out: the fuzzer
 // must not open files.

@@ -58,8 +58,6 @@ const (
 	opRmwReq   byte = 5
 	opRmwReply byte = 6
 	opNotify   byte = 7
-	opPutv     byte = 8
-	opGetvReq  byte = 9
 )
 
 // noID marks an absent counter reference on the wire.

@@ -70,9 +70,7 @@ func (l *LAPI) onMsgHdr(p *sim.Proc, src int, body []byte) {
 		}
 		m.buf = g.buf
 		m.arg = g
-	case opPutv:
-		l.putvTarget(m)
-	case opGetReq, opGetvReq, opRmwReq, opRmwReply, opNotify:
+	case opGetReq, opRmwReq, opRmwReply, opNotify:
 		// Control messages carry no bulk data.
 	default:
 		panic(fmt.Sprintf("lapi: bad message op %d", op))
@@ -181,11 +179,6 @@ func (l *LAPI) finishMsg(p *sim.Proc, m *recvMsg) {
 	switch m.op {
 	case opAmsend, opPut:
 		l.completeWithHandler(p, m)
-	case opPutv:
-		l.finishPutv(p, m)
-		l.completeWithHandler(p, m)
-	case opGetvReq:
-		l.serveGetv(p, m)
 	case opGetReq:
 		l.serveGet(p, m)
 	case opGetReply:

@@ -22,7 +22,6 @@ type core struct {
 	h    *hal.HAL
 	rank int
 	size int
-	bar  *sim.Barrier
 	caps Capabilities
 
 	matchCore
@@ -73,8 +72,8 @@ type ProviderStats struct {
 	ZeroCopyRecvs uint64
 }
 
-func newCore(eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, bar *sim.Barrier, caps Capabilities) core {
-	c := core{eng: eng, par: par, h: h, rank: h.Node(), size: size, bar: bar, caps: caps, tr: h.Trace()}
+func newCore(eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, caps Capabilities) core {
+	c := core{eng: eng, par: par, h: h, rank: h.Node(), size: size, caps: caps, tr: h.Trace()}
 	c.eaCap = par.EarlyArrivalBytes
 	// The native MPI interrupt handler uses the hysteresis scheme; LAPI's
 	// has none (Section 6.1).
@@ -101,9 +100,6 @@ func (c *core) Trace() *tracelog.Log { return c.tr }
 // Capabilities implements Provider: the set this provider was registered
 // under and built with.
 func (c *core) Capabilities() Capabilities { return c.caps }
-
-// Barrier synchronizes all tasks in the job.
-func (c *core) Barrier(p *sim.Proc) { c.bar.Await(p) }
 
 // WaitUntil drives the dispatcher until cond holds, reaping counter
 // completions as they appear.

@@ -80,7 +80,6 @@ func TestAllStacksSurviveHostileFabric(t *testing.T) {
 				return true
 			})
 			prov.DetachBuffer(p)
-			prov.Barrier(p)
 		})
 		for _, m := range plan {
 			if !bytes.Equal(results[m.tag], payload(m)) {
@@ -225,7 +224,6 @@ func TestEnvelopeReorderingMachinery(t *testing.T) {
 				prov.WaitUntil(p, req.Done)
 				order = append(order, b[0])
 			}
-			prov.Barrier(p)
 		}
 	})
 	for i, v := range order {

@@ -74,12 +74,12 @@ type LAPIProvider struct {
 // newLAPI builds the MPI-LAPI MPCI for one task. caps selects the Section 5
 // design: the LAPI endpoint's completion regime must be Inline exactly when
 // caps.InlineCompletions.
-func newLAPI(eng *sim.Engine, par *machine.Params, l *lapi.LAPI, size int, bar *sim.Barrier, caps Capabilities) *LAPIProvider {
+func newLAPI(eng *sim.Engine, par *machine.Params, l *lapi.LAPI, size int, caps Capabilities) *LAPIProvider {
 	if (l.Variant() == lapi.Inline) != caps.InlineCompletions {
 		panic(fmt.Sprintf("mpci: capabilities %v do not fit LAPI variant %v", caps.List(), l.Variant()))
 	}
 	pr := &LAPIProvider{
-		core:       newCore(eng, par, l.HAL(), size, bar, caps),
+		core:       newCore(eng, par, l.HAL(), size, caps),
 		l:          l,
 		envSeqOut:  make([]uint32, size),
 		envSeqIn:   make([]uint32, size),

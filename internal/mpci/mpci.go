@@ -161,9 +161,6 @@ type Provider interface {
 	// DetachBuffer waits for all buffered sends to drain and returns the
 	// buffer.
 	DetachBuffer(p *sim.Proc) []byte
-	// Barrier performs a job-wide synchronization (used by the harness
-	// between program phases; MPI_Barrier itself is built from sends).
-	Barrier(p *sim.Proc)
 	// Capabilities reports what this implementation supports. Callers
 	// branch on capabilities, never on provider names.
 	Capabilities() Capabilities

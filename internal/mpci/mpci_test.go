@@ -17,8 +17,8 @@ import (
 // allStacks is the provider conformance list, driven by the registry:
 // every registered provider — including rdma, since the SP332 test
 // machine supports registration — must pass the full suite below. A new
-// provider gets conformance coverage by registering, not by editing
-// tests.
+// provider gets conformance coverage from its registry row, not by
+// editing tests.
 var allStacks = func() []cluster.Stack {
 	var out []cluster.Stack
 	for _, f := range mpci.Providers() {
@@ -488,6 +488,27 @@ func TestTable2ProtocolTranslation(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestRegistryTableWellFormed: every factory has a name and a build
+// function, and the names are unique and sorted, so listings need no sort.
+func TestRegistryTableWellFormed(t *testing.T) {
+	fs := mpci.Providers()
+	if len(fs) == 0 {
+		t.Fatal("empty provider registry")
+	}
+	for i, f := range fs {
+		if f.Name == "" || f.Build == nil {
+			t.Errorf("factory %d (%q) needs a name and a build function", i, f.Name)
+		}
+		if i > 0 && fs[i-1].Name >= f.Name {
+			t.Errorf("names not unique and sorted: %q before %q", fs[i-1].Name, f.Name)
+		}
+	}
+	fs[0].Name = "clobbered"
+	if mpci.Providers()[0].Name == "clobbered" {
+		t.Error("Providers() shares the registry's array")
+	}
 }
 
 // TestBuiltCapabilitiesAreTheRegisteredOnes pins the registry contract: a

@@ -49,10 +49,9 @@ type NativeProvider struct {
 	frameOut []uint64
 }
 
-// newNative builds the native MPCI for one task. bar is the job-wide
-// barrier shared by all tasks.
-func newNative(eng *sim.Engine, par *machine.Params, h *hal.HAL, pp *pipes.Pipes, size int, bar *sim.Barrier, caps Capabilities) *NativeProvider {
-	pr := &NativeProvider{core: newCore(eng, par, h, size, bar, caps), pp: pp}
+// newNative builds the native MPCI for one task.
+func newNative(eng *sim.Engine, par *machine.Params, h *hal.HAL, pp *pipes.Pipes, size int, caps Capabilities) *NativeProvider {
+	pr := &NativeProvider{core: newCore(eng, par, h, size, caps), pp: pp}
 	pr.ackRTS = pr.sendCTS
 	pr.parsers = make([]*frameParser, size)
 	pr.outQ = make([]*sim.Queue, size)

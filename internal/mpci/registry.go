@@ -1,13 +1,12 @@
-// Provider registry: every MPCI implementation registers a named factory
-// here, and every construction site (cluster, benches, cmds, tests) selects
-// one through it. Callers that need to know what a provider can do read its
-// Capabilities — never its name — so adding a provider never grows a string
-// switch anywhere else.
+// Provider registry: every MPCI implementation has a named factory in one
+// table here, and every construction site (cluster, benches, cmds, tests)
+// selects one through it. Callers that need to know what a provider can do
+// read its Capabilities — never its name — so adding a provider never grows
+// a string switch anywhere else.
 package mpci
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 
 	"splapi/internal/hal"
 	"splapi/internal/lapi"
@@ -79,91 +78,71 @@ type Factory struct {
 	// Build constructs the stack for one node; callers pass the factory's
 	// own Caps. The HAL's trace log is already attached; factories
 	// propagate it to the layers they build.
-	Build func(caps Capabilities, eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, bar *sim.Barrier) NodeStack
+	Build func(caps Capabilities, eng *sim.Engine, par *machine.Params, h *hal.HAL, size int) NodeStack
 }
 
-// registry state: a lookup map plus a sorted name list, so listings never
-// iterate the map (deterministic order everywhere).
-var (
-	registry      = map[string]Factory{}
-	registryNames []string
-)
-
-// Register adds a provider factory. Duplicate names are a wiring bug.
-func Register(f Factory) {
-	if f.Name == "" || f.Build == nil {
-		panic("mpci: Register needs a name and a build function")
-	}
-	if _, dup := registry[f.Name]; dup {
-		panic(fmt.Sprintf("mpci: provider %q registered twice", f.Name))
-	}
-	registry[f.Name] = f
-	registryNames = append(registryNames, f.Name)
-	sort.Strings(registryNames)
+// providers is the registry: one Factory per provider, sorted by name, so
+// listings are deterministic without a sort.
+var providers = []Factory{
+	{
+		Name:  "mpi-lapi-base",
+		Doc:   "MPI-LAPI with threaded completion handlers (Section 4)",
+		Caps:  Capabilities{EnvelopeResequencing: true},
+		Build: buildLAPI,
+	},
+	{
+		Name:  "mpi-lapi-counters",
+		Doc:   "MPI-LAPI completing eager messages by counters (Section 5.2)",
+		Caps:  Capabilities{EnvelopeResequencing: true, CounterCompletions: true},
+		Build: buildLAPI,
+	},
+	{
+		Name:  "mpi-lapi-enhanced",
+		Doc:   "MPI-LAPI with same-context completion handlers (Section 5.3)",
+		Caps:  Capabilities{EnvelopeResequencing: true, InlineCompletions: true},
+		Build: buildLAPI,
+	},
+	{
+		Name:  "native",
+		Doc:   "original MPCI over the Pipes byte stream (Figure 1a)",
+		Caps:  Capabilities{NativeFraming: true, HysteresisInterrupts: true},
+		Build: buildNative,
+	},
+	{
+		Name:  "rdma",
+		Doc:   "enhanced MPI-LAPI with zero-copy RDMA-read rendezvous",
+		Caps:  Capabilities{EnvelopeResequencing: true, InlineCompletions: true, ZeroCopyRendezvous: true},
+		Build: buildLAPI,
+	},
 }
 
 // Lookup returns the factory registered under name.
 func Lookup(name string) (Factory, bool) {
-	f, ok := registry[name]
-	return f, ok
+	for _, f := range providers {
+		if f.Name == name {
+			return f, true
+		}
+	}
+	return Factory{}, false
 }
 
 // Providers returns all registered factories sorted by name.
-func Providers() []Factory {
-	out := make([]Factory, 0, len(registryNames))
-	for _, n := range registryNames {
-		out = append(out, registry[n])
-	}
-	return out
-}
+func Providers() []Factory { return slices.Clone(providers) }
 
-func buildNative(caps Capabilities, eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, bar *sim.Barrier) NodeStack {
+func buildNative(caps Capabilities, eng *sim.Engine, par *machine.Params, h *hal.HAL, size int) NodeStack {
 	pp := pipes.New(eng, par, h, size)
 	pp.SetTrace(h.Trace())
-	return NodeStack{Prov: newNative(eng, par, h, pp, size, bar, caps), Pipes: pp}
+	return NodeStack{Prov: newNative(eng, par, h, pp, size, caps), Pipes: pp}
 }
 
 // buildLAPI builds every LAPI-backed stack: the Section 5 designs and the
 // zero-copy rendezvous differ only in caps.
-func buildLAPI(caps Capabilities, eng *sim.Engine, par *machine.Params, h *hal.HAL, size int, bar *sim.Barrier) NodeStack {
+func buildLAPI(caps Capabilities, eng *sim.Engine, par *machine.Params, h *hal.HAL, size int) NodeStack {
 	variant := lapi.Threaded
 	if caps.InlineCompletions {
 		variant = lapi.Inline
 	}
 	l := lapi.New(eng, par, h, size, variant)
 	l.SetTrace(h.Trace())
-	return NodeStack{Prov: newLAPI(eng, par, l, size, bar, caps), LAPI: l}
-}
-
-func init() {
-	Register(Factory{
-		Name:  "native",
-		Doc:   "original MPCI over the Pipes byte stream (Figure 1a)",
-		Caps:  Capabilities{NativeFraming: true, HysteresisInterrupts: true},
-		Build: buildNative,
-	})
-	Register(Factory{
-		Name:  "mpi-lapi-base",
-		Doc:   "MPI-LAPI with threaded completion handlers (Section 4)",
-		Caps:  Capabilities{EnvelopeResequencing: true},
-		Build: buildLAPI,
-	})
-	Register(Factory{
-		Name:  "mpi-lapi-counters",
-		Doc:   "MPI-LAPI completing eager messages by counters (Section 5.2)",
-		Caps:  Capabilities{EnvelopeResequencing: true, CounterCompletions: true},
-		Build: buildLAPI,
-	})
-	Register(Factory{
-		Name:  "mpi-lapi-enhanced",
-		Doc:   "MPI-LAPI with same-context completion handlers (Section 5.3)",
-		Caps:  Capabilities{EnvelopeResequencing: true, InlineCompletions: true},
-		Build: buildLAPI,
-	})
-	Register(Factory{
-		Name:  "rdma",
-		Doc:   "enhanced MPI-LAPI with zero-copy RDMA-read rendezvous",
-		Caps:  Capabilities{EnvelopeResequencing: true, InlineCompletions: true, ZeroCopyRendezvous: true},
-		Build: buildLAPI,
-	})
+	return NodeStack{Prov: newLAPI(eng, par, l, size, caps), LAPI: l}
 }

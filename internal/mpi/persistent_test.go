@@ -142,90 +142,3 @@ func TestPackedMessageExchange(t *testing.T) {
 		t.Fatalf("unpacked %v %v", hs, bs)
 	}
 }
-
-func TestCartTopology(t *testing.T) {
-	c := build(t, cluster.LAPIEnhanced, 4, 25)
-	type obs struct {
-		coords []int
-		src    int
-		dst    int
-	}
-	got := make([]obs, 4)
-	runWorld(t, c, func(p *sim.Proc, w *mpi.Comm) {
-		ct := w.CartCreate([]int{2, 2}, []bool{true, false})
-		src, dst := ct.Shift(1, 1) // along the non-periodic dimension
-		got[w.Rank()] = obs{coords: ct.Coords(w.Rank()), src: src, dst: dst}
-		// A shift exchange along the periodic dimension must always pair.
-		sbuf := []byte{byte(w.Rank())}
-		rbuf := make([]byte, 1)
-		if !ct.SendrecvShift(p, 0, 1, sbuf, rbuf, 5) {
-			t.Errorf("rank %d: periodic shift had no source", w.Rank())
-		}
-		srcP, _ := ct.Shift(0, 1)
-		if int(rbuf[0]) != srcP {
-			t.Errorf("rank %d: got token %d, want %d", w.Rank(), rbuf[0], srcP)
-		}
-	})
-	// Grid: rank = 2*x + y with dims (2,2).
-	wantCoords := [][]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
-	for r := range got {
-		for i := range wantCoords[r] {
-			if got[r].coords[i] != wantCoords[r][i] {
-				t.Fatalf("rank %d coords %v, want %v", r, got[r].coords, wantCoords[r])
-			}
-		}
-	}
-	// Non-periodic dim 1: rank 0 (y=0) has no source; rank 1 (y=1) has no dest.
-	if got[0].src != -1 || got[1].dst != -1 {
-		t.Fatalf("boundary shifts wrong: %+v %+v", got[0], got[1])
-	}
-	if got[0].dst != 1 || got[1].src != 0 {
-		t.Fatalf("interior shifts wrong: %+v %+v", got[0], got[1])
-	}
-}
-
-func TestDimsCreate(t *testing.T) {
-	cases := []struct {
-		n, nd int
-		want  []int
-	}{
-		{4, 2, []int{2, 2}},
-		{12, 2, []int{4, 3}},
-		{8, 3, []int{2, 2, 2}},
-		{7, 2, []int{7, 1}},
-	}
-	for _, c := range cases {
-		got := mpi.DimsCreate(c.n, c.nd)
-		prod := 1
-		for _, d := range got {
-			prod *= d
-		}
-		if prod != c.n {
-			t.Errorf("DimsCreate(%d,%d) = %v: product %d", c.n, c.nd, got, prod)
-		}
-	}
-}
-
-func TestReduceScatterBlock(t *testing.T) {
-	const n = 4
-	c := build(t, cluster.Native, n, 26)
-	got := make([]int64, n)
-	runWorld(t, c, func(p *sim.Proc, w *mpi.Comm) {
-		// Rank r contributes block b = r*10 + b.
-		vals := make([]int64, n)
-		for b := range vals {
-			vals[b] = int64(w.Rank()*10 + b)
-		}
-		out := make([]byte, 8)
-		w.ReduceScatterBlock(p, mpi.Int64Slice(vals), out, mpi.Int64, mpi.OpSum)
-		res := make([]int64, 1)
-		mpi.PutInt64Slice(res, out)
-		got[w.Rank()] = res[0]
-	})
-	for r := 0; r < n; r++ {
-		want := int64(0+10+20+30) + int64(4*r)
-		if got[r] != want {
-			t.Fatalf("rank %d reduce-scatter = %d, want %d", r, got[r], want)
-		}
-	}
-}

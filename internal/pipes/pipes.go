@@ -72,7 +72,6 @@ type sendPipe struct {
 	// walkers counts retransmits walking unacked across a blocking send;
 	// while one does, push must not move the bytes under it.
 	walkers  int
-	ackCond  sim.Cond
 	rtxTimer sim.Timer
 	rtxArmed bool
 	onRtx    func() // the retransmission timer's callback, bound once
@@ -437,6 +436,5 @@ func (pp *Pipes) applyAck(src int, cum uint64) {
 	sp.rtxTimer.Stop()
 	sp.rtxArmed = false
 	pp.armRtx(sp)
-	sp.ackCond.Broadcast()
 	pp.h.KickProgress()
 }

@@ -29,7 +29,7 @@ import (
 //	         hal.ProgressWait, lapi.Counter.Wait, or a LAPI comm op, which
 //	         can stall on a full flow-control window)
 //	lapi   — the function issues a LAPI communication op (Amsend, Put,
-//	         Get, Putv, Getv, Rmw, Fence, FenceAll)
+//	         Get, Rmw, Fence, FenceAll)
 //	spawns — the function starts a simulated process (Engine.Spawn)
 //
 // Two HAL primitives are trusted bounded waits and deliberately opaque:
@@ -143,8 +143,8 @@ var blockingPrims = map[primKey]string{
 // blocking primitives: every one of them can stall on a full flow-control
 // window (flow.send calls ProgressWait) or on a counter.
 var lapiComm = map[string]bool{
-	"Amsend": true, "Put": true, "Get": true, "Putv": true, "Getv": true,
-	"Rmw": true, "Fence": true, "FenceAll": true,
+	"Amsend": true, "Put": true, "Get": true, "Rmw": true, "Fence": true,
+	"FenceAll": true,
 }
 
 // trustedBounded are HAL primitives whose waits are bounded by construction

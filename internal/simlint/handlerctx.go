@@ -18,7 +18,7 @@ import (
 //     Resource.Acquire, Barrier.Await, hal.ProgressWait, Counter.Wait):
 //     the dispatcher that would make progress is the proc that is waiting,
 //     so the wait can never be satisfied — deadlock;
-//   - re-enter LAPI (Amsend/Put/Get/Putv/Getv/Rmw/Fence/FenceAll): the
+//   - re-enter LAPI (Amsend/Put/Get/Rmw/Fence/FenceAll): the
 //     runtime guard panics, and the ops can stall on the flow-control
 //     window anyway;
 //   - Spawn a simulated process: scheduling from dispatcher context makes
